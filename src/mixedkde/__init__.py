@@ -6,7 +6,7 @@ from .product import ProductKernel, tensor_kernel, verify_class, q_norm
 from .sobolev import (SmoothnessSpec, DifferentiableField, index_set,
                       mixed_norm, classical_norm, aniso_norm, ball_membership)
 from .bumps import bump_k, g_function, lambda_value
-from .densities import Density, tensor_bump_density, plateau_density, sample
+from .densities import Density, tensor_bump_density, plateau_density
 from .lower_bound import (FamilyParams, LowerBoundFamily, InfeasibleParameters,
                           vg_code, choose_parameters, build_family,
                           family_distance, chi2_affinity, family_report)

@@ -19,13 +19,13 @@ clamped to 0 and 1.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.polynomial import polynomial as nppoly
 from scipy.interpolate import PchipInterpolator
 
-from .quadrature import integrate_1d
+from .quadrature import integrate_1d, lp_norm_1d
 
 __all__ = [
     "bump_k",
@@ -34,8 +34,6 @@ __all__ = [
     "lambda_value",
     "lambda_deriv",
     "lambda_bar",
-    "lambda_norm",
-    "lambda_sobolev_norm",
     "g_function",
     "g_deriv",
     "g_norm",
@@ -134,23 +132,17 @@ def lambda_bar(u) -> np.ndarray:
     return out
 
 
-def lambda_norm(p: float) -> float:
-    """``L^p`` norm of Lambda on [-1, 1]."""
-    return integrate_1d(lambda u: lambda_value(u) ** p, -1.0, 1.0,
-                        panels=128, nodes=10) ** (1.0 / p)
+def _sobolev_norm_1d(deriv, lo: float, hi: float, order: int, p: float) -> float:
+    """Sum of the ``L^p`` norms of ``deriv(m, .)`` on [lo, hi], m = 0..order."""
+    total = 0.0
+    for m in range(order + 1):
+        total += lp_norm_1d(partial(deriv, m), lo, hi, p, panels=256, nodes=10)
+    return total
 
 
 def bump_sobolev_norm(order: int, p: float) -> float:
     """Classical Sobolev norm of the raw bump k up to the given order."""
-    total = 0.0
-    for m in range(order + 1):
-        total += integrate_1d(lambda u: np.abs(bump_k_deriv(m, u)) ** p,
-                              -1.0, 1.0, panels=256, nodes=10) ** (1.0 / p)
-    return total
-
-
-def lambda_sobolev_norm(order: int, p: float) -> float:
-    return bump_sobolev_norm(order, p) / bump_l1()
+    return _sobolev_norm_1d(bump_k_deriv, -1.0, 1.0, order, p)
 
 
 def g_function(t) -> np.ndarray:
@@ -175,15 +167,10 @@ def g_deriv(m: int, t) -> np.ndarray:
 @lru_cache(maxsize=None)
 def g_norm(p: float) -> float:
     """``L^p`` norm of g on its support [-2, 2]."""
-    return integrate_1d(lambda t: np.abs(g_function(t)) ** p, -2.0, 2.0,
-                        panels=256, nodes=10) ** (1.0 / p)
+    return lp_norm_1d(g_function, -2.0, 2.0, p, panels=256, nodes=10)
 
 
 @lru_cache(maxsize=None)
 def g_sobolev_norm(order: int, p: float) -> float:
     """Classical Sobolev norm of g on R up to the given order."""
-    total = 0.0
-    for m in range(order + 1):
-        total += integrate_1d(lambda t: np.abs(g_deriv(m, t)) ** p,
-                              -2.0, 2.0, panels=256, nodes=10) ** (1.0 / p)
-    return total
+    return _sobolev_norm_1d(g_deriv, -2.0, 2.0, order, p)

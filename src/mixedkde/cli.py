@@ -13,11 +13,12 @@ import sys
 from pathlib import Path
 
 from .kernels import build_order_kernel, kernel_from_json, kernel_to_json, verify_order
-from .lower_bound import (FamilyParams, InfeasibleParameters, build_family,
-                          choose_parameters, family_report_json, family_report)
+from .lower_bound import (InfeasibleParameters, build_family, choose_parameters,
+                          family_report, params_from_report)
 from .product import (product_kernel_from_json, product_kernel_to_json,
                       tensor_kernel, verify_class)
-from .risk import config_from_dict, mc_risk, rate_exponent, report_summary, report_to_csv
+from .risk import (mc_risk, rate_exponent, report_summary, report_to_csv,
+                   verify_lower_hypotheses)
 
 USAGE_ERROR = 2
 VERIFY_FAIL = 1
@@ -35,6 +36,17 @@ def _write_or_print(text: str, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text)
+
+
+def _write_json(doc: dict, out: str | None) -> None:
+    _write_or_print(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
+
+
+def _read_json_object(path: str) -> dict:
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -132,7 +144,7 @@ def _cmd_kernel_verify(args) -> int:
             "pass": report.passed,
         }
         passed = report.passed
-    _write_or_print(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _write_json(payload, args.out)
     return 0 if passed else VERIFY_FAIL
 
 
@@ -153,18 +165,20 @@ def _family_from_args(args):
 
 def _cmd_family_build(args) -> int:
     fam = _family_from_args(args)
-    _write_or_print(family_report_json(fam), args.out)
+    report = family_report(fam)
+    hyp = verify_lower_hypotheses(fam, args.n)
+    report["lemma_hypotheses"] = {
+        "rho_n": hyp.rho_n,
+        "condition_L11": hyp.condition_l11,
+        "c0_estimate": hyp.c0_estimate,
+        "c0_exponential_bound": hyp.c0_exponential_bound,
+    }
+    _write_json(report, args.out)
     return 0
 
 
 def _cmd_family_verify(args) -> int:
-    doc = json.loads(Path(args.config).read_text())
-    p = doc["params"]
-    params = FamilyParams(s1=p["s1"], s2=p["s2"], d1=p["d1"], d2=p["d2"],
-                          p=p["p"], r=p["r"], big_n=p["N"], kappa=p["kappa"],
-                          sigma=p["sigma"], amplitude=p["A"], m_per_axis=p["M"],
-                          epsilon=p["epsilon"], r_star=p["r_star"],
-                          compact_regime=p["compact_regime"])
+    params = params_from_report(_read_json_object(args.config)["params"])
     fam = build_family(params, code_seed=args.seed)
     report = family_report(fam)
     report["pass"] = bool(
@@ -175,12 +189,12 @@ def _cmd_family_verify(args) -> int:
         and report["code_size"] >= report["code_size_bound"]
         and report["min_hamming_distance"] >= report["min_hamming_bound"]
     )
-    _write_or_print(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+    _write_json(report, args.out)
     return 0 if report["pass"] else VERIFY_FAIL
 
 
 def _cmd_risk_run(args) -> int:
-    doc = json.loads(Path(args.config).read_text())
+    doc = _read_json_object(args.config)
     if args.replicates is not None:
         doc["replicates"] = args.replicates
     if args.seed is not None:
@@ -218,6 +232,9 @@ def run(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
+        return USAGE_ERROR
+    except KeyError as exc:
+        print(f"error: config is missing key {exc.args[0]!r}", file=sys.stderr)
         return USAGE_ERROR
     except (ValueError, InfeasibleParameters) as exc:
         print(f"error: {exc}", file=sys.stderr)

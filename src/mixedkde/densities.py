@@ -22,8 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bumps import bump_l1, bump_k, lambda_bar, lambda_deriv, lambda_value
-from .quadrature import Box, QuadRule, integrate
+from .bumps import lambda_bar, lambda_deriv, lambda_value
+from .quadrature import Box, QuadRule, grid_points, integrate, tensor_product
 from .sobolev import DifferentiableField
 
 __all__ = [
@@ -31,8 +31,6 @@ __all__ = [
     "Density",
     "tensor_bump_density",
     "plateau_density",
-    "sample",
-    "bump_k",
 ]
 
 _CDF_KNOTS = 4096
@@ -85,7 +83,6 @@ class Density:
 
     field: DifferentiableField
     is_pdf_tol: float = 1e-8
-    sampler_kind: str = "per-axis-inverse-cdf"
     axis_factors: tuple[AxisFactor, ...] | None = None
     sampler: object | None = dataclasses.field(default=None, repr=False)
 
@@ -96,6 +93,12 @@ class Density:
     @property
     def support(self) -> Box:
         return self.field.support
+
+    @property
+    def feature_scale(self) -> float:
+        """Length scale of the density's features: a quarter of the
+        narrowest support width, capped at one."""
+        return float(min(1.0, np.min(self.support.widths()) / 4.0))
 
     def __call__(self, pts) -> np.ndarray:
         return self.field.eval(np.atleast_2d(np.asarray(pts, dtype=float)))
@@ -110,14 +113,21 @@ class Density:
         rng = np.random.default_rng(np.uint64(seed))
         return self.sampler.draw(rng, count)
 
+    def on_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
+        """Values on the tensor grid spanned by per-axis node vectors.
+
+        Product densities are evaluated factor by factor and multiplied out.
+        """
+        if self.axis_factors is not None:
+            return tensor_product([f.pdf(a) for f, a in zip(self.axis_factors, axes)])
+        return self.field.eval(grid_points(axes)).reshape([len(a) for a in axes])
+
     def verify_pdf(self, rule: QuadRule, grid_per_axis: int = 256) -> dict:
         """Measure the unit-mass defect and the most negative grid value."""
         total = integrate(self.field.eval, self.support, rule)
         axes = [np.linspace(lo, hi, grid_per_axis)
                 for lo, hi in zip(self.support.lower, self.support.upper)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        vals = self.field.eval(pts)
+        vals = self.field.eval(grid_points(axes))
         min_val = float(np.min(vals))
         return {
             "integral": total,
@@ -127,21 +137,9 @@ class Density:
         }
 
 
-def sample(density: Density, seed: int, count: int) -> np.ndarray:
-    """Module-level alias for ``Density.sample``."""
-    return density.sample(seed, count)
-
-
 def _product_field(factors: Sequence[AxisFactor]) -> DifferentiableField:
     factors = tuple(factors)
     box = Box(tuple(f.lo for f in factors), tuple(f.hi for f in factors))
-
-    def evaluate(pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        vals = np.ones(pts.shape[0])
-        for j, f in enumerate(factors):
-            vals *= f.pdf(pts[:, j])
-        return vals
 
     def partial_factory(alpha: tuple[int, ...]) -> Callable:
         funcs = [f.deriv(a) if a > 0 else f.pdf for f, a in zip(factors, alpha)]
@@ -155,15 +153,14 @@ def _product_field(factors: Sequence[AxisFactor]) -> DifferentiableField:
 
         return deriv_field
 
-    return DifferentiableField(eval=evaluate, support=box,
+    return DifferentiableField(eval=partial_factory((0,) * len(factors)), support=box,
                                partial_factory=partial_factory)
 
 
 def product_density(factors: Sequence[AxisFactor], is_pdf_tol: float = 1e-8) -> Density:
     factors = tuple(factors)
     return Density(field=_product_field(factors), is_pdf_tol=is_pdf_tol,
-                   sampler_kind="per-axis-inverse-cdf", axis_factors=factors,
-                   sampler=_ProductSampler(factors))
+                   axis_factors=factors, sampler=_ProductSampler(factors))
 
 
 def _bump_factor(center: float, width: float) -> AxisFactor:
@@ -226,10 +223,6 @@ class PlateauInfo:
     @property
     def plateau_halfwidth(self) -> float:
         return (self.big_n - 2.0) / (2.0 * self.kappa)
-
-    @property
-    def support_halfwidth(self) -> float:
-        return (self.big_n + 2.0) / (2.0 * self.kappa)
 
 
 def plateau_density(big_n: float, kappa: float, dim: int) -> tuple[Density, PlateauInfo]:

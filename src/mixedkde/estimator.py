@@ -23,7 +23,8 @@ from numpy.polynomial import polynomial as nppoly
 
 from .densities import Density
 from .product import ProductKernel
-from .quadrature import Box, QuadRule, grid_nodes, _gauss_nodes
+from .quadrature import (Box, QuadRule, grid_nodes, grid_points, tensor_product,
+                         _axis_nodes)
 
 __all__ = [
     "KdeModel",
@@ -149,24 +150,12 @@ def kde_mass(model: KdeModel, box: Box) -> float:
     return float(total.sum()) / model.n
 
 
-def _inner_rule_axes(h: float, feature_scale: float,
-                     nodes: int = 10) -> tuple[np.ndarray, np.ndarray]:
-    """GL nodes and weights on [-1, 1] resolving truth features of the
-    given scale seen through an h-scaled window."""
-    rel = feature_scale / h
+def _kernel_nodes(h: float, truth: Density, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """GL nodes and weights on the kernel support [-1, 1] resolving the
+    truth's features seen through an h-scaled window."""
+    rel = truth.feature_scale / h
     panels = max(2, int(np.ceil(2.0 / max(rel / 2.0, 1e-3))))
-    panels = min(panels, 64)
-    x, w = _gauss_nodes(nodes)
-    width = 2.0 / panels
-    edges = -1.0 + width * np.arange(panels)
-    pts = (edges[:, None] + 0.5 * width * (x[None, :] + 1.0)).ravel()
-    wts = np.tile(0.5 * width * w, panels)
-    return pts, wts
-
-
-def _truth_feature_scale(truth: Density) -> float:
-    widths = truth.support.widths()
-    return float(min(1.0, np.min(widths) / 4.0))
+    return _axis_nodes(-1.0, 1.0, min(panels, 64), nodes)
 
 
 def kde_mean_field(kernel: ProductKernel, h: float, truth: Density,
@@ -180,14 +169,9 @@ def kde_mean_field(kernel: ProductKernel, h: float, truth: Density,
     if not 0.0 < h < 1.0:
         raise ValueError(f"bandwidth must lie in (0, 1), got {h}")
     dim = kernel.dim
-    pts_1d, wts_1d = _inner_rule_axes(h, _truth_feature_scale(truth), nodes)
-    mesh = np.meshgrid(*([pts_1d] * dim), indexing="ij")
-    u_nodes = np.stack([m.ravel() for m in mesh], axis=-1)
-    k_vals = kernel(u_nodes)
-    w = wts_1d
-    for _ in range(dim - 1):
-        w = np.multiply.outer(w, wts_1d)
-    weights = k_vals * w.ravel()
+    pts_1d, wts_1d = _kernel_nodes(h, truth, nodes)
+    u_nodes = grid_points([pts_1d] * dim)
+    weights = kernel(u_nodes) * tensor_product([wts_1d] * dim).ravel()
     truth_eval = truth.field.eval
 
     def field(pts: np.ndarray) -> np.ndarray:
@@ -208,10 +192,8 @@ def mean_field_on_axes(kernel: ProductKernel, h: float, truth: Density,
     dim = kernel.dim
     if truth.axis_factors is None:
         field = kde_mean_field(kernel, h, truth, nodes=nodes)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        return field(pts).reshape([len(a) for a in axes])
-    pts_1d, wts_1d = _inner_rule_axes(h, _truth_feature_scale(truth), nodes)
+        return field(grid_points(axes)).reshape([len(a) for a in axes])
+    pts_1d, wts_1d = _kernel_nodes(h, truth, nodes)
     conv = []
     for j in range(dim):
         k_vals = _factor_values(kernel, j, pts_1d)
@@ -219,10 +201,7 @@ def mean_field_on_axes(kernel: ProductKernel, h: float, truth: Density,
         shifted = grid[:, None] + h * pts_1d[None, :]
         f_vals = truth.axis_factors[j].pdf(shifted.ravel()).reshape(shifted.shape)
         conv.append(f_vals @ (k_vals * wts_1d))
-    out = conv[0]
-    for c in conv[1:]:
-        out = np.multiply.outer(out, c)
-    return out
+    return tensor_product(conv)
 
 
 def bias_lp(kernel: ProductKernel, h: float, truth: Density, p: float,
@@ -237,16 +216,6 @@ def bias_lp(kernel: ProductKernel, h: float, truth: Density, p: float,
         raise ValueError(f"p must be >= 1, got {p}")
     axes, axis_weights = grid_nodes(box, rule)
     mean_grid = mean_field_on_axes(kernel, h, truth, axes, nodes=nodes)
-    if truth.axis_factors is not None:
-        truth_grid = truth.axis_factors[0].pdf(axes[0])
-        for j in range(1, len(axes)):
-            truth_grid = np.multiply.outer(truth_grid, truth.axis_factors[j].pdf(axes[j]))
-    else:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        truth_grid = truth.field.eval(pts).reshape(mean_grid.shape)
-    weights = axis_weights[0]
-    for w in axis_weights[1:]:
-        weights = np.multiply.outer(weights, w)
-    val = float(np.sum(weights * np.abs(mean_grid - truth_grid) ** p))
+    err = np.abs(mean_grid - truth.on_grid(axes)) ** p
+    val = float(np.sum(tensor_product(axis_weights) * err))
     return val ** (1.0 / p)

@@ -20,16 +20,16 @@ including the non-compact variant where the plateau width N grows with n.
 
 from __future__ import annotations
 
-import json
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .bumps import g_deriv, g_function, g_norm, g_sobolev_norm, bump_sobolev_norm, bump_l1
 from .densities import Density, PlateauInfo, plateau_density
-from .quadrature import Box, QuadRule, integrate
+from .quadrature import QuadRule, integrate
 from .sobolev import DifferentiableField
 
 __all__ = [
@@ -42,6 +42,8 @@ __all__ = [
     "hamming_distance",
     "choose_parameters",
     "family_constants",
+    "params_to_report",
+    "params_from_report",
     "build_family",
     "family_distance",
     "chi2_affinity",
@@ -90,6 +92,22 @@ class FamilyParams:
         return self.m_per_axis ** self.dim
 
 
+# Report key of each FamilyParams field whose key differs from the field name.
+_REPORT_KEYS = {"big_n": "N", "amplitude": "A", "m_per_axis": "M"}
+
+
+def params_to_report(params: FamilyParams) -> dict:
+    """The ``params`` block of a family report."""
+    return {_REPORT_KEYS.get(f.name, f.name): getattr(params, f.name)
+            for f in dataclasses.fields(FamilyParams)}
+
+
+def params_from_report(doc: dict) -> FamilyParams:
+    """Inverse of ``params_to_report``; a missing key raises ``KeyError``."""
+    return FamilyParams(**{f.name: doc[_REPORT_KEYS.get(f.name, f.name)]
+                           for f in dataclasses.fields(FamilyParams)})
+
+
 def validate_params(params: FamilyParams, require_code_capacity: bool = True) -> None:
     """Check every construction invariant, naming the first violated one."""
     p = params
@@ -133,8 +151,6 @@ class FamilyConstants:
     c3: float
     c4: float
     c5: float | None
-    c6_prime: float | None
-    c7_prime: float | None
     g_p: float
     g_2: float
     g_sob: float
@@ -159,27 +175,37 @@ def _kappa_choice(p: float, r: float, epsilon: float, c0: float, dim: int) -> fl
     return min(1.0, cap)
 
 
-def family_constants(params: FamilyParams) -> FamilyConstants:
-    """Recompute the construction constants for a parameter set."""
-    p, dim, smooth = params.p, params.dim, params.smoothness
+def _plateau_constant(p: float, dim: int, smooth: int) -> float:
+    """C0, the Sobolev-norm constant of the plateau density."""
+    return (2.0 * bump_sobolev_norm(smooth - 1, p) / bump_l1()) ** dim
+
+
+def _constants(p: float, dim: int, smooth: int, kappa: float, big_n: float,
+               compact_regime: bool) -> FamilyConstants:
+    """C0-C5 of the compact construction; in the non-compact one C3 and C4
+    are the primed constants, which do not involve N, and C5 is None."""
     gp = g_norm(p)
     g2 = g_norm(2.0)
     gs = g_sobolev_norm(smooth, p)
-    c0 = (2.0 * bump_sobolev_norm(smooth - 1, p) / bump_l1()) ** dim
-    kappa = params.kappa
     c1 = 0.5 * gp ** dim * (1.0 / (20.0 * kappa)) ** (dim / p) * 8.0 ** (-1.0 / p)
     c2 = 20.0 ** (-dim) * kappa ** (-2.0 * dim) * g2 ** (2.0 * dim)
-    if params.compact_regime:
-        c3 = 2.0 * gs ** dim * (params.big_n / (20.0 * kappa)) ** (dim / p)
+    c5 = None
+    if compact_regime:
+        c3 = 2.0 * gs ** dim * (big_n / (20.0 * kappa)) ** (dim / p)
         c4 = c3 ** (1.0 / smooth)
-        c5 = (math.log(2.0) / (8.0 * c2 * c4 ** dim * params.big_n ** dim
+        c5 = (math.log(2.0) / (8.0 * c2 * c4 ** dim * big_n ** dim
                                * (20.0 * kappa) ** dim)) ** (smooth / (2 * smooth + dim))
-        return FamilyConstants(c0=c0, c1=c1, c2=c2, c3=c3, c4=c4, c5=c5,
-                               c6_prime=None, c7_prime=None, g_p=gp, g_2=g2, g_sob=gs)
-    c3 = 2.0 * (20.0 * kappa) ** (-dim / p) * gs ** dim
-    c4 = c3 ** (1.0 / smooth)
-    return FamilyConstants(c0=c0, c1=c1, c2=c2, c3=c3, c4=c4, c5=None,
-                           c6_prime=None, c7_prime=None, g_p=gp, g_2=g2, g_sob=gs)
+    else:
+        c3 = 2.0 * (20.0 * kappa) ** (-dim / p) * gs ** dim
+        c4 = c3 ** (1.0 / smooth)
+    return FamilyConstants(c0=_plateau_constant(p, dim, smooth), c1=c1, c2=c2,
+                           c3=c3, c4=c4, c5=c5, g_p=gp, g_2=g2, g_sob=gs)
+
+
+def family_constants(params: FamilyParams) -> FamilyConstants:
+    """Recompute the construction constants for a parameter set."""
+    return _constants(params.p, params.dim, params.smoothness, params.kappa,
+                      params.big_n, params.compact_regime)
 
 
 def choose_parameters(n: int, r: float, p: float, s1: int, s2: int, d1: int,
@@ -198,32 +224,22 @@ def choose_parameters(n: int, r: float, p: float, s1: int, s2: int, d1: int,
     dim = d1 + d2
     smooth = s1 + s2
     epsilon, r_star = _epsilon_rstar(p, r)
-    c0 = (2.0 * bump_sobolev_norm(smooth - 1, p) / bump_l1()) ** dim
-    kappa = _kappa_choice(p, r, epsilon, c0, dim)
-    gp = g_norm(p)
-    g2 = g_norm(2.0)
-    gs = g_sobolev_norm(smooth, p)
-    c2 = 20.0 ** (-dim) * kappa ** (-2.0 * dim) * g2 ** (2.0 * dim)
+    kappa = _kappa_choice(p, r, epsilon, _plateau_constant(p, dim, smooth), dim)
+    if compact_regime and not big_n > 8:
+        raise InfeasibleParameters(f"N must exceed 8, got {big_n}")
+    if not compact_regime and not p < 2:
+        raise InfeasibleParameters("the non-compact regime is defined for 1 <= p < 2")
+    consts = _constants(p, dim, smooth, kappa, big_n, compact_regime)
 
     if compact_regime:
-        if not big_n > 8:
-            raise InfeasibleParameters(f"N must exceed 8, got {big_n}")
-        c3 = 2.0 * gs ** dim * (big_n / (20.0 * kappa)) ** (dim / p)
-        c4 = c3 ** (1.0 / smooth)
-        c5 = (math.log(2.0) / (8.0 * c2 * c4 ** dim * big_n ** dim
-                               * (20.0 * kappa) ** dim)) ** (smooth / (2 * smooth + dim))
-        amplitude = c5 * (r_star ** (dim / smooth) / n) ** (smooth / (2 * smooth + dim))
-        sigma_raw = c4 * amplitude ** (1.0 / smooth) * r_star ** (-1.0 / smooth)
+        amplitude = consts.c5 * (r_star ** (dim / smooth) / n) ** (smooth / (2 * smooth + dim))
+        sigma_raw = consts.c4 * amplitude ** (1.0 / smooth) * r_star ** (-1.0 / smooth)
         params = _finalize(s1, s2, d1, d2, p, r, big_n, kappa, sigma_raw,
                            amplitude, epsilon, r_star, compact_regime=True)
         validate_params(params)
         return params
 
-    if not p < 2:
-        raise InfeasibleParameters("the non-compact regime is defined for 1 <= p < 2")
-    c3p = 2.0 * (20.0 * kappa) ** (-dim / p) * gs ** dim
-    c4p = c3p ** (1.0 / smooth)
-    c5p = math.log(2.0) / (8.0 * c2 * c4p ** dim * (20.0 * kappa) ** dim)
+    c5p = math.log(2.0) / (8.0 * consts.c2 * consts.c4 ** dim * (20.0 * kappa) ** dim)
     c6p = kappa ** dim / 2.0
     exponent = p * smooth / (p * smooth + (p - 1.0) * dim)
     last_error: Exception | None = None
@@ -232,7 +248,7 @@ def choose_parameters(n: int, r: float, p: float, s1: int, s2: int, d1: int,
         amplitude = (c7p * n ** (-exponent)
                      * r_star ** (p * dim / (p * smooth + (p - 1.0) * dim)))
         big_n_nc = (c6p / amplitude) ** (1.0 / dim)
-        sigma_raw = (c4p * amplitude ** (1.0 / smooth)
+        sigma_raw = (consts.c4 * amplitude ** (1.0 / smooth)
                      * big_n_nc ** (dim / (p * smooth)) * r_star ** (-1.0 / smooth))
         try:
             params = _finalize(s1, s2, d1, d2, p, r, big_n_nc, kappa, sigma_raw,
@@ -349,14 +365,6 @@ def vg_code(m: int, seed: int = 0) -> np.ndarray:
 
 # ----------------------------- the family -----------------------------
 
-@dataclass(frozen=True)
-class GNorms:
-    p: float
-    lp: float
-    l2: float
-    sobolev: float
-
-
 class LowerBoundFamily:
     """The plateau density plus its coded perturbations."""
 
@@ -366,8 +374,6 @@ class LowerBoundFamily:
         self.f0 = f0
         self.plateau = info
         self.code = code
-        self.g_norms = GNorms(p=params.p, lp=g_norm(params.p), l2=g_norm(2.0),
-                              sobolev=g_sobolev_norm(params.smoothness, params.p))
         kappa, sigma = params.kappa, params.sigma
         self.xi = (-(params.big_n - 4.0) / (4.0 * kappa)
                    + 8.0 * sigma * np.arange(1, params.m_per_axis + 1))
@@ -457,8 +463,8 @@ class LowerBoundFamily:
         field = DifferentiableField(eval=evaluate, support=f0_field.support,
                                     partial_factory=partial_factory)
         sampler = _RejectionSampler(self.f0, self.params.amplitude, evaluate)
-        return Density(field=field, is_pdf_tol=1e-8, sampler_kind="rejection",
-                       axis_factors=None, sampler=sampler)
+        return Density(field=field, is_pdf_tol=1e-8, axis_factors=None,
+                       sampler=sampler)
 
     def min_pairwise_hamming(self) -> int:
         packed = _pack(self.code)
@@ -556,7 +562,7 @@ def family_distance(fam: LowerBoundFamily, word_a: np.ndarray, word_b: np.ndarra
     rho = hamming_distance(a, b)
     dim = fam.params.dim
     value_p = (fam.params.amplitude ** p * rho * fam.params.sigma ** dim
-               * fam.g_norms.lp ** (p * dim))
+               * g_norm(p) ** (p * dim))
     return value_p ** (1.0 / p)
 
 
@@ -589,7 +595,7 @@ def chi2_affinity(fam: LowerBoundFamily, word: np.ndarray, n: int,
         return float((1.0 + integral) ** n)
     k = int(np.sum(bits != 0))
     bump_mass = ((params.big_n / params.kappa) ** dim * params.amplitude ** 2
-                 * k * params.sigma ** dim * fam.g_norms.l2 ** (2 * dim))
+                 * k * params.sigma ** dim * g_norm(2.0) ** (2 * dim))
     return float((1.0 + bump_mass) ** n)
 
 
@@ -620,14 +626,7 @@ def family_report(fam: LowerBoundFamily, pdf_rule: QuadRule | None = None,
         quad = chi2_affinity(fam, fam.code[1], 1, via_quadrature=True, rule=rule)
         aff_rel_err = abs(closed - quad) / max(abs(closed), 1e-300)
     return {
-        "params": {
-            "s1": params.s1, "s2": params.s2, "d1": params.d1, "d2": params.d2,
-            "p": params.p, "r": params.r, "N": params.big_n,
-            "kappa": params.kappa, "sigma": params.sigma,
-            "A": params.amplitude, "M": params.m_per_axis,
-            "epsilon": params.epsilon, "r_star": params.r_star,
-            "compact_regime": params.compact_regime,
-        },
+        "params": params_to_report(params),
         "constants": {
             "C0": consts.c0, "C1": consts.c1, "C2": consts.c2,
             "C3": consts.c3, "C4": consts.c4, "C5": consts.c5,
@@ -642,7 +641,3 @@ def family_report(fam: LowerBoundFamily, pdf_rule: QuadRule | None = None,
         "distance_identity_rel_error": dist_rel_err,
         "affinity_identity_rel_error": aff_rel_err,
     }
-
-
-def family_report_json(fam: LowerBoundFamily, **kwargs) -> str:
-    return json.dumps(family_report(fam, **kwargs), indent=2, sort_keys=True) + "\n"

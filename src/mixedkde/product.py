@@ -11,15 +11,14 @@ as a test oracle.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .kernels import (UnivariateKernel, abs_moment, kernel_from_dict,
                       kernel_to_dict, moment, q_norm_1d)
+from .quadrature import multi_indices
 
 __all__ = [
     "ProductKernel",
@@ -80,17 +79,11 @@ def tensor_kernel(kappa1: UnivariateKernel, d1: int, kappa2: UnivariateKernel,
     return ProductKernel(kappa1=kappa1, kappa2=kappa2, d1=d1, d2=d2, s1=s1, s2=s2)
 
 
-def _multi_indices(dim: int, max_total: int) -> Iterator[tuple[int, ...]]:
-    for alpha in itertools.product(range(max_total + 1), repeat=dim):
-        if sum(alpha) <= max_total:
-            yield alpha
-
-
 def required_moment_indices(kernel: ProductKernel) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Multi-index pairs whose mixed moments must vanish for class membership."""
     out = []
-    for a1 in _multi_indices(kernel.d1, kernel.s1):
-        for a2 in _multi_indices(kernel.d2, kernel.s2):
+    for a1 in multi_indices(kernel.d1, kernel.s1):
+        for a2 in multi_indices(kernel.d2, kernel.s2):
             total = sum(a1) + sum(a2)
             if 1 <= total < kernel.s1 + kernel.s2:
                 out.append((a1, a2))
@@ -111,10 +104,10 @@ def mixed_moment(kernel: ProductKernel, alpha1: tuple[int, ...],
 def top_abs_moment(kernel: ProductKernel) -> float:
     """``I_{(s1,s2)}``: max over |alpha1| = s1, |alpha2| = s2 of the absolute moment."""
     best = 0.0
-    for a1 in _multi_indices(kernel.d1, kernel.s1):
+    for a1 in multi_indices(kernel.d1, kernel.s1):
         if sum(a1) != kernel.s1:
             continue
-        for a2 in _multi_indices(kernel.d2, kernel.s2):
+        for a2 in multi_indices(kernel.d2, kernel.s2):
             if sum(a2) != kernel.s2:
                 continue
             val = 1.0
@@ -126,16 +119,14 @@ def top_abs_moment(kernel: ProductKernel) -> float:
     return best
 
 
-def verify_class(kernel: ProductKernel, tol: float, rule=None) -> ClassReport:
+def verify_class(kernel: ProductKernel, tol: float) -> ClassReport:
     """Numerical membership check for the order-``(s1, s2)`` kernel class.
 
-    ``rule`` is accepted for interface symmetry with the quadrature module;
-    the factorized univariate integrals are already exact for polynomial
-    factors, so it is unused.
+    Every integral factorizes into univariate moments of the polynomial
+    factors, so no tensor quadrature is needed.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    del rule
     markov = abs(mixed_moment(kernel, (0,) * kernel.d1, (0,) * kernel.d2) - 1.0)
     worst = 0.0
     for a1, a2 in required_moment_indices(kernel):

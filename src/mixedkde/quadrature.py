@@ -1,8 +1,8 @@
 """Deterministic numerical integration on boxes.
 
-Composite tensor-product Gauss-Legendre quadrature, grid L^p norms and
-nested central finite differences. Every other module builds on these
-three primitives.
+The package's one tensor-grid layer (axes, weights, outer products,
+row-major points), composite Gauss-Legendre quadrature, grid L^p norms
+and nested central finite differences; every other module builds on these.
 
 Conventions
 -----------
@@ -13,9 +13,10 @@ Univariate helpers (``integrate_1d`` and friends) take plain 1-d arrays.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb
+from functools import lru_cache, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,6 +24,10 @@ import numpy as np
 __all__ = [
     "Box",
     "QuadRule",
+    "trapezoid_axes",
+    "tensor_product",
+    "grid_points",
+    "multi_indices",
     "integrate",
     "integrate_1d",
     "lp_norm",
@@ -31,8 +36,8 @@ __all__ = [
     "partial_fd_field",
 ]
 
-# Evaluation batches are chunked so dense tensor grids never materialize
-# more than this many points' worth of work arrays at once.
+# Tensor reductions work through the grid this many points at a time, so
+# memory stays bounded whatever the node count.
 _CHUNK = 1 << 19
 
 MAX_FD_ORDER = 6
@@ -99,6 +104,15 @@ class QuadRule:
         if total > 1 << 27:
             raise ValueError(f"rule would generate {total} nodes; refusing")
 
+    def panels_for(self, dim: int) -> tuple[int, ...]:
+        """Per-axis panel counts on a ``dim``-box; one count applies to every axis."""
+        panels = self.panels_per_axis
+        if len(panels) == 1:
+            panels = panels * dim
+        if len(panels) != dim:
+            raise ValueError(f"rule has {len(panels)} axes but box has {dim}")
+        return panels
+
     @staticmethod
     def for_box(box: Box, feature_scale: float, nodes_per_panel: int = 8) -> "QuadRule":
         """Rule whose panel width is at most half the caller's feature scale."""
@@ -127,19 +141,57 @@ def _axis_nodes(lo: float, hi: float, panels: int, nodes: int) -> tuple[np.ndarr
 
 def grid_nodes(box: Box, rule: QuadRule) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-axis composite GL node and weight vectors for a box."""
-    panels = rule.panels_per_axis
-    if len(panels) == 1 and box.dim > 1:
-        panels = panels * box.dim
-    if len(panels) != box.dim:
-        raise ValueError(
-            f"rule has {len(panels)} axes but box has {box.dim}"
-        )
     nodes, weights = [], []
-    for lo, hi, p in zip(box.lower, box.upper, panels):
+    for lo, hi, p in zip(box.lower, box.upper, rule.panels_for(box.dim)):
         x, w = _axis_nodes(lo, hi, p, rule.nodes_per_panel)
         nodes.append(x)
         weights.append(w)
     return nodes, weights
+
+
+def trapezoid_axes(box: Box, rule: QuadRule) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-axis uniform nodes and composite trapezoid weights for a box.
+
+    Each axis gets ``panels * nodes_per_panel`` equal intervals, so the grid
+    has the resolution of the Gauss-Legendre rule but includes the box edges.
+    """
+    axes, weights = [], []
+    for lo, hi, p in zip(box.lower, box.upper, rule.panels_for(box.dim)):
+        npts = p * rule.nodes_per_panel + 1
+        step = (hi - lo) / (npts - 1)
+        w = np.full(npts, step)
+        w[0] = w[-1] = 0.5 * step
+        axes.append(np.linspace(lo, hi, npts))
+        weights.append(w)
+    return axes, weights
+
+
+def tensor_product(vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """Outer product of per-axis vectors, shape ``(len(v_1), ..., len(v_d))``."""
+    return reduce(np.multiply.outer, vectors)
+
+
+def grid_points(axes: Sequence[np.ndarray], start: int = 0,
+                stop: int | None = None) -> np.ndarray:
+    """Points of the tensor grid spanned by ``axes``, shape ``(npoints, dim)``.
+
+    Rows are in row-major (last axis fastest) order; ``start``/``stop``
+    select a range of flat grid indices, so a grid can be walked in chunks
+    without building the whole mesh.
+    """
+    shape = tuple(len(a) for a in axes)
+    stop = math.prod(shape) if stop is None else stop
+    idx = np.unravel_index(np.arange(start, stop), shape)
+    return np.stack([np.asarray(a)[i] for a, i in zip(axes, idx)], axis=-1)
+
+
+def multi_indices(dim: int, max_total: int) -> list[tuple[int, ...]]:
+    """All ``dim``-component multi-indices with entry sum ``<= max_total``.
+
+    Ordered lexicographically (``itertools.product`` order).
+    """
+    return [a for a in itertools.product(range(max_total + 1), repeat=dim)
+            if sum(a) <= max_total]
 
 
 def _check_finite(vals: np.ndarray, pts: np.ndarray) -> None:
@@ -172,16 +224,17 @@ def lp_norm(f: Callable, box: Box, p: float, rule: QuadRule) -> float:
 
 def _tensor_reduce(f, nodes: Sequence[np.ndarray], weights: Sequence[np.ndarray],
                    power: float | None) -> float:
-    """Sum ``w * f`` (or ``w * |f|^p``) over the tensor grid, in chunks."""
-    mesh = np.meshgrid(*nodes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    wmesh = weights[0]
-    for w in weights[1:]:
-        wmesh = np.multiply.outer(wmesh, w)
-    wflat = wmesh.ravel()
+    """Sum ``w * f`` (or ``w * |f|^p``) over the tensor grid, in chunks.
+
+    Each chunk's points and weights are built from its flat index range;
+    the weight of a node is the left-to-right product of its axis weights,
+    the same value ``tensor_product`` gives.
+    """
+    size = math.prod(len(x) for x in nodes)
     total = 0.0
-    for start in range(0, pts.shape[0], _CHUNK):
-        chunk = pts[start:start + _CHUNK]
+    for start in range(0, size, _CHUNK):
+        stop = min(start + _CHUNK, size)
+        chunk = grid_points(nodes, start, stop)
         vals = np.asarray(f(chunk), dtype=float)
         if vals.shape != (chunk.shape[0],):
             raise ValueError(
@@ -190,7 +243,8 @@ def _tensor_reduce(f, nodes: Sequence[np.ndarray], weights: Sequence[np.ndarray]
         _check_finite(vals, chunk)
         if power is not None:
             vals = np.abs(vals) ** power
-        total += float(wflat[start:start + _CHUNK] @ vals)
+        wts = reduce(np.multiply, grid_points(weights, start, stop).T)
+        total += float(wts @ vals)
     return total
 
 
@@ -205,11 +259,12 @@ def integrate_1d(f: Callable, lo: float, hi: float, panels: int = 32,
 
 def lp_norm_1d(f: Callable, lo: float, hi: float, p: float, panels: int = 32,
                nodes: int = 8) -> float:
+    """``(integral of |f|^p over [lo, hi])^(1/p)`` for a univariate function."""
     if p < 1:
         raise ValueError(f"lp_norm requires p >= 1, got {p}")
-    x, w = _axis_nodes(lo, hi, panels, nodes)
-    vals = np.abs(np.asarray(f(x), dtype=float)) ** p
-    return float(w @ vals) ** (1.0 / p)
+    val = integrate_1d(lambda x: np.abs(np.asarray(f(x), dtype=float)) ** p,
+                       lo, hi, panels, nodes)
+    return val ** (1.0 / p)
 
 
 def _axis_stencil(order: int, h: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -223,7 +278,7 @@ def _axis_stencil(order: int, h: float) -> tuple[np.ndarray, np.ndarray, float]:
     """
     j = np.arange(order + 1)
     offsets = (order - 2 * j) * h
-    coeffs = ((-1.0) ** j) * np.array([comb(order, int(k)) for k in j])
+    coeffs = ((-1.0) ** j) * np.array([math.comb(order, int(k)) for k in j])
     return offsets, coeffs, (2.0 * h) ** order
 
 
@@ -252,10 +307,23 @@ def _fd_apply(f: Callable, pts: np.ndarray, alpha: Sequence[int],
     return acc / scale
 
 
+def _fd_alpha(alpha: Sequence[int], step: float | None) -> tuple[int, ...]:
+    """Validated multi-index of a finite-difference partial (and its step)."""
+    alpha = tuple(int(a) for a in alpha)
+    if any(a < 0 for a in alpha):
+        raise ValueError("multi-index entries must be non-negative")
+    if sum(alpha) > MAX_FD_ORDER:
+        raise ValueError(
+            f"finite-difference partials unsupported for |alpha|={sum(alpha)} "
+            f"> {MAX_FD_ORDER}"
+        )
+    if step is not None and not step > 0:
+        raise ValueError(f"step must be positive, got {step}")
+    return alpha
+
+
 def _default_steps(point: np.ndarray, step: float | None) -> np.ndarray:
     if step is not None:
-        if step <= 0:
-            raise ValueError("step must be positive")
         return np.full(point.shape, float(step))
     return 1e-3 * np.maximum(1.0, np.abs(point))
 
@@ -267,13 +335,7 @@ def partial_fd(f: Callable, point: Sequence[float], alpha: Sequence[int],
     Axes are differenced one at a time in increasing index order; the
     default step is ``1e-3 * max(1, |coordinate|)`` per axis.
     """
-    alpha = tuple(int(a) for a in alpha)
-    if any(a < 0 for a in alpha):
-        raise ValueError("multi-index entries must be non-negative")
-    if sum(alpha) > MAX_FD_ORDER:
-        raise ValueError(
-            f"finite differences unsupported for |alpha|={sum(alpha)} > {MAX_FD_ORDER}"
-        )
+    alpha = _fd_alpha(alpha, step)
     point = np.asarray(point, dtype=float)
     steps = _default_steps(point, step)
     return float(_fd_apply(f, point[None, :], alpha, steps)[0])
@@ -287,12 +349,7 @@ def partial_fd_field(f: Callable, alpha: Sequence[int],
     evaluation is batched; with the coordinate-scaled default each row
     gets its own step, so rows are evaluated one at a time.
     """
-    alpha = tuple(int(a) for a in alpha)
-    if sum(alpha) > MAX_FD_ORDER:
-        raise ValueError(
-            f"finite differences unsupported for |alpha|={sum(alpha)} > {MAX_FD_ORDER}"
-        )
-
+    alpha = _fd_alpha(alpha, step)
     if step is None:
         def rowwise(pts: np.ndarray) -> np.ndarray:
             pts = np.asarray(pts, dtype=float)

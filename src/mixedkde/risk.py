@@ -32,9 +32,10 @@ import numpy as np
 from .densities import Density, plateau_density, tensor_bump_density
 from .estimator import KdeModel, bandwidth_rule, kde_on_grid, mean_field_on_axes
 from .kernels import build_order_kernel
-from .lower_bound import LowerBoundFamily, chi2_affinity, family_constants, family_distance
+from .lower_bound import LowerBoundFamily, chi2_affinity, family_constants
 from .product import ProductKernel, q_norm, tensor_kernel, verify_class
-from .quadrature import Box, QuadRule, integrate, lp_norm
+from .quadrature import (Box, QuadRule, integrate, lp_norm, multi_indices,
+                         tensor_product, trapezoid_axes)
 
 __all__ = [
     "ExperimentConfig",
@@ -184,8 +185,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         eval_rule = QuadRule(int(doc["eval_rule"]["nodes_per_panel"]),
                              tuple(int(v) for v in doc["eval_rule"]["panels_per_axis"]))
     else:
-        feature = float(min(1.0, np.min(truth.support.widths()) / 4.0))
-        eval_rule = QuadRule.for_box(eval_box, feature_scale=min(h_min, feature),
+        eval_rule = QuadRule.for_box(eval_box, feature_scale=min(h_min, truth.feature_scale),
                                      nodes_per_panel=8)
     return ExperimentConfig(
         truth=truth, kernel=kernel, p=float(doc["p"]), sample_sizes=sizes,
@@ -216,40 +216,6 @@ class RiskReport:
     theoretical_exponent: float
 
 
-def _trapezoid_axes(box: Box, rule: QuadRule) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    panels = rule.panels_per_axis
-    if len(panels) == 1 and box.dim > 1:
-        panels = panels * box.dim
-    axes, weights = [], []
-    for lo, hi, p in zip(box.lower, box.upper, panels):
-        npts = p * rule.nodes_per_panel + 1
-        ax = np.linspace(lo, hi, npts)
-        step = (hi - lo) / (npts - 1)
-        w = np.full(npts, step)
-        w[0] = w[-1] = 0.5 * step
-        axes.append(ax)
-        weights.append(w)
-    return axes, weights
-
-
-def _truth_on_axes(truth: Density, axes: list[np.ndarray]) -> np.ndarray:
-    if truth.axis_factors is not None:
-        grid = truth.axis_factors[0].pdf(axes[0])
-        for j in range(1, len(axes)):
-            grid = np.multiply.outer(grid, truth.axis_factors[j].pdf(axes[j]))
-        return grid
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    return truth.field.eval(pts).reshape([len(a) for a in axes])
-
-
-def _weight_grid(weights: list[np.ndarray]) -> np.ndarray:
-    grid = weights[0]
-    for w in weights[1:]:
-        grid = np.multiply.outer(grid, w)
-    return grid
-
-
 @dataclass(frozen=True)
 class _SharedGrids:
     axes: tuple[np.ndarray, ...]
@@ -258,18 +224,25 @@ class _SharedGrids:
 
 
 def _shared_grids(config: ExperimentConfig) -> _SharedGrids:
-    axes, axis_weights = _trapezoid_axes(config.eval_box, config.eval_rule)
-    return _SharedGrids(axes=tuple(axes), weights=_weight_grid(axis_weights),
-                        truth_grid=_truth_on_axes(config.truth, axes))
+    axes, axis_weights = trapezoid_axes(config.eval_box, config.eval_rule)
+    return _SharedGrids(axes=tuple(axes), weights=tensor_product(axis_weights),
+                        truth_grid=config.truth.on_grid(axes))
 
 
-def _mean_grid(config: ExperimentConfig, h: float, shared: _SharedGrids) -> np.ndarray:
-    return mean_field_on_axes(config.kernel, h, config.truth, list(shared.axes))
+def _size_terms(config: ExperimentConfig, shared: _SharedGrids,
+                n: int) -> tuple[float, np.ndarray, float]:
+    """Bandwidth, mean-field grid and bias term shared by every cell at ``n``."""
+    k = config.kernel
+    h = bandwidth_rule(n, k.s1, k.s2, k.d1, k.d2)
+    mean_grid = mean_field_on_axes(k, h, config.truth, list(shared.axes))
+    bias_p = float(np.sum(shared.weights
+                          * np.abs(mean_grid - shared.truth_grid) ** config.p))
+    return h, mean_grid, bias_p
 
 
-def _compute_cell(config: ExperimentConfig, n: int, replicate: int,
-                  shared: _SharedGrids, mean_grid: np.ndarray,
-                  bias_p: float, h: float) -> RiskCell:
+def _compute_cell(config: ExperimentConfig, shared: _SharedGrids, n: int,
+                  replicate: int, terms: tuple[float, np.ndarray, float]) -> RiskCell:
+    h, mean_grid, bias_p = terms
     seed = cell_seed(config.master_seed, n, replicate)
     sample = config.truth.sample(seed, n)
     model = KdeModel(kernel=config.kernel, h=h, sample=sample)
@@ -288,20 +261,13 @@ def _worker_state(doc_json: str):
 
 
 @lru_cache(maxsize=32)
-def _worker_mean(doc_json: str, n: int):
-    config, shared = _worker_state(doc_json)
-    k = config.kernel
-    h = bandwidth_rule(n, k.s1, k.s2, k.d1, k.d2)
-    mean_grid = _mean_grid(config, h, shared)
-    bias_p = float(np.sum(shared.weights
-                          * np.abs(mean_grid - shared.truth_grid) ** config.p))
-    return h, mean_grid, bias_p
+def _worker_terms(doc_json: str, n: int):
+    return _size_terms(*_worker_state(doc_json), n)
 
 
 def _cell_worker(doc_json: str, n: int, replicate: int) -> RiskCell:
     config, shared = _worker_state(doc_json)
-    h, mean_grid, bias_p = _worker_mean(doc_json, n)
-    return _compute_cell(config, n, replicate, shared, mean_grid, bias_p, h)
+    return _compute_cell(config, shared, n, replicate, _worker_terms(doc_json, n))
 
 
 def fit_rate(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
@@ -351,15 +317,10 @@ def mc_risk(config: ExperimentConfig | dict, workers: int = 1) -> RiskReport:
                 cells[key] = fut.result()
     else:
         shared = _shared_grids(config)
-        k = config.kernel
         for n in config.sample_sizes:
-            h = bandwidth_rule(n, k.s1, k.s2, k.d1, k.d2)
-            mean_grid = _mean_grid(config, h, shared)
-            bias_p = float(np.sum(shared.weights
-                                  * np.abs(mean_grid - shared.truth_grid) ** config.p))
+            terms = _size_terms(config, shared, n)
             for rep in range(config.replicates):
-                cells[(n, rep)] = _compute_cell(config, n, rep, shared,
-                                                mean_grid, bias_p, h)
+                cells[(n, rep)] = _compute_cell(config, shared, n, rep, terms)
     ordered = tuple(cells[key] for key in sorted(cells))
     means = []
     for n in config.sample_sizes:
@@ -385,20 +346,14 @@ def upper_bound_constant(kernel: ProductKernel, truth: Density, p: float,
     if truth.field.partial_factory is None:
         raise ValueError("truth must provide analytic partial derivatives")
     if rule is None:
-        feature = float(min(1.0, np.min(truth.support.widths()) / 4.0))
-        rule = QuadRule.for_box(truth.support, feature_scale=feature)
+        rule = QuadRule.for_box(truth.support, feature_scale=truth.feature_scale)
     report = verify_class(kernel, tol=1e-8)
-    import itertools
-
     deriv_sum = 0.0
-    for a1 in itertools.product(range(kernel.s1 + 1), repeat=kernel.d1):
-        if sum(a1) != kernel.s1:
-            continue
-        for a2 in itertools.product(range(kernel.s2 + 1), repeat=kernel.d2):
-            if sum(a2) != kernel.s2:
-                continue
-            field = truth.field.partial_field(a1 + a2)
-            deriv_sum += lp_norm(field, truth.support, p, rule)
+    for a1 in multi_indices(kernel.d1, kernel.s1):
+        for a2 in multi_indices(kernel.d2, kernel.s2):
+            if sum(a1) == kernel.s1 and sum(a2) == kernel.s2:
+                field = truth.field.partial_field(a1 + a2)
+                deriv_sum += lp_norm(field, truth.support, p, rule)
     k_inf = q_norm(kernel, np.inf)
     k_2 = q_norm(kernel, 2.0)
     f_half = integrate(lambda pts: truth.field.eval(pts) ** (p / 2.0),

@@ -13,13 +13,12 @@ contents; the norms just sum ``lp_norm`` over it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .quadrature import Box, QuadRule, lp_norm, partial_fd_field, MAX_FD_ORDER
+from .quadrature import Box, QuadRule, lp_norm, multi_indices, partial_fd_field
 
 __all__ = [
     "SmoothnessSpec",
@@ -76,26 +75,16 @@ class DifferentiableField:
             return self.eval
         if self.partial_factory is not None:
             return self.partial_factory(alpha)
-        if sum(alpha) > MAX_FD_ORDER:
-            raise ValueError(
-                f"no analytic partials and |alpha|={sum(alpha)} exceeds the "
-                f"finite-difference limit {MAX_FD_ORDER}"
-            )
         return partial_fd_field(self.eval, alpha, step=1e-3)
-
-
-def _block_indices(dim: int, cap: int):
-    return [a for a in itertools.product(range(cap + 1), repeat=dim)
-            if sum(a) <= cap]
 
 
 def index_set(spec: SmoothnessSpec) -> list[tuple[int, ...]]:
     """Full multi-indices (over all d1+d2 axes) entering the chosen norm."""
     if spec.variant == "classical":
-        return _block_indices(spec.dim, spec.s1)
+        return multi_indices(spec.dim, spec.s1)
     out = []
-    for a1 in _block_indices(spec.d1, spec.s1):
-        for a2 in _block_indices(spec.d2, spec.s2):
+    for a1 in multi_indices(spec.d1, spec.s1):
+        for a2 in multi_indices(spec.d2, spec.s2):
             if spec.variant == "aniso":
                 if sum(a1) / spec.s1 + sum(a2) / spec.s2 > 1.0 + 1e-12:
                     continue

@@ -245,8 +245,8 @@ def test_criterion_10_brute_force_oracle():
     config = config_from_dict(doc)
     report = mc_risk(doc)
     cell = next(c for c in report.cells if c.n == 64 and c.replicate == 0)
-    from mixedkde.risk import _trapezoid_axes
-    axes, _ = _trapezoid_axes(config.eval_box, config.eval_rule)
+    from mixedkde.quadrature import trapezoid_axes
+    axes, _ = trapezoid_axes(config.eval_box, config.eval_rule)
     assert cell.seed == cell_seed(doc["master_seed"], 64, 0)
     sample = config.truth.sample(cell.seed, 64)
     mesh = np.meshgrid(*axes, indexing="ij")

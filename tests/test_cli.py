@@ -100,3 +100,35 @@ def test_risk_run_replicate_and_seed_overrides(tmp_path):
                 "--replicates", "2", "--seed", "77"]) == 0
     lines = out.with_suffix(".csv").read_text().strip().split("\n")
     assert len(lines) == 1 + 3 * 2
+
+
+def test_risk_run_config_missing_truth_names_key(tmp_path, capsys):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"kernel": {"s1": 1, "s2": 1, "d1": 1, "d2": 1},
+                               "p": 2.0, "sample_sizes": [64, 128, 256],
+                               "replicates": 1, "master_seed": 1}))
+    assert run(["risk-run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert "'truth'" in capsys.readouterr().err
+
+
+def test_risk_run_rejects_non_object_config(tmp_path, capsys):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text("[1, 2, 3]")
+    assert run(["risk-run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert "expected a JSON object" in capsys.readouterr().err
+
+
+def test_family_verify_without_params_names_key(tmp_path, capsys):
+    cfg = tmp_path / "family.json"
+    cfg.write_text(json.dumps({"code_size": 3}))
+    assert run(["family-verify", "--config", str(cfg)]) == 2
+    assert "'params'" in capsys.readouterr().err
+
+
+def test_family_build_reports_lemma_hypotheses(tmp_path):
+    out = tmp_path / "family.json"
+    assert run(["family-build", "--s", "1,1", "--d", "1,1", "--p", "1.5", "--r", "240",
+                "--n", "10000", "--big-n", "8.4", "--out", str(out)]) == 0
+    hyp = json.loads(out.read_text())["lemma_hypotheses"]
+    assert hyp["condition_L11"] is True
+    assert hyp["c0_estimate"] <= hyp["c0_exponential_bound"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mixedkde.densities import plateau_density, sample, tensor_bump_density
+from mixedkde.densities import plateau_density, tensor_bump_density
 from mixedkde.quadrature import QuadRule
 from oracles import tensor_trapezoid
 
@@ -44,7 +44,7 @@ def test_tensor_bump_is_pdf():
 
 def test_sampler_zero_count():
     tb = tensor_bump_density([1.0, 1.0])
-    assert sample(tb, 7, 0).shape == (0, 2)
+    assert tb.sample(7, 0).shape == (0, 2)
 
 
 def test_sampler_determinism():

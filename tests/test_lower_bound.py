@@ -1,14 +1,17 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
+from mixedkde.bumps import g_norm
 from mixedkde.lower_bound import (ConstructionError, FamilyParams,
                                   InfeasibleParameters, build_family, chi2_affinity,
                                   choose_parameters, family_constants,
                                   family_distance, family_report, family_rule,
-                                  hamming_distance, validate_params, vg_code)
+                                  hamming_distance, params_from_report,
+                                  params_to_report, validate_params, vg_code)
 from mixedkde.quadrature import QuadRule, integrate
 from mixedkde.sobolev import SmoothnessSpec, mixed_norm
 
@@ -148,7 +151,7 @@ def test_block_lp_mass_identity(small_family):
     quad = family_distance(fam, word, np.zeros(9, dtype=np.uint8),
                            via_quadrature=True) ** p
     expected = (fam.params.amplitude ** p * fam.params.sigma ** 2
-                * fam.g_norms.lp ** (2 * p))
+                * g_norm(p) ** (2 * p))
     assert quad == pytest.approx(expected, rel=1e-6)
 
 
@@ -161,7 +164,7 @@ def test_family_distance_examples(small_family):
     full = family_distance(fam, ones, zeros)
     expected_p = (fam.params.amplitude ** fam.params.p * 9
                   * fam.params.sigma ** 2
-                  * fam.g_norms.lp ** (2 * fam.params.p))
+                  * g_norm(fam.params.p) ** (2 * fam.params.p))
     assert full ** fam.params.p == pytest.approx(expected_p, rel=1e-12)
 
 
@@ -185,7 +188,7 @@ def test_chi2_examples(small_family):
     # per-bump closed form: 1 + (N/kappa)^D A^2 k sigma^D ||g||_2^{2D}
     k = int(w.sum())
     expected = 1.0 + (9.0 ** 2 * fam.params.amplitude ** 2 * k
-                      * fam.params.sigma ** 2 * fam.g_norms.l2 ** 4)
+                      * fam.params.sigma ** 2 * g_norm(2.0) ** 4)
     assert one_shot == pytest.approx(expected, rel=1e-12)
 
 
@@ -272,3 +275,14 @@ def test_validate_params_messages():
         validate_params(replace(bad_a, amplitude=1.0))
     with pytest.raises(InfeasibleParameters, match="N must exceed 8"):
         validate_params(replace(bad_a, big_n=7.0))
+
+
+@pytest.mark.parametrize("compact", [True, False])
+def test_report_params_round_trip(compact):
+    if compact:
+        params = choose_parameters(10_000, 240.0, 1.5, 1, 1, 1, 1, big_n=8.4)
+    else:
+        params = choose_parameters(10 ** 6, 40.0, 1.5, 1, 1, 1, 1, compact_regime=False)
+    doc = json.loads(json.dumps(params_to_report(params)))
+    assert {"N", "A", "M"} <= set(doc)
+    assert params_from_report(doc) == params

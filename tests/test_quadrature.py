@@ -4,7 +4,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from mixedkde.quadrature import (Box, QuadRule, integrate, integrate_1d, lp_norm,
-                                 partial_fd, partial_fd_field)
+                                 lp_norm_1d, partial_fd, partial_fd_field)
 from oracles import adaptive_simpson
 
 RULE_2D = QuadRule(8, (8, 8))
@@ -74,6 +74,12 @@ def test_lp_norm_linear_function():
 def test_lp_norm_rejects_p_below_one():
     with pytest.raises(ValueError, match="p >= 1"):
         lp_norm(lambda pts: pts[:, 0], Box((0,), (1,)), 0.5, RULE_1D)
+
+
+def test_lp_norm_1d_non_finite_value_names_node():
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="node"):
+            lp_norm_1d(np.log, -1.0, 1.0, 2.0)
 
 
 @given(st.integers(min_value=0, max_value=15), st.integers(min_value=0, max_value=15))
@@ -167,6 +173,18 @@ def test_partial_fd_rejects_high_order():
     f = lambda pts: pts[:, 0]
     with pytest.raises(ValueError, match="unsupported"):
         partial_fd(f, [0.0, 0.0], (4, 3))
+
+
+@pytest.mark.parametrize("alpha, step, message", [
+    ((-1, 1), 1e-3, "non-negative"),
+    ((1, 1), 0.0, "step"),
+])
+def test_partial_fd_field_validates_like_partial_fd(alpha, step, message):
+    f = lambda pts: pts[:, 0] * pts[:, 1]
+    with pytest.raises(ValueError, match=message):
+        partial_fd(f, [0.1, 0.2], alpha, step=step)
+    with pytest.raises(ValueError, match=message):
+        partial_fd_field(f, alpha, step=step)
 
 
 def test_partial_fd_field_matches_pointwise():

@@ -193,8 +193,8 @@ def test_brute_force_oracle_equivalence():
     report = mc_risk(dict(TINY_DOC))
     cell = next(c for c in report.cells if c.n == 64 and c.replicate == 0)
     # rebuild the exact evaluation grid of the harness
-    from mixedkde.risk import _trapezoid_axes
-    axes, _ = _trapezoid_axes(config.eval_box, config.eval_rule)
+    from mixedkde.quadrature import trapezoid_axes
+    axes, _ = trapezoid_axes(config.eval_box, config.eval_rule)
     sample = config.truth.sample(cell.seed, 64)
     truth_grid = config.truth.field.eval(
         np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
