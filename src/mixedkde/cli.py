@@ -12,10 +12,10 @@ import json
 import sys
 from pathlib import Path
 
-from .kernels import build_order_kernel, kernel_from_json, kernel_to_json, verify_order
+from .kernels import build_order_kernel, kernel_from_dict, kernel_to_json, verify_order
 from .lower_bound import (InfeasibleParameters, build_family, choose_parameters,
                           family_report, params_from_report)
-from .product import (product_kernel_from_json, product_kernel_to_json,
+from .product import (product_kernel_from_dict, product_kernel_to_json,
                       tensor_kernel, verify_class)
 from .risk import (mc_risk, rate_exponent, report_summary, report_to_csv,
                    verify_lower_hypotheses)
@@ -80,14 +80,17 @@ def _build_parser() -> argparse.ArgumentParser:
     fb.add_argument("--n", type=int, required=True, help="sample size the parameters target")
     fb.add_argument("--noncompact", action="store_true")
     fb.add_argument("--big-n", type=float, default=10.0, help="plateau width constant (compact regime)")
-    fb.add_argument("--seed", type=int, default=0)
     fb.add_argument("--out")
 
     fv = sub.add_parser("family-verify", help="rebuild a family from a report and re-check it")
     fv.add_argument("--config", required=True, help="family JSON path")
     fv.add_argument("--tol", type=float, default=1e-6)
-    fv.add_argument("--seed", type=int, default=0)
     fv.add_argument("--out")
+
+    for family_parser in (fb, fv):
+        family_parser.add_argument("--seed", type=int, default=0, help=(
+            "packing-code seed: lexicographic words stop at 200,000 candidates, so for "
+            "M^D >= 54 blocks seeded random words fill the code and only there the seed matters"))
 
     rr = sub.add_parser("risk-run", help="run a Monte Carlo risk experiment")
     rr.add_argument("--config", required=True, help="experiment JSON path")
@@ -119,10 +122,9 @@ def _cmd_kernel_build(args) -> int:
 
 
 def _cmd_kernel_verify(args) -> int:
-    text = Path(args.config).read_text()
-    doc = json.loads(text)
+    doc = _read_json_object(args.config)
     if "kappa1" in doc:
-        kernel = product_kernel_from_json(text)
+        kernel = product_kernel_from_dict(doc)
         report = verify_class(kernel, tol=args.tol)
         payload = {
             "markov_defect": report.markov_defect,
@@ -133,7 +135,7 @@ def _cmd_kernel_verify(args) -> int:
         }
         passed = report.passed
     else:
-        kernel = kernel_from_json(text)
+        kernel = kernel_from_dict(doc)
         order = args.order if args.order is not None else kernel.order
         report = verify_order(kernel, order, args.tol)
         payload = {
@@ -178,7 +180,11 @@ def _cmd_family_build(args) -> int:
 
 
 def _cmd_family_verify(args) -> int:
-    params = params_from_report(_read_json_object(args.config)["params"])
+    section = _read_json_object(args.config)["params"]
+    if not isinstance(section, dict):
+        raise ValueError(f"{args.config}: 'params' must be a JSON object, "
+                         f"got {type(section).__name__}")
+    params = params_from_report(section)
     fam = build_family(params, code_seed=args.seed)
     report = family_report(fam)
     report["pass"] = bool(

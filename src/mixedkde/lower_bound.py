@@ -292,29 +292,23 @@ def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:
 
 
 def _pack(words: np.ndarray) -> np.ndarray:
-    bits = np.packbits(words, axis=1)
-    pad = (-bits.shape[1]) % 8
-    if pad:
-        bits = np.pad(bits, ((0, 0), (0, pad)))
-    return bits.reshape(bits.shape[0], -1, 8).copy().view(np.uint64)[:, :, 0]
-
-
-def _min_dist_to(chosen_packed: np.ndarray, cand_packed: np.ndarray) -> int:
-    xor = chosen_packed ^ cand_packed[None, :]
-    return int(np.bitwise_count(xor).sum(axis=1).min())
+    """Rows of bits as little-endian uint64 lanes; lane 0 of a word is its integer value."""
+    bits = np.pad(words, ((0, 0), (0, -words.shape[1] % 64)))
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
 
 
 def vg_code(m: int, seed: int = 0) -> np.ndarray:
     """Binary code of length ``m`` with the packing-lemma guarantees.
 
     Returns an array of shape ``(n_words, m)`` with ``n_words >=
-    ceil(2^(m/8))`` and pairwise Hamming distance ``>= ceil(m/8)``.  Words
-    are found by greedy sphere excision over lexicographically enumerated
-    words, i.e. every accepted word removes its Hamming ball of radius
-    ``ceil(m/8) - 1`` from the candidate pool; when the lexicographic scan
-    budget runs out, seeded random candidates take over (restarting on a
-    long rejection streak).  The all-zeros word is always the first
-    element, so the code indexes a family containing ``f_0`` itself.
+    ceil(2^(m/8))`` and pairwise Hamming distance ``>= ceil(m/8)``.  The
+    all-zeros word comes first, so the code indexes a family containing
+    ``f_0`` itself.  Greedy lexicode search: the smallest surviving word is
+    accepted and removes its Hamming ball of radius ``ceil(m/8) - 1``.
+    Lexicographic candidates stop at 200,000, so this phase fills the whole
+    code only for m <= 53; for m >= 54 seeded random words supply the rest
+    (the README family, m = 81, gets 3 lexicographic words and 1,113 random
+    ones), so ``seed`` matters only for m >= 54.
     """
     if m < 8:
         raise ValueError(f"code length must be >= 8, got {m}")
@@ -325,42 +319,30 @@ def vg_code(m: int, seed: int = 0) -> np.ndarray:
             f"code of length {m} needs {target} words; "
             f"cap is {MAX_CODE_WORDS}, reduce the block count")
 
-    words = np.zeros((target, m), dtype=np.uint8)
-    packed = np.zeros((target, (m + 63) // 64), dtype=np.uint64)
-    count = 1  # all-zeros word
-
-    def try_accept(cand: np.ndarray) -> bool:
-        nonlocal count
-        cp = _pack(cand[None, :])[0]
-        if _min_dist_to(packed[:count], cp) < dist:
-            return False
-        words[count] = cand
-        packed[count] = cp
+    packed = np.zeros((target, -(-m // 64)), dtype="<u8")  # row 0: all-zeros word
+    count = 1
+    survivors = np.arange(1, min(2 ** m, _LEX_SCAN_BUDGET + 1), dtype="<u8")
+    survivors = survivors[np.bitwise_count(survivors) >= dist]
+    while count < target and survivors.size:
+        packed[count, 0] = survivors[0]
+        survivors = survivors[np.bitwise_count(survivors ^ survivors[0]) >= dist]
         count += 1
-        return True
 
-    limit = min(1 << m if m < 63 else _LEX_SCAN_BUDGET + 1, _LEX_SCAN_BUDGET + 1)
-    for value in range(1, limit):
-        if count >= target:
-            break
-        cand = np.array([(value >> k) & 1 for k in range(m)], dtype=np.uint8)
-        try_accept(cand)
-
-    restart = 0
+    rng = np.random.default_rng(seed + 1)
+    misses = 0
     while count < target:
-        rng = np.random.default_rng(np.uint64(seed + restart * 0x9E3779B9 + 1))
-        misses = 0
-        while count < target and misses < 10_000:
-            cand = rng.integers(0, 2, size=m, dtype=np.uint8)
-            if try_accept(cand):
-                misses = 0
-            else:
-                misses += 1
-        restart += 1
-        if restart > 64:
+        cand = _pack(rng.integers(0, 2, size=m, dtype=np.uint8)[None, :])
+        if np.bitwise_count(packed[:count] ^ cand).sum(axis=1).min() >= dist:
+            packed[count] = cand
+            count += 1
+            misses = 0
+            continue
+        misses += 1
+        if misses == 10_000:
             raise RuntimeError(
                 f"randomized code search stalled at {count}/{target} words")
-    return words[:count]
+    return np.unpackbits(packed[:count].view(np.uint8), axis=1, count=m,
+                         bitorder="little")
 
 
 # ----------------------------- the family -----------------------------
@@ -468,11 +450,8 @@ class LowerBoundFamily:
 
     def min_pairwise_hamming(self) -> int:
         packed = _pack(self.code)
-        best = self.code.shape[1]
-        for i in range(packed.shape[0] - 1):
-            xor = packed[i + 1:] ^ packed[i][None, :]
-            best = min(best, int(np.bitwise_count(xor).sum(axis=1).min()))
-        return best
+        return min((int(np.bitwise_count(packed[i + 1:] ^ packed[i]).sum(axis=1).min())
+                    for i in range(len(packed) - 1)), default=self.code.shape[1])
 
 
 class _RejectionSampler:

@@ -28,6 +28,7 @@ __all__ = [
     "q_norm",
     "required_moment_indices",
     "product_kernel_to_json",
+    "product_kernel_from_dict",
     "product_kernel_from_json",
 ]
 
@@ -160,11 +161,14 @@ def product_kernel_to_json(kernel: ProductKernel) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def product_kernel_from_json(text: str) -> ProductKernel:
-    doc = json.loads(text)
+def product_kernel_from_dict(doc: dict) -> ProductKernel:
     return ProductKernel(
         kappa1=kernel_from_dict(doc["kappa1"]),
         kappa2=kernel_from_dict(doc["kappa2"]),
         d1=int(doc["d1"]), d2=int(doc["d2"]),
         s1=int(doc["s1"]), s2=int(doc["s2"]),
     )
+
+
+def product_kernel_from_json(text: str) -> ProductKernel:
+    return product_kernel_from_dict(json.loads(text))

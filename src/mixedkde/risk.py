@@ -111,9 +111,16 @@ def cell_seed(master_seed: int, n: int, replicate: int) -> int:
 
 # ----------------------------- configuration -----------------------------
 
+def _section(doc: dict, key: str) -> dict:
+    if not isinstance(doc[key], dict):
+        raise ValueError(f"config section {key!r}: expected a JSON object, "
+                         f"got {type(doc[key]).__name__}")
+    return doc[key]
+
+
 def _build_truth(doc: dict) -> Density:
     kind = doc["name"]
-    params = doc.get("params", {})
+    params = _section(doc, "params") if "params" in doc else {}
     if kind == "tensor_bump":
         return tensor_bump_density(params["widths"], params.get("centers"))
     if kind == "plateau":
@@ -169,21 +176,23 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     bandwidth on the schedule; default panels resolve half the smaller of
     the smallest bandwidth and the truth feature scale.
     """
-    truth = _build_truth(doc["truth"])
-    kernel = _build_kernel(doc["kernel"])
+    truth = _build_truth(_section(doc, "truth"))
+    kernel = _build_kernel(_section(doc, "kernel"))
     sizes = tuple(int(n) for n in doc["sample_sizes"])
     k = kernel
     h_max = bandwidth_rule(min(sizes), k.s1, k.s2, k.d1, k.d2)
     h_min = bandwidth_rule(max(sizes), k.s1, k.s2, k.d1, k.d2)
     if "eval_box" in doc:
-        eval_box = Box(tuple(doc["eval_box"]["lower"]), tuple(doc["eval_box"]["upper"]))
+        box = _section(doc, "eval_box")
+        eval_box = Box(tuple(box["lower"]), tuple(box["upper"]))
     else:
         support = truth.support
         eval_box = Box(tuple(lo - h_max for lo in support.lower),
                        tuple(hi + h_max for hi in support.upper))
     if "eval_rule" in doc:
-        eval_rule = QuadRule(int(doc["eval_rule"]["nodes_per_panel"]),
-                             tuple(int(v) for v in doc["eval_rule"]["panels_per_axis"]))
+        rule = _section(doc, "eval_rule")
+        eval_rule = QuadRule(int(rule["nodes_per_panel"]),
+                             tuple(int(v) for v in rule["panels_per_axis"]))
     else:
         eval_rule = QuadRule.for_box(eval_box, feature_scale=min(h_min, truth.feature_scale),
                                      nodes_per_panel=8)

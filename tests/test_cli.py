@@ -116,13 +116,30 @@ def test_risk_run_rejects_non_object_config(tmp_path, capsys):
     cfg.write_text("[1, 2, 3]")
     assert run(["risk-run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
     assert "expected a JSON object" in capsys.readouterr().err
+    assert run(["kernel-verify", "--config", str(cfg)]) == 2
+    assert "expected a JSON object" in capsys.readouterr().err
+    base = {
+        "truth": {"name": "tensor_bump", "params": {"widths": [1.0, 1.0]}},
+        "kernel": {"s1": 1, "s2": 1, "d1": 1, "d2": 1},
+        "p": 2.0, "sample_sizes": [64, 128, 256], "replicates": 1, "master_seed": 1,
+    }
+    cases = [(key, {**base, key: value}) for key, value in
+             [("truth", [1]), ("kernel", "strict"), ("eval_box", [[-1, -1], [1, 1]]),
+              ("eval_rule", 8)]]
+    cases.append(("params", {**base, "truth": {"name": "tensor_bump", "params": ["widths"]}}))
+    for key, doc in cases:
+        cfg.write_text(json.dumps(doc))
+        assert run(["risk-run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err and "expected a JSON object" in err
 
 
 def test_family_verify_without_params_names_key(tmp_path, capsys):
     cfg = tmp_path / "family.json"
-    cfg.write_text(json.dumps({"code_size": 3}))
-    assert run(["family-verify", "--config", str(cfg)]) == 2
-    assert "'params'" in capsys.readouterr().err
+    for doc in ({"code_size": 3}, {"params": [1, 2]}, {"params": "M=9"}):
+        cfg.write_text(json.dumps(doc))
+        assert run(["family-verify", "--config", str(cfg)]) == 2
+        assert "'params'" in capsys.readouterr().err
 
 
 def test_family_build_reports_lemma_hypotheses(tmp_path):

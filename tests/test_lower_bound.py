@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -33,7 +34,7 @@ def small_family():
 
 # ------------------------------ codes ------------------------------
 
-@pytest.mark.parametrize("m", [8, 16, 27])
+@pytest.mark.parametrize("m", [8, 16, 27, 64])
 def test_vg_code_bounds(m):
     code = vg_code(m)
     assert code.shape[0] >= 2.0 ** (m / 8.0)
@@ -51,8 +52,27 @@ def test_vg_code_deterministic():
 
 
 def test_vg_code_rejects_short_words():
-    with pytest.raises(ValueError, match=">= 8"):
-        vg_code(4)
+    for m, message in [(4, ">= 8"), (136, "cap is 65536")]:
+        with pytest.raises(ValueError, match=message):
+            vg_code(m)
+
+
+# sha256 of the codes as uint8 bytes; m = 27 and 40 come from the
+# lexicographic phase alone, m = 64 adds the random fill, m = 81 is
+# mostly random fill.
+_PINNED_CODES = {
+    (27, 0): "68930429b79097f75993b9bbc5f47db7869e1a2b32aadd8d8aec384ba7c3557b",
+    (40, 0): "544e337ab574df88f04363ee85ba8df93e85f348e283adfc6c2a5a284b74048e",
+    (64, 0): "7328a41ef6e075c95e9d81df2766af91f0146f8e3ca3e8adc76ac7000f61313c",
+    (81, 0): "8ce673e0fe2b24b6b03b434a313207a855346b543dbce2baf34a9992752eb093",
+    (81, 7): "a0099a7b0b9c45453b51655b40af8af13efaf8da5537e24d840d3b4e2929bd19",
+}
+
+
+@pytest.mark.parametrize("m,seed", sorted(_PINNED_CODES))
+def test_vg_code_matches_pinned_digests(m, seed):
+    code = np.ascontiguousarray(vg_code(m, seed), np.uint8)
+    assert hashlib.sha256(code).hexdigest() == _PINNED_CODES[m, seed]
 
 
 def test_hamming_distance_basics():
