@@ -12,7 +12,8 @@ import json
 import sys
 from pathlib import Path
 
-from .kernels import build_order_kernel, kernel_from_dict, kernel_to_json, verify_order
+from .kernels import (build_order_kernel, config_section, kernel_from_dict, kernel_to_json,
+                      verify_order)
 from .lower_bound import (InfeasibleParameters, build_family, choose_parameters,
                           family_report, params_from_report)
 from .product import (product_kernel_from_dict, product_kernel_to_json,
@@ -95,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rr = sub.add_parser("risk-run", help="run a Monte Carlo risk experiment")
     rr.add_argument("--config", required=True, help="experiment JSON path")
     rr.add_argument("--out", required=True, help="output prefix (.csv and .json written)")
-    rr.add_argument("--threads", type=int, default=1)
+    rr.add_argument("--threads", type=int, default=1, help="worker processes")
     rr.add_argument("--replicates", type=int, help="override the config replicate count")
     rr.add_argument("--seed", type=int, help="override the config master seed")
 
@@ -180,11 +181,7 @@ def _cmd_family_build(args) -> int:
 
 
 def _cmd_family_verify(args) -> int:
-    section = _read_json_object(args.config)["params"]
-    if not isinstance(section, dict):
-        raise ValueError(f"{args.config}: 'params' must be a JSON object, "
-                         f"got {type(section).__name__}")
-    params = params_from_report(section)
+    params = params_from_report(config_section(_read_json_object(args.config), "params"))
     fam = build_family(params, code_seed=args.seed)
     report = family_report(fam)
     report["pass"] = bool(

@@ -10,6 +10,7 @@ Legendre basis, which gives a closed-form polynomial supported on
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,6 +29,8 @@ __all__ = [
     "verify_order",
     "kernel_to_dict",
     "kernel_from_dict",
+    "config_section",
+    "config_values",
     "kernel_to_json",
     "kernel_from_json",
 ]
@@ -186,10 +189,33 @@ def kernel_to_dict(kernel: UnivariateKernel) -> dict:
     }
 
 
+def config_section(doc: dict, key: str) -> dict:
+    """``doc[key]``, which must be a JSON object."""
+    section = doc[key]
+    if not isinstance(section, dict):
+        raise ValueError(f"config section {key!r}: expected a JSON object, "
+                         f"got {type(section).__name__}")
+    return section
+
+
+@contextmanager
+def config_values(key: str):
+    """Report a wrong-typed config value read in the block as a ``ValueError`` naming ``key``.
+
+    JSON allows any type in any place, so readers wrap what they read
+    instead of letting a ``TypeError`` escape from deep inside a build.
+    """
+    try:
+        yield
+    except TypeError as exc:
+        raise ValueError(f"config {key!r}: wrong value type ({exc})") from exc
+
+
 def kernel_from_dict(doc: dict) -> UnivariateKernel:
-    return UnivariateKernel(order=int(doc["order"]),
-                            poly_coeffs=tuple(float(c) for c in doc["poly_coeffs"]),
-                            strict=bool(doc["strict"]))
+    with config_values("kernel"):
+        return UnivariateKernel(order=int(doc["order"]),
+                                poly_coeffs=tuple(float(c) for c in doc["poly_coeffs"]),
+                                strict=bool(doc["strict"]))
 
 
 def kernel_to_json(kernel: UnivariateKernel) -> str:

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (UnivariateKernel, abs_moment, kernel_from_dict,
-                      kernel_to_dict, moment, q_norm_1d)
-from .quadrature import multi_indices
+from .kernels import (UnivariateKernel, abs_moment, config_section, config_values,
+                      kernel_from_dict, kernel_to_dict, moment, q_norm_1d)
+from .quadrature import mixed_multi_indices
 
 __all__ = [
     "ProductKernel",
@@ -82,42 +82,34 @@ def tensor_kernel(kappa1: UnivariateKernel, d1: int, kappa2: UnivariateKernel,
 
 def required_moment_indices(kernel: ProductKernel) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Multi-index pairs whose mixed moments must vanish for class membership."""
-    out = []
-    for a1 in multi_indices(kernel.d1, kernel.s1):
-        for a2 in multi_indices(kernel.d2, kernel.s2):
-            total = sum(a1) + sum(a2)
-            if 1 <= total < kernel.s1 + kernel.s2:
-                out.append((a1, a2))
-    return out
+    k = kernel
+    return [(a1, a2) for a1, a2 in mixed_multi_indices(k.d1, k.s1, k.d2, k.s2)
+            if 1 <= sum(a1) + sum(a2) < k.s1 + k.s2]
+
+
+def _factor_product(kernel: ProductKernel, alpha1: tuple[int, ...],
+                    alpha2: tuple[int, ...], moment_1d) -> float:
+    """Product of the univariate ``moment_1d`` of each factor over both blocks."""
+    val = 1.0
+    for a in alpha1:
+        val *= moment_1d(kernel.kappa1, a)
+    for a in alpha2:
+        val *= moment_1d(kernel.kappa2, a)
+    return val
 
 
 def mixed_moment(kernel: ProductKernel, alpha1: tuple[int, ...],
                  alpha2: tuple[int, ...]) -> float:
     """``integral of u^alpha K(u)`` via univariate moment factorization."""
-    val = 1.0
-    for a in alpha1:
-        val *= moment(kernel.kappa1, a)
-    for a in alpha2:
-        val *= moment(kernel.kappa2, a)
-    return val
+    return _factor_product(kernel, alpha1, alpha2, moment)
 
 
 def top_abs_moment(kernel: ProductKernel) -> float:
     """``I_{(s1,s2)}``: max over |alpha1| = s1, |alpha2| = s2 of the absolute moment."""
-    best = 0.0
-    for a1 in multi_indices(kernel.d1, kernel.s1):
-        if sum(a1) != kernel.s1:
-            continue
-        for a2 in multi_indices(kernel.d2, kernel.s2):
-            if sum(a2) != kernel.s2:
-                continue
-            val = 1.0
-            for a in a1:
-                val *= abs_moment(kernel.kappa1, a)
-            for a in a2:
-                val *= abs_moment(kernel.kappa2, a)
-            best = max(best, val)
-    return best
+    k = kernel
+    return max([0.0] + [_factor_product(k, a1, a2, abs_moment)
+                        for a1, a2 in mixed_multi_indices(k.d1, k.s1, k.d2, k.s2)
+                        if sum(a1) == k.s1 and sum(a2) == k.s2])
 
 
 def verify_class(kernel: ProductKernel, tol: float) -> ClassReport:
@@ -162,12 +154,11 @@ def product_kernel_to_json(kernel: ProductKernel) -> str:
 
 
 def product_kernel_from_dict(doc: dict) -> ProductKernel:
-    return ProductKernel(
-        kappa1=kernel_from_dict(doc["kappa1"]),
-        kappa2=kernel_from_dict(doc["kappa2"]),
-        d1=int(doc["d1"]), d2=int(doc["d2"]),
-        s1=int(doc["s1"]), s2=int(doc["s2"]),
-    )
+    kappa1, kappa2 = (kernel_from_dict(config_section(doc, key)) for key in ("kappa1", "kappa2"))
+    with config_values("kernel"):
+        return ProductKernel(kappa1=kappa1, kappa2=kappa2,
+                             d1=int(doc["d1"]), d2=int(doc["d2"]),
+                             s1=int(doc["s1"]), s2=int(doc["s2"]))
 
 
 def product_kernel_from_json(text: str) -> ProductKernel:

@@ -28,6 +28,7 @@ __all__ = [
     "tensor_product",
     "grid_points",
     "multi_indices",
+    "mixed_multi_indices",
     "integrate",
     "integrate_1d",
     "lp_norm",
@@ -194,6 +195,15 @@ def multi_indices(dim: int, max_total: int) -> list[tuple[int, ...]]:
             if sum(a) <= max_total]
 
 
+def mixed_multi_indices(d1: int, s1: int, d2: int,
+                        s2: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Pairs ``(alpha_1, alpha_2)`` with ``|alpha_1| <= s1`` and ``|alpha_2| <= s2``.
+
+    Ordered with ``alpha_1`` outermost, each block in ``multi_indices`` order.
+    """
+    return list(itertools.product(multi_indices(d1, s1), multi_indices(d2, s2)))
+
+
 def _check_finite(vals: np.ndarray, pts: np.ndarray) -> None:
     bad = ~np.isfinite(vals)
     if np.any(bad):
@@ -267,8 +277,8 @@ def lp_norm_1d(f: Callable, lo: float, hi: float, p: float, panels: int = 32,
     return val ** (1.0 / p)
 
 
-def _axis_stencil(order: int, h: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Offsets, integer coefficients and scale of the nested central difference.
+def _fd_stencil(alpha: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets (in steps) and integer coefficients of the nested central difference.
 
     Nesting the two-point central difference ``order`` times along one axis
     expands to the binomial stencil below; the expansion is the nested
@@ -276,35 +286,18 @@ def _axis_stencil(order: int, h: float) -> tuple[np.ndarray, np.ndarray, float]:
     exact integers (so constants cancel exactly) and the ``(2h)^order``
     scale is divided out once at the end.
     """
-    j = np.arange(order + 1)
-    offsets = (order - 2 * j) * h
-    coeffs = ((-1.0) ** j) * np.array([math.comb(order, int(k)) for k in j])
-    return offsets, coeffs, (2.0 * h) ** order
-
-
-def _fd_stencil(alpha: Sequence[int], steps: Sequence[float]):
     offsets = np.zeros((1, len(alpha)))
     coeffs = np.ones(1)
-    scale = 1.0
     for axis, order in enumerate(alpha):
         if order == 0:
             continue
-        off, cf, sc = _axis_stencil(order, steps[axis])
-        new_offsets = np.repeat(offsets, len(off), axis=0)
-        new_offsets[:, axis] += np.tile(off, offsets.shape[0])
+        j = np.arange(order + 1)
+        cf = ((-1.0) ** j) * np.array([math.comb(order, int(k)) for k in j])
+        new_offsets = np.repeat(offsets, order + 1, axis=0)
+        new_offsets[:, axis] += np.tile(order - 2 * j, offsets.shape[0])
         coeffs = (coeffs[:, None] * cf[None, :]).ravel()
         offsets = new_offsets
-        scale *= sc
-    return offsets, coeffs, scale
-
-
-def _fd_apply(f: Callable, pts: np.ndarray, alpha: Sequence[int],
-              steps: np.ndarray) -> np.ndarray:
-    offsets, coeffs, scale = _fd_stencil(alpha, steps)
-    acc = np.zeros(pts.shape[0])
-    for off, cf in zip(offsets, coeffs):
-        acc += cf * np.asarray(f(pts + off[None, :]), dtype=float)
-    return acc / scale
+    return offsets, coeffs
 
 
 def _fd_alpha(alpha: Sequence[int], step: float | None) -> tuple[int, ...]:
@@ -322,47 +315,30 @@ def _fd_alpha(alpha: Sequence[int], step: float | None) -> tuple[int, ...]:
     return alpha
 
 
-def _default_steps(point: np.ndarray, step: float | None) -> np.ndarray:
-    if step is not None:
-        return np.full(point.shape, float(step))
-    return 1e-3 * np.maximum(1.0, np.abs(point))
-
-
 def partial_fd(f: Callable, point: Sequence[float], alpha: Sequence[int],
                step: float | None = None) -> float:
-    """Nested central-difference partial derivative of ``f`` at ``point``.
-
-    Axes are differenced one at a time in increasing index order; the
-    default step is ``1e-3 * max(1, |coordinate|)`` per axis.
-    """
-    alpha = _fd_alpha(alpha, step)
-    point = np.asarray(point, dtype=float)
-    steps = _default_steps(point, step)
-    return float(_fd_apply(f, point[None, :], alpha, steps)[0])
+    """Nested central-difference partial derivative of ``f`` at ``point``."""
+    field = partial_fd_field(f, alpha, step)
+    return float(field(np.asarray(point, dtype=float)[None, :])[0])
 
 
 def partial_fd_field(f: Callable, alpha: Sequence[int],
                      step: float | None = None) -> Callable:
-    """Field computing ``partial_fd`` at every row of a batch.
+    """Field computing the nested central-difference partial at every row of a batch.
 
-    With an explicit ``step`` the stencil is shared by all rows and the
-    evaluation is batched; with the coordinate-scaled default each row
-    gets its own step, so rows are evaluated one at a time.
+    Axes are differenced one at a time in increasing index order; the
+    default step is ``1e-3 * max(1, |coordinate|)`` per axis and row.
     """
     alpha = _fd_alpha(alpha, step)
-    if step is None:
-        def rowwise(pts: np.ndarray) -> np.ndarray:
-            pts = np.asarray(pts, dtype=float)
-            out = np.empty(pts.shape[0])
-            for i, row in enumerate(pts):
-                out[i] = partial_fd(f, row, alpha, step=None)
-            return out
+    offsets, coeffs = _fd_stencil(alpha)
 
-        return rowwise
-
-    def batched(pts: np.ndarray) -> np.ndarray:
+    def field(pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
-        steps = np.full(pts.shape[1], float(step))
-        return _fd_apply(f, pts, alpha, steps)
+        steps = (1e-3 * np.maximum(1.0, np.abs(pts)) if step is None
+                 else np.full(pts.shape, float(step)))
+        acc = np.zeros(pts.shape[0])
+        for off, cf in zip(offsets, coeffs):
+            acc += cf * np.asarray(f(pts + off * steps), dtype=float)
+        return acc / np.prod((2.0 * steps) ** np.asarray(alpha), axis=1)
 
-    return batched
+    return field

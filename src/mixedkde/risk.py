@@ -3,8 +3,10 @@
 Risk cells are independent work units keyed by ``(n, replicate)``.  Each
 cell derives its own seed from the master seed by a counter-based integer
 hash (two rounds of multiply-xor-shift with the fixed constants
-0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB), so results
-are bitwise reproducible regardless of worker count or scheduling.
+0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB).  Serial
+and pool runs execute the same job, one contiguous block of replicates at
+one ``n``, and concatenate the blocks in job order, so the output is
+byte-identical for every worker count.
 
 The risk, bias and stochastic terms of one cell are all computed on the
 same uniform grid with composite trapezoid weights.  Sharing the grid
@@ -24,17 +26,17 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
 
 from .densities import Density, plateau_density, tensor_bump_density
 from .estimator import KdeModel, bandwidth_rule, kde_on_grid, mean_field_on_axes
-from .kernels import build_order_kernel
+from .kernels import build_order_kernel, config_section, config_values
 from .lower_bound import LowerBoundFamily, chi2_affinity, family_constants
 from .product import ProductKernel, q_norm, tensor_kernel, verify_class
-from .quadrature import (Box, QuadRule, integrate, lp_norm, multi_indices,
+from .quadrature import (Box, QuadRule, integrate, lp_norm, mixed_multi_indices,
                          tensor_product, trapezoid_axes)
 
 __all__ = [
@@ -75,13 +77,9 @@ def rate_exponent(s_list: Sequence[int], d_list: Sequence[int], p: float,
     s = [Fraction(int(v)) for v in s_list]
     d = [Fraction(int(v)) for v in d_list]
     total_s, total_d = sum(s), sum(d)
-    if regime == "mixed-upper":
-        if len(s) != 2:
+    if regime in ("mixed-upper", "nu-fold", "classical-sum"):
+        if regime == "mixed-upper" and len(s) != 2:
             raise ValueError("mixed-upper is a two-block rate")
-        return total_s / (2 * total_s + total_d)
-    if regime == "nu-fold":
-        return total_s / (2 * total_s + total_d)
-    if regime == "classical-sum":
         return total_s / (2 * total_s + total_d)
     if regime == "classical-min":
         s_min = min(s)
@@ -111,16 +109,9 @@ def cell_seed(master_seed: int, n: int, replicate: int) -> int:
 
 # ----------------------------- configuration -----------------------------
 
-def _section(doc: dict, key: str) -> dict:
-    if not isinstance(doc[key], dict):
-        raise ValueError(f"config section {key!r}: expected a JSON object, "
-                         f"got {type(doc[key]).__name__}")
-    return doc[key]
-
-
 def _build_truth(doc: dict) -> Density:
     kind = doc["name"]
-    params = _section(doc, "params") if "params" in doc else {}
+    params = config_section(doc, "params") if "params" in doc else {}
     if kind == "tensor_bump":
         return tensor_bump_density(params["widths"], params.get("centers"))
     if kind == "plateau":
@@ -148,7 +139,6 @@ class ExperimentConfig:
     eval_rule: QuadRule
     master_seed: int
     slope_tol: float = 0.15
-    source_doc: dict | None = None
 
     def __post_init__(self):
         sizes = tuple(int(n) for n in self.sample_sizes)
@@ -176,32 +166,38 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     bandwidth on the schedule; default panels resolve half the smaller of
     the smallest bandwidth and the truth feature scale.
     """
-    truth = _build_truth(_section(doc, "truth"))
-    kernel = _build_kernel(_section(doc, "kernel"))
-    sizes = tuple(int(n) for n in doc["sample_sizes"])
+    with config_values("truth"):
+        truth = _build_truth(config_section(doc, "truth"))
+    with config_values("kernel"):
+        kernel = _build_kernel(config_section(doc, "kernel"))
+    with config_values("sample_sizes"):
+        sizes = tuple(int(n) for n in doc["sample_sizes"])
     k = kernel
     h_max = bandwidth_rule(min(sizes), k.s1, k.s2, k.d1, k.d2)
     h_min = bandwidth_rule(max(sizes), k.s1, k.s2, k.d1, k.d2)
     if "eval_box" in doc:
-        box = _section(doc, "eval_box")
-        eval_box = Box(tuple(box["lower"]), tuple(box["upper"]))
+        box = config_section(doc, "eval_box")
+        with config_values("eval_box"):
+            eval_box = Box(tuple(box["lower"]), tuple(box["upper"]))
     else:
         support = truth.support
         eval_box = Box(tuple(lo - h_max for lo in support.lower),
                        tuple(hi + h_max for hi in support.upper))
     if "eval_rule" in doc:
-        rule = _section(doc, "eval_rule")
-        eval_rule = QuadRule(int(rule["nodes_per_panel"]),
-                             tuple(int(v) for v in rule["panels_per_axis"]))
+        rule = config_section(doc, "eval_rule")
+        with config_values("eval_rule"):
+            eval_rule = QuadRule(int(rule["nodes_per_panel"]),
+                                 tuple(int(v) for v in rule["panels_per_axis"]))
     else:
         eval_rule = QuadRule.for_box(eval_box, feature_scale=min(h_min, truth.feature_scale),
                                      nodes_per_panel=8)
-    return ExperimentConfig(
-        truth=truth, kernel=kernel, p=float(doc["p"]), sample_sizes=sizes,
-        replicates=int(doc["replicates"]), eval_box=eval_box, eval_rule=eval_rule,
-        master_seed=int(doc["master_seed"]),
-        slope_tol=float(doc.get("slope_tol", 0.15)), source_doc=doc,
-    )
+    with config_values("p, replicates, master_seed or slope_tol"):
+        return ExperimentConfig(
+            truth=truth, kernel=kernel, p=float(doc["p"]), sample_sizes=sizes,
+            replicates=int(doc["replicates"]), eval_box=eval_box, eval_rule=eval_rule,
+            master_seed=int(doc["master_seed"]),
+            slope_tol=float(doc.get("slope_tol", 0.15)),
+        )
 
 
 # ----------------------------- risk cells -----------------------------
@@ -238,29 +234,30 @@ def _shared_grids(config: ExperimentConfig) -> _SharedGrids:
                         truth_grid=config.truth.on_grid(axes))
 
 
-def _size_terms(config: ExperimentConfig, shared: _SharedGrids,
-                n: int) -> tuple[float, np.ndarray, float]:
-    """Bandwidth, mean-field grid and bias term shared by every cell at ``n``."""
+def _cells(config: ExperimentConfig, shared: _SharedGrids, n: int,
+           replicates: Sequence[int]) -> list[RiskCell]:
+    """Cells of one replicate block at ``n``, in replicate order.
+
+    The bandwidth, mean-field grid and bias term are shared by every cell
+    at ``n`` and computed once per block.
+    """
     k = config.kernel
     h = bandwidth_rule(n, k.s1, k.s2, k.d1, k.d2)
     mean_grid = mean_field_on_axes(k, h, config.truth, list(shared.axes))
     bias_p = float(np.sum(shared.weights
                           * np.abs(mean_grid - shared.truth_grid) ** config.p))
-    return h, mean_grid, bias_p
-
-
-def _compute_cell(config: ExperimentConfig, shared: _SharedGrids, n: int,
-                  replicate: int, terms: tuple[float, np.ndarray, float]) -> RiskCell:
-    h, mean_grid, bias_p = terms
-    seed = cell_seed(config.master_seed, n, replicate)
-    sample = config.truth.sample(seed, n)
-    model = KdeModel(kernel=config.kernel, h=h, sample=sample)
-    fhat = kde_on_grid(model, list(shared.axes))
     p, w = config.p, shared.weights
-    risk = float(np.sum(w * np.abs(fhat - shared.truth_grid) ** p))
-    stochastic = float(np.sum(w * np.abs(fhat - mean_grid) ** p))
-    return RiskCell(n=n, replicate=replicate, seed=seed, h=h, risk=risk,
-                    bias_p=bias_p, stochastic_p=stochastic)
+    cells = []
+    for replicate in replicates:
+        seed = cell_seed(config.master_seed, n, replicate)
+        sample = config.truth.sample(seed, n)
+        model = KdeModel(kernel=config.kernel, h=h, sample=sample)
+        fhat = kde_on_grid(model, list(shared.axes))
+        risk = float(np.sum(w * np.abs(fhat - shared.truth_grid) ** p))
+        stochastic = float(np.sum(w * np.abs(fhat - mean_grid) ** p))
+        cells.append(RiskCell(n=n, replicate=replicate, seed=seed, h=h, risk=risk,
+                              bias_p=bias_p, stochastic_p=stochastic))
+    return cells
 
 
 @lru_cache(maxsize=4)
@@ -269,14 +266,8 @@ def _worker_state(doc_json: str):
     return config, _shared_grids(config)
 
 
-@lru_cache(maxsize=32)
-def _worker_terms(doc_json: str, n: int):
-    return _size_terms(*_worker_state(doc_json), n)
-
-
-def _cell_worker(doc_json: str, n: int, replicate: int) -> RiskCell:
-    config, shared = _worker_state(doc_json)
-    return _compute_cell(config, shared, n, replicate, _worker_terms(doc_json, n))
+def _worker_cells(doc_json: str, n: int, replicates: list[int]) -> list[RiskCell]:
+    return _cells(*_worker_state(doc_json), n, replicates)
 
 
 def fit_rate(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
@@ -301,42 +292,32 @@ def fit_rate(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
 def mc_risk(config: ExperimentConfig | dict, workers: int = 1) -> RiskReport:
     """Monte Carlo risk over the sample-size schedule.
 
-    With ``workers > 1`` the config must be the JSON-mirror dict so cells
-    can be shipped to worker processes; results are identical to the
-    sequential path because every cell is a pure function of
-    ``(config, n, replicate)``.
+    The work is split into jobs, one per contiguous block of replicates at
+    each ``n`` (``workers`` blocks per ``n``), and the cells come back in
+    ``(n, replicate)`` order.  With ``workers > 1`` the config must be the
+    JSON-mirror dict so jobs can be shipped to worker processes.  Every
+    cell is a pure function of ``(config, n, replicate)``, so the output is
+    byte-identical for every worker count.
     """
     doc = None
     if isinstance(config, dict):
-        doc = config
-        config = config_from_dict(doc)
-    elif config.source_doc is not None:
-        doc = config.source_doc
-    cells: dict[tuple[int, int], RiskCell] = {}
+        doc, config = config, config_from_dict(config)
+    elif workers > 1:
+        raise ValueError("parallel mc_risk needs a dict config (JSON mirror)")
+    blocks = [b.tolist() for b in np.array_split(np.arange(config.replicates),
+                                                 max(workers, 1)) if b.size]
+    jobs = [(n, block) for n in config.sample_sizes for block in blocks]
     if workers > 1:
-        if doc is None:
-            raise ValueError("parallel mc_risk needs a dict config (JSON mirror)")
-        jobs = [(n, rep) for n in config.sample_sizes
-                for rep in range(config.replicates)]
-        doc_json = json.dumps(doc, sort_keys=True)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_cell_worker, doc_json, n, rep): (n, rep)
-                       for n, rep in jobs}
-            for fut, key in futures.items():
-                cells[key] = fut.result()
+            results = list(pool.map(partial(_worker_cells, json.dumps(doc, sort_keys=True)),
+                                    *zip(*jobs)))
     else:
-        shared = _shared_grids(config)
-        for n in config.sample_sizes:
-            terms = _size_terms(config, shared, n)
-            for rep in range(config.replicates):
-                cells[(n, rep)] = _compute_cell(config, shared, n, rep, terms)
-    ordered = tuple(cells[key] for key in sorted(cells))
-    means = []
-    for n in config.sample_sizes:
-        vals = [c.risk for c in ordered if c.n == n]
-        means.append((n, float(np.mean(vals))))
+        results = map(partial(_cells, config, _shared_grids(config)), *zip(*jobs))
+    cells = tuple(cell for block in results for cell in block)
+    means = [(n, float(np.mean([c.risk for c in cells if c.n == n])))
+             for n in config.sample_sizes]
     slope, stderr = fit_rate(means)
-    return RiskReport(cells=ordered, fitted_slope=slope, slope_stderr=stderr,
+    return RiskReport(cells=cells, fitted_slope=slope, slope_stderr=stderr,
                       theoretical_exponent=config.theoretical_exponent)
 
 
@@ -358,11 +339,10 @@ def upper_bound_constant(kernel: ProductKernel, truth: Density, p: float,
         rule = QuadRule.for_box(truth.support, feature_scale=truth.feature_scale)
     report = verify_class(kernel, tol=1e-8)
     deriv_sum = 0.0
-    for a1 in multi_indices(kernel.d1, kernel.s1):
-        for a2 in multi_indices(kernel.d2, kernel.s2):
-            if sum(a1) == kernel.s1 and sum(a2) == kernel.s2:
-                field = truth.field.partial_field(a1 + a2)
-                deriv_sum += lp_norm(field, truth.support, p, rule)
+    for a1, a2 in mixed_multi_indices(kernel.d1, kernel.s1, kernel.d2, kernel.s2):
+        if sum(a1) == kernel.s1 and sum(a2) == kernel.s2:
+            field = truth.field.partial_field(a1 + a2)
+            deriv_sum += lp_norm(field, truth.support, p, rule)
     k_inf = q_norm(kernel, np.inf)
     k_2 = q_norm(kernel, 2.0)
     f_half = integrate(lambda pts: truth.field.eval(pts) ** (p / 2.0),

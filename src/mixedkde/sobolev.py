@@ -18,7 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import Box, QuadRule, lp_norm, multi_indices, partial_fd_field
+from .quadrature import (Box, QuadRule, lp_norm, mixed_multi_indices, multi_indices,
+                         partial_fd_field)
 
 __all__ = [
     "SmoothnessSpec",
@@ -82,14 +83,9 @@ def index_set(spec: SmoothnessSpec) -> list[tuple[int, ...]]:
     """Full multi-indices (over all d1+d2 axes) entering the chosen norm."""
     if spec.variant == "classical":
         return multi_indices(spec.dim, spec.s1)
-    out = []
-    for a1 in multi_indices(spec.d1, spec.s1):
-        for a2 in multi_indices(spec.d2, spec.s2):
-            if spec.variant == "aniso":
-                if sum(a1) / spec.s1 + sum(a2) / spec.s2 > 1.0 + 1e-12:
-                    continue
-            out.append(a1 + a2)
-    return out
+    return [a1 + a2 for a1, a2 in mixed_multi_indices(spec.d1, spec.s1, spec.d2, spec.s2)
+            if spec.variant == "mixed"
+            or sum(a1) / spec.s1 + sum(a2) / spec.s2 <= 1.0 + 1e-12]
 
 
 def sobolev_norm(f: DifferentiableField, spec: SmoothnessSpec, rule: QuadRule) -> float:

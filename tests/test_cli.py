@@ -75,7 +75,7 @@ def test_risk_run_outputs_are_byte_identical(tmp_path):
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"
     assert run(["risk-run", "--config", str(cfg), "--out", str(out1)]) == 0
-    assert run(["risk-run", "--config", str(cfg), "--out", str(out2)]) == 0
+    assert run(["risk-run", "--config", str(cfg), "--out", str(out2), "--threads", "2"]) == 0
     assert out1.with_suffix(".csv").read_bytes() == out2.with_suffix(".csv").read_bytes()
     assert out1.with_suffix(".json").read_bytes() == out2.with_suffix(".json").read_bytes()
     summary = json.loads(out1.with_suffix(".json").read_text())
@@ -123,15 +123,25 @@ def test_risk_run_rejects_non_object_config(tmp_path, capsys):
         "kernel": {"s1": 1, "s2": 1, "d1": 1, "d2": 1},
         "p": 2.0, "sample_sizes": [64, 128, 256], "replicates": 1, "master_seed": 1,
     }
-    cases = [(key, {**base, key: value}) for key, value in
+    risk_run = ["risk-run", "--config", str(cfg), "--out", str(tmp_path / "run")]
+    not_object = "expected a JSON object"
+    cases = [(risk_run, key, {**base, key: value}, not_object) for key, value in
              [("truth", [1]), ("kernel", "strict"), ("eval_box", [[-1, -1], [1, 1]]),
               ("eval_rule", 8)]]
-    cases.append(("params", {**base, "truth": {"name": "tensor_bump", "params": ["widths"]}}))
-    for key, doc in cases:
+    cases.append((risk_run, "params",
+                  {**base, "truth": {"name": "tensor_bump", "params": ["widths"]}}, not_object))
+    cases.append((risk_run, "truth",
+                  {**base, "truth": {"name": "tensor_bump", "params": {"widths": 3}}},
+                  "wrong value type"))
+    cases.append((risk_run, "sample_sizes", {**base, "sample_sizes": 5}, "wrong value type"))
+    product = {"s1": 1, "s2": 1, "d1": 1, "d2": 1, "kappa1": [1],
+               "kappa2": {"order": 1, "poly_coeffs": [0.5], "strict": False}}
+    cases.append((["kernel-verify", "--config", str(cfg)], "kappa1", product, not_object))
+    for argv, key, doc, message in cases:
         cfg.write_text(json.dumps(doc))
-        assert run(["risk-run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert run(argv) == 2
         err = capsys.readouterr().err
-        assert f"'{key}'" in err and "expected a JSON object" in err
+        assert f"'{key}'" in err and message in err
 
 
 def test_family_verify_without_params_names_key(tmp_path, capsys):

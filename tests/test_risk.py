@@ -144,6 +144,10 @@ def test_mc_risk_worker_invariance():
     a = mc_risk(dict(TINY_DOC), workers=1)
     b = mc_risk(dict(TINY_DOC), workers=2)
     assert a == b
+    # three workers: with 2 replicates one block is empty, with 5 blocks are uneven
+    for replicates in (2, 5):
+        doc = dict(TINY_DOC, replicates=replicates)
+        assert mc_risk(dict(doc), workers=3) == mc_risk(dict(doc), workers=1)
 
 
 def test_risk_dominance():
