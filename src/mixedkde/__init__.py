@@ -10,8 +10,7 @@ from .densities import Density, tensor_bump_density, plateau_density
 from .lower_bound import (FamilyParams, LowerBoundFamily, InfeasibleParameters,
                           vg_code, choose_parameters, build_family,
                           family_distance, chi2_affinity, family_report)
-from .estimator import (KdeModel, bandwidth_rule, kde_eval, kde_on_grid,
-                        kde_mean_field, bias_lp)
+from .estimator import KdeModel, bandwidth_rule, kde_on_grid, bias_lp
 from .risk import (ExperimentConfig, RiskReport, rate_exponent, mc_risk,
                    fit_rate, upper_bound_constant, verify_lower_hypotheses,
                    cell_seed)

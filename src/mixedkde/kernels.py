@@ -32,7 +32,6 @@ __all__ = [
     "config_section",
     "config_values",
     "kernel_to_json",
-    "kernel_from_json",
 ]
 
 MAX_ORDER = 12
@@ -221,6 +220,3 @@ def kernel_from_dict(doc: dict) -> UnivariateKernel:
 def kernel_to_json(kernel: UnivariateKernel) -> str:
     return json.dumps(kernel_to_dict(kernel), indent=2, sort_keys=True) + "\n"
 
-
-def kernel_from_json(text: str) -> UnivariateKernel:
-    return kernel_from_dict(json.loads(text))

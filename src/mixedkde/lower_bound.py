@@ -23,12 +23,13 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, get_type_hints
 
 import numpy as np
 
 from .bumps import g_deriv, g_function, g_norm, g_sobolev_norm, bump_sobolev_norm, bump_l1
 from .densities import Density, PlateauInfo, plateau_density
+from .kernels import config_values
 from .quadrature import QuadRule, integrate
 from .sobolev import DifferentiableField
 
@@ -103,9 +104,15 @@ def params_to_report(params: FamilyParams) -> dict:
 
 
 def params_from_report(doc: dict) -> FamilyParams:
-    """Inverse of ``params_to_report``; a missing key raises ``KeyError``."""
-    return FamilyParams(**{f.name: doc[_REPORT_KEYS.get(f.name, f.name)]
-                           for f in dataclasses.fields(FamilyParams)})
+    """Inverse of ``params_to_report``; a missing key raises ``KeyError``.
+
+    Each value is converted to its field's type, so a wrong-typed value
+    raises a ``ValueError`` naming ``params``.
+    """
+    types = get_type_hints(FamilyParams)
+    with config_values("params"):
+        return FamilyParams(**{f.name: types[f.name](doc[_REPORT_KEYS.get(f.name, f.name)])
+                               for f in dataclasses.fields(FamilyParams)})
 
 
 def validate_params(params: FamilyParams, require_code_capacity: bool = True) -> None:

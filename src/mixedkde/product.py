@@ -29,7 +29,6 @@ __all__ = [
     "required_moment_indices",
     "product_kernel_to_json",
     "product_kernel_from_dict",
-    "product_kernel_from_json",
 ]
 
 
@@ -51,14 +50,13 @@ class ProductKernel:
         if u.shape[1] != self.dim:
             raise ValueError(f"expected points of dimension {self.dim}, got {u.shape[1]}")
         vals = np.ones(u.shape[0])
-        for j in range(self.d1):
-            vals *= self.kappa1(u[:, j])
-        for j in range(self.d1, self.dim):
-            vals *= self.kappa2(u[:, j])
+        for j in range(self.dim):
+            vals *= self.factor(j)(u[:, j])
         return vals
 
-    def eval_point(self, u) -> float:
-        return float(self(np.asarray(u, dtype=float)[None, :])[0])
+    def factor(self, axis: int) -> UnivariateKernel:
+        """Univariate factor of coordinate ``axis``: ``kappa1`` on the first ``d1``."""
+        return self.kappa1 if axis < self.d1 else self.kappa2
 
     def sup_norm(self) -> float:
         return self.kappa1.sup_norm() ** self.d1 * self.kappa2.sup_norm() ** self.d2
@@ -160,6 +158,3 @@ def product_kernel_from_dict(doc: dict) -> ProductKernel:
                              d1=int(doc["d1"]), d2=int(doc["d2"]),
                              s1=int(doc["s1"]), s2=int(doc["s2"]))
 
-
-def product_kernel_from_json(text: str) -> ProductKernel:
-    return product_kernel_from_dict(json.loads(text))

@@ -71,14 +71,6 @@ class Box:
     def widths(self) -> np.ndarray:
         return np.asarray(self.upper) - np.asarray(self.lower)
 
-    def intersect(self, other: "Box") -> "Box | None":
-        """Intersection with another box, or None if it has empty interior."""
-        lo = np.maximum(self.lower, other.lower)
-        hi = np.minimum(self.upper, other.upper)
-        if np.any(lo >= hi):
-            return None
-        return Box(tuple(lo), tuple(hi))
-
 
 @dataclass(frozen=True)
 class QuadRule:

@@ -73,6 +73,22 @@ def brute_force_kde_grid(sample: np.ndarray, h: float,
     return out
 
 
+def kernel_variable_mean_field(truth_eval, h: float, factor_coeffs: list,
+                               u_nodes: np.ndarray, u_weights: np.ndarray,
+                               pts: np.ndarray) -> np.ndarray:
+    """Mean field ``sum_k w_k K(u_k) f(x + h u_k)`` over the tensor grid of the
+    1-d kernel-variable nodes: one truth evaluation per node, no factorization."""
+    pts = np.asarray(pts, dtype=float)
+    out = np.zeros(pts.shape[0])
+    for idx in np.ndindex(*[len(u_nodes)] * pts.shape[1]):
+        u = u_nodes[list(idx)]
+        w = np.prod(u_weights[list(idx)])
+        for coeffs, uj in zip(factor_coeffs, u):
+            w *= kernel_factor(coeffs, uj)
+        out += w * truth_eval(pts + h * u[None, :])
+    return out
+
+
 def trapezoid_lp_power(values: np.ndarray, axes: list, p: float) -> float:
     """``integral |values|^p`` with composite trapezoid weights per axis."""
     work = np.abs(values) ** p

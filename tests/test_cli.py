@@ -3,6 +3,7 @@ import json
 import pytest
 
 from mixedkde.cli import run
+from mixedkde.lower_bound import choose_parameters, params_to_report
 
 
 def test_rate_prints_exact_fraction(capsys):
@@ -146,7 +147,10 @@ def test_risk_run_rejects_non_object_config(tmp_path, capsys):
 
 def test_family_verify_without_params_names_key(tmp_path, capsys):
     cfg = tmp_path / "family.json"
-    for doc in ({"code_size": 3}, {"params": [1, 2]}, {"params": "M=9"}):
+    wrong_amplitude = {**params_to_report(choose_parameters(10_000, 240.0, 1.5, 1, 1, 1, 1,
+                                                            big_n=8.4)), "A": [1]}
+    for doc in ({"code_size": 3}, {"params": [1, 2]}, {"params": "M=9"},
+                {"params": wrong_amplitude}):
         cfg.write_text(json.dumps(doc))
         assert run(["family-verify", "--config", str(cfg)]) == 2
         assert "'params'" in capsys.readouterr().err

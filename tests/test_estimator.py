@@ -4,17 +4,22 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from mixedkde.densities import plateau_density, tensor_bump_density
-from mixedkde.estimator import (KdeModel, bandwidth_rule, bias_lp, kde_eval,
-                                kde_eval_batch, kde_mass, kde_mean_field,
-                                kde_on_grid, mean_field_on_axes)
+from mixedkde.estimator import (KdeModel, _kernel_nodes, bandwidth_rule, bias_lp,
+                                kde_mass, kde_on_grid, mean_field_on_axes)
 from mixedkde.kernels import build_order_kernel
 from mixedkde.product import tensor_kernel, verify_class, top_abs_moment
-from mixedkde.quadrature import Box, QuadRule, lp_norm
+from mixedkde.quadrature import Box, QuadRule, grid_nodes, lp_norm, tensor_product
+from oracles import brute_force_kde_grid, kernel_variable_mean_field
+from test_lower_bound import small_family
 
 UNIFORM2 = tensor_kernel(build_order_kernel(1, True), 1,
                          build_order_kernel(1, True), 1, 1, 1)
 STRICT21 = tensor_kernel(build_order_kernel(2, True), 1,
                          build_order_kernel(1, True), 1, 2, 1)
+
+
+def kde_at(model, point):
+    return kde_on_grid(model, [np.array([x], dtype=float) for x in point]).item()
 
 
 def test_bandwidth_examples():
@@ -32,19 +37,19 @@ def test_bandwidth_needs_two_points():
 
 def test_single_sample_point_value():
     model = KdeModel(kernel=UNIFORM2, h=0.5, sample=np.array([[0.0, 0.0]]))
-    assert kde_eval(model, [0.0, 0.0]) == pytest.approx(1.0, rel=1e-14)
+    assert kde_at(model, [0.0, 0.0]) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_far_point_is_zero():
     model = KdeModel(kernel=UNIFORM2, h=0.5, sample=np.array([[0.0, 0.0]]))
-    assert kde_eval(model, [0.51, 0.0]) == 0.0
-    assert kde_eval(model, [5.0, 5.0]) == 0.0
+    assert kde_at(model, [0.51, 0.0]) == 0.0
+    assert kde_at(model, [5.0, 5.0]) == 0.0
 
 
 def test_dimension_mismatch():
     model = KdeModel(kernel=UNIFORM2, h=0.5, sample=np.array([[0.0, 0.0]]))
     with pytest.raises(ValueError, match="dimension"):
-        kde_eval(model, [0.0, 0.0, 0.0])
+        kde_at(model, [0.0, 0.0, 0.0])
 
 
 def test_model_validation():
@@ -71,8 +76,8 @@ def test_mass_matches_quadrature():
     exact = kde_mass(model, box)
     assert exact == pytest.approx(1.0, abs=1e-12)
     # generic quadrature only resolves the kernel-support kinks coarsely
-    field = lambda pts: kde_eval_batch(model, pts)
-    approx = lp_norm(field, box, 1.0, QuadRule(8, (40, 40)))
+    axes, weights = grid_nodes(box, QuadRule(8, (40, 40)))
+    approx = float(np.sum(tensor_product(weights) * np.abs(kde_on_grid(model, axes))))
     assert approx == pytest.approx(exact, abs=5e-2)
 
 
@@ -86,8 +91,8 @@ def test_translation_equivariance(dx, dy):
     shifted = KdeModel(kernel=STRICT21, h=0.35, sample=sample + shift)
     for q in ([0.2, -0.1], [0.0, 0.0], [-0.6, 0.8]):
         q = np.asarray(q)
-        a = kde_eval(model, q)
-        b = kde_eval(shifted, q + shift)
+        a = kde_at(model, q)
+        b = kde_at(shifted, q + shift)
         assert b == pytest.approx(a, rel=1e-12, abs=1e-15)
 
 
@@ -100,8 +105,8 @@ def test_sample_concatenation_linearity():
     m2 = KdeModel(kernel=UNIFORM2, h=h, sample=s2)
     m = KdeModel(kernel=UNIFORM2, h=h, sample=np.vstack([s1, s2]))
     q = np.array([0.1, -0.2])
-    combined = (30 * kde_eval(m1, q) + 70 * kde_eval(m2, q)) / 100
-    assert kde_eval(m, q) == pytest.approx(combined, rel=1e-13)
+    combined = (30 * kde_at(m1, q) + 70 * kde_at(m2, q)) / 100
+    assert kde_at(m, q) == pytest.approx(combined, rel=1e-13)
 
 
 def test_grid_matches_pointwise():
@@ -111,32 +116,30 @@ def test_grid_matches_pointwise():
     ax = np.linspace(-1.2, 1.2, 23)
     ay = np.linspace(-1.1, 1.1, 19)
     grid = kde_on_grid(model, [ax, ay])
-    for i in (0, 7, 22):
-        for j in (0, 9, 18):
-            assert grid[i, j] == pytest.approx(kde_eval(model, [ax[i], ay[j]]),
-                                               rel=1e-12, abs=1e-15)
+    coeffs = [STRICT21.kappa1.poly_coeffs, STRICT21.kappa2.poly_coeffs]
+    brute = brute_force_kde_grid(sample, 0.3, coeffs, [ax, ay])
+    assert grid == pytest.approx(brute, rel=1e-12, abs=1e-15)
 
 
 def test_nonnegative_kernel_gives_nonnegative_estimate():
     rng = np.random.default_rng(17)
     sample = rng.uniform(-1, 1, size=(100, 2))
     model = KdeModel(kernel=UNIFORM2, h=0.25, sample=sample)
-    pts = rng.uniform(-1.3, 1.3, size=(300, 2))
-    assert np.all(kde_eval_batch(model, pts) >= 0.0)
+    axes = list(rng.uniform(-1.3, 1.3, size=(2, 300)))
+    assert np.all(kde_on_grid(model, axes) >= 0.0)
 
 
 def test_mean_field_reproduces_plateau():
     f0, info = plateau_density(20.0, 1.0, 2)
-    field = kde_mean_field(STRICT21, 0.25, f0)
-    vals = field(np.array([[0.0, 0.0], [3.0, -2.0]]))
+    vals = mean_field_on_axes(STRICT21, 0.25, f0, [np.array([0.0, 3.0]), np.array([0.0, -2.0])])
     assert np.allclose(vals, info.value, atol=1e-10)
 
 
 def test_mean_field_small_h_limit():
     tb = tensor_bump_density([1.0, 1.0])
-    field = kde_mean_field(STRICT21, 1e-3, tb)
     point = np.array([[0.2, -0.3]])
-    assert field(point)[0] == pytest.approx(float(tb(point)[0]), abs=1e-4)
+    mean = mean_field_on_axes(STRICT21, 1e-3, tb, list(point.T)).item()
+    assert mean == pytest.approx(float(tb(point)[0]), abs=1e-4)
 
 
 def test_mean_field_matches_dense_data_quadrature():
@@ -152,18 +155,29 @@ def test_mean_field_matches_dense_data_quadrature():
 
     window = QBox(tuple(x0 - h), tuple(x0 + h))
     direct = integrate(integrand, window, QRule(12, (24, 24)))
-    field = kde_mean_field(STRICT21, h, tb)
-    assert field(x0[None, :])[0] == pytest.approx(direct, abs=1e-8)
+    mean = mean_field_on_axes(STRICT21, h, tb, list(x0[:, None])).item()
+    assert mean == pytest.approx(direct, abs=1e-8)
 
 
 def test_mean_field_factorized_matches_generic():
     tb = tensor_bump_density([1.0, 2.0])
     axes = [np.linspace(-1.3, 1.3, 21), np.linspace(-2.3, 2.3, 17)]
     grid = mean_field_on_axes(STRICT21, 0.35, tb, axes)
-    generic = kde_mean_field(STRICT21, 0.35, tb)
+    u_nodes, u_weights = _kernel_nodes(0.35, tb, 10)
+    coeffs = [STRICT21.kappa1.poly_coeffs, STRICT21.kappa2.poly_coeffs]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    assert np.allclose(grid, generic(pts).reshape(grid.shape), atol=1e-13)
+    generic = kernel_variable_mean_field(tb.field.eval, 0.35, coeffs, u_nodes, u_weights, pts)
+    assert np.allclose(grid, generic.reshape(grid.shape), atol=1e-13)
+
+
+def test_mean_field_needs_product_truth(small_family):
+    member = small_family.member(small_family.code[-1])
+    axes = [np.linspace(-1.0, 1.0, 5)] * 2
+    with pytest.raises(ValueError, match="product truth"):
+        mean_field_on_axes(STRICT21, 0.3, member, axes)
+    with pytest.raises(ValueError, match="product truth"):
+        bias_lp(STRICT21, 0.3, member, 2.0, Box((-1.0, -1.0), (1.0, 1.0)), QuadRule(4, (2, 2)))
 
 
 def test_bias_zero_for_locally_constant_truth():

@@ -203,14 +203,6 @@ def test_box_validation():
         Box((), ())
 
 
-def test_box_intersect():
-    a = Box((0, 0), (2, 2))
-    b = Box((1, -1), (3, 1))
-    c = a.intersect(b)
-    assert c == Box((1, 0), (2, 1))
-    assert a.intersect(Box((5, 5), (6, 6))) is None
-
-
 def test_quad_rule_validation():
     with pytest.raises(ValueError):
         QuadRule(1, (4,))
