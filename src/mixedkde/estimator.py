@@ -7,7 +7,9 @@ sample point:
 
 The estimator is evaluated on tensor grids only: ``kde_on_grid``
 factorizes the kernel across axes, which turns the whole grid into one
-matrix product per sample block (a point is a one-node grid).  Bias
+matrix product per sample block (a point is a one-node grid).  Each
+factor matrix is evaluated only inside each sample's support window and
+holds exactly the values of the dense build, zeros included.  Bias
 studies use the deterministic mean field (the truth convolved with the
 scaled kernel), never Monte Carlo; it is computed per axis, so it needs
 a product truth.
@@ -22,6 +24,7 @@ import numpy as np
 from numpy.polynomial import polynomial as nppoly
 
 from .densities import Density
+from .kernels import UnivariateKernel
 from .product import ProductKernel
 from .quadrature import Box, QuadRule, grid_nodes, tensor_product, _axis_nodes
 
@@ -70,17 +73,16 @@ def kde_on_grid(model: KdeModel, axes: Sequence[np.ndarray]) -> np.ndarray:
 
     The product kernel factorizes: with ``B_j[i, a] = kappa((X_ij -
     axes_j[a]) / h)`` the grid values are ``sum_i prod_j B_j[i, a_j]``,
-    an einsum contraction over the sample index.
+    an einsum contraction over the sample index.  Each ``B_j`` is built
+    by ``_factor_matrix`` from the sample's support windows only and is
+    bit for bit the dense matrix.
     """
     dim = model.kernel.dim
     if len(axes) != dim:
         raise ValueError(f"grid has dimension {len(axes)}, kernel wants {dim}")
     h = model.h
-    sample = model.sample
-    mats = []
-    for j in range(dim):
-        u = (sample[:, j][:, None] - np.asarray(axes[j])[None, :]) / h
-        mats.append(model.kernel.factor(j)(u))
+    mats = [_factor_matrix(model.kernel.factor(j), model.sample[:, j], axes[j], h)
+            for j in range(dim)]
     if dim == 1:
         grid = mats[0].sum(axis=0)
     elif dim == 2:
@@ -90,6 +92,29 @@ def kde_on_grid(model: KdeModel, axes: Sequence[np.ndarray]) -> np.ndarray:
         spec = ",".join(f"i{c}" for c in letters) + "->" + letters
         grid = np.einsum(spec, *mats)
     return grid / (model.n * h ** dim)
+
+
+def _factor_matrix(kappa: UnivariateKernel, x: np.ndarray, axis, h: float) -> np.ndarray:
+    """``kappa((x[:, None] - axis[None, :]) / h)``, evaluated only on the
+    nodes of each sample's window ``[x - h, x + h]``.
+
+    The window is widened by a margin that covers the rounding of ``u``:
+    a node outside it has ``|u| > 1`` as computed, so its dense entry is
+    the exact zero left here.  Inside, each entry is computed by the
+    dense formula, so the matrix equals the dense one bit for bit.
+    """
+    axis = np.asarray(axis, dtype=float)
+    order = np.argsort(axis)
+    nodes = axis[order]
+    pad = 4.0 * np.finfo(float).eps * (np.abs(x) + h)
+    lo = np.searchsorted(nodes, x - h - pad, side="left")
+    hi = np.searchsorted(nodes, x + h + pad, side="right")
+    # one common width; clipping the starts keeps every window on the axis
+    width = min(int(np.max(hi - lo)), nodes.size)
+    cols = np.clip(lo, 0, nodes.size - width)[:, None] + np.arange(width)
+    out = np.zeros((x.size, nodes.size))
+    np.put_along_axis(out, order[cols], kappa((x[:, None] - nodes[cols]) / h), axis=1)
+    return out
 
 
 def kde_mass(model: KdeModel, box: Box) -> float:

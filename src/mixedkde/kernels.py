@@ -10,6 +10,7 @@ Legendre basis, which gives a closed-form polynomial supported on
 from __future__ import annotations
 
 import json
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
@@ -31,6 +32,7 @@ __all__ = [
     "kernel_from_dict",
     "config_section",
     "config_values",
+    "config_scalar",
     "kernel_to_json",
 ]
 
@@ -210,11 +212,30 @@ def config_values(key: str):
         raise ValueError(f"config {key!r}: wrong value type ({exc})") from exc
 
 
+_JSON_KINDS = {bool: (bool, "boolean"), int: (numbers.Integral, "integer"),
+               float: (numbers.Real, "number")}
+
+
+def config_scalar(value, kind: type, key: str):
+    """``kind(value)`` (``kind`` is bool, int or float) if ``value`` has that JSON type.
+
+    A bool field takes only booleans, an int field only integers and a
+    float field integers or floats; a boolean is never a number.  Any
+    other value raises a ``TypeError`` naming ``key``, which the
+    enclosing ``config_values`` block reports.
+    """
+    accepted, name = _JSON_KINDS[kind]
+    if not isinstance(value, accepted) or (kind is not bool and isinstance(value, bool)):
+        raise TypeError(f"{key!r} must be a JSON {name}, got {value!r}")
+    return kind(value)
+
+
 def kernel_from_dict(doc: dict) -> UnivariateKernel:
     with config_values("kernel"):
-        return UnivariateKernel(order=int(doc["order"]),
-                                poly_coeffs=tuple(float(c) for c in doc["poly_coeffs"]),
-                                strict=bool(doc["strict"]))
+        return UnivariateKernel(
+            order=config_scalar(doc["order"], int, "order"),
+            poly_coeffs=tuple(config_scalar(c, float, "poly_coeffs") for c in doc["poly_coeffs"]),
+            strict=config_scalar(doc["strict"], bool, "strict"))
 
 
 def kernel_to_json(kernel: UnivariateKernel) -> str:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .bumps import g_deriv, g_function, g_norm, g_sobolev_norm, bump_sobolev_norm, bump_l1
 from .densities import Density, PlateauInfo, plateau_density
-from .kernels import config_values
+from .kernels import config_scalar, config_values
 from .quadrature import QuadRule, integrate
 from .sobolev import DifferentiableField
 
@@ -106,13 +106,14 @@ def params_to_report(params: FamilyParams) -> dict:
 def params_from_report(doc: dict) -> FamilyParams:
     """Inverse of ``params_to_report``; a missing key raises ``KeyError``.
 
-    Each value is converted to its field's type, so a wrong-typed value
-    raises a ``ValueError`` naming ``params``.
+    Each value must have its field's JSON type (``config_scalar``), so a
+    wrong-typed value raises a ``ValueError`` naming ``params`` and the key.
     """
     types = get_type_hints(FamilyParams)
+    keys = {f.name: _REPORT_KEYS.get(f.name, f.name) for f in dataclasses.fields(FamilyParams)}
     with config_values("params"):
-        return FamilyParams(**{f.name: types[f.name](doc[_REPORT_KEYS.get(f.name, f.name)])
-                               for f in dataclasses.fields(FamilyParams)})
+        return FamilyParams(**{name: config_scalar(doc[key], types[name], key)
+                               for name, key in keys.items()})
 
 
 def validate_params(params: FamilyParams, require_code_capacity: bool = True) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (UnivariateKernel, abs_moment, config_section, config_values,
+from .kernels import (UnivariateKernel, abs_moment, config_scalar, config_section, config_values,
                       kernel_from_dict, kernel_to_dict, moment, q_norm_1d)
 from .quadrature import mixed_multi_indices
 
@@ -154,7 +154,6 @@ def product_kernel_to_json(kernel: ProductKernel) -> str:
 def product_kernel_from_dict(doc: dict) -> ProductKernel:
     kappa1, kappa2 = (kernel_from_dict(config_section(doc, key)) for key in ("kappa1", "kappa2"))
     with config_values("kernel"):
-        return ProductKernel(kappa1=kappa1, kappa2=kappa2,
-                             d1=int(doc["d1"]), d2=int(doc["d2"]),
-                             s1=int(doc["s1"]), s2=int(doc["s2"]))
+        fields = {k: config_scalar(doc[k], int, k) for k in ("d1", "d2", "s1", "s2")}
+        return ProductKernel(kappa1=kappa1, kappa2=kappa2, **fields)
 

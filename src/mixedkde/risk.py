@@ -33,7 +33,7 @@ import numpy as np
 
 from .densities import Density, plateau_density, tensor_bump_density
 from .estimator import KdeModel, bandwidth_rule, kde_on_grid, mean_field_on_axes
-from .kernels import build_order_kernel, config_section, config_values
+from .kernels import build_order_kernel, config_scalar, config_section, config_values
 from .lower_bound import LowerBoundFamily, chi2_affinity, family_constants
 from .product import ProductKernel, q_norm, tensor_kernel, verify_class
 from .quadrature import (Box, QuadRule, integrate, lp_norm, mixed_multi_indices,
@@ -121,9 +121,8 @@ def _build_truth(doc: dict) -> Density:
 
 
 def _build_kernel(doc: dict) -> ProductKernel:
-    s1, s2 = int(doc["s1"]), int(doc["s2"])
-    d1, d2 = int(doc["d1"]), int(doc["d2"])
-    strict = bool(doc.get("strict", True))
+    s1, s2, d1, d2 = (config_scalar(doc[k], int, k) for k in ("s1", "s2", "d1", "d2"))
+    strict = config_scalar(doc.get("strict", True), bool, "strict")
     return tensor_kernel(build_order_kernel(s1, strict), d1,
                          build_order_kernel(s2, strict), d2, s1, s2)
 
@@ -171,7 +170,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     with config_values("kernel"):
         kernel = _build_kernel(config_section(doc, "kernel"))
     with config_values("sample_sizes"):
-        sizes = tuple(int(n) for n in doc["sample_sizes"])
+        sizes = tuple(config_scalar(n, int, "sample_sizes") for n in doc["sample_sizes"])
     k = kernel
     h_max = bandwidth_rule(min(sizes), k.s1, k.s2, k.d1, k.d2)
     h_min = bandwidth_rule(max(sizes), k.s1, k.s2, k.d1, k.d2)
@@ -186,17 +185,19 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if "eval_rule" in doc:
         rule = config_section(doc, "eval_rule")
         with config_values("eval_rule"):
-            eval_rule = QuadRule(int(rule["nodes_per_panel"]),
-                                 tuple(int(v) for v in rule["panels_per_axis"]))
+            eval_rule = QuadRule(config_scalar(rule["nodes_per_panel"], int, "nodes_per_panel"),
+                                 tuple(config_scalar(v, int, "panels_per_axis")
+                                       for v in rule["panels_per_axis"]))
     else:
         eval_rule = QuadRule.for_box(eval_box, feature_scale=min(h_min, truth.feature_scale),
                                      nodes_per_panel=8)
     with config_values("p, replicates, master_seed or slope_tol"):
         return ExperimentConfig(
-            truth=truth, kernel=kernel, p=float(doc["p"]), sample_sizes=sizes,
-            replicates=int(doc["replicates"]), eval_box=eval_box, eval_rule=eval_rule,
-            master_seed=int(doc["master_seed"]),
-            slope_tol=float(doc.get("slope_tol", 0.15)),
+            truth=truth, kernel=kernel, p=config_scalar(doc["p"], float, "p"),
+            sample_sizes=sizes, replicates=config_scalar(doc["replicates"], int, "replicates"),
+            eval_box=eval_box, eval_rule=eval_rule,
+            master_seed=config_scalar(doc["master_seed"], int, "master_seed"),
+            slope_tol=config_scalar(doc.get("slope_tol", 0.15), float, "slope_tol"),
         )
 
 

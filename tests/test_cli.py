@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -61,18 +65,21 @@ def test_family_build_infeasible_names_constraint(capsys):
     assert "error" in capsys.readouterr().err
 
 
+SMALL_RISK = {
+    "truth": {"name": "tensor_bump", "params": {"widths": [1.0, 1.0]}},
+    "kernel": {"s1": 1, "s2": 1, "d1": 1, "d2": 1, "strict": True},
+    "p": 2.0,
+    "sample_sizes": [64, 128, 256],
+    "replicates": 2,
+    "master_seed": 31415,
+    "slope_tol": 5.0,
+}
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def test_risk_run_outputs_are_byte_identical(tmp_path):
-    config = {
-        "truth": {"name": "tensor_bump", "params": {"widths": [1.0, 1.0]}},
-        "kernel": {"s1": 1, "s2": 1, "d1": 1, "d2": 1, "strict": True},
-        "p": 2.0,
-        "sample_sizes": [64, 128, 256],
-        "replicates": 2,
-        "master_seed": 31415,
-        "slope_tol": 5.0,
-    }
     cfg = tmp_path / "exp.json"
-    cfg.write_text(json.dumps(config))
+    cfg.write_text(json.dumps(SMALL_RISK))
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"
     assert run(["risk-run", "--config", str(cfg), "--out", str(out1)]) == 0
@@ -82,6 +89,25 @@ def test_risk_run_outputs_are_byte_identical(tmp_path):
     summary = json.loads(out1.with_suffix(".json").read_text())
     assert set(summary) == {"fitted_slope", "slope_stderr",
                             "theoretical_exponent", "pass"}
+
+
+def test_risk_run_output_ignores_blas_threads(tmp_path):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(SMALL_RISK))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    outputs = []
+    for blas_threads in ("1", None):
+        run_env = env if blas_threads is None else {**env, "OPENBLAS_NUM_THREADS": blas_threads}
+        out = tmp_path / f"run_blas{blas_threads}"
+        # run() waits for the child and kills it if the timeout expires
+        proc = subprocess.run([sys.executable, "-m", "mixedkde.cli", "risk-run",
+                               "--config", str(cfg), "--out", str(out)],
+                              env=run_env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([out.with_suffix(ext).read_bytes() for ext in (".csv", ".json")])
+    assert outputs[0] == outputs[1]
 
 
 def test_risk_run_replicate_and_seed_overrides(tmp_path):
@@ -137,7 +163,24 @@ def test_risk_run_rejects_non_object_config(tmp_path, capsys):
     cases.append((risk_run, "sample_sizes", {**base, "sample_sizes": 5}, "wrong value type"))
     product = {"s1": 1, "s2": 1, "d1": 1, "d2": 1, "kappa1": [1],
                "kappa2": {"order": 1, "poly_coeffs": [0.5], "strict": False}}
-    cases.append((["kernel-verify", "--config", str(cfg)], "kappa1", product, not_object))
+    kernel_verify = ["kernel-verify", "--config", str(cfg)]
+    cases.append((kernel_verify, "kappa1", product, not_object))
+    # values of the wrong JSON type are rejected, not converted
+    wrong_type = "wrong value type"
+    for key, value in [("strict", "false"), ("s1", 2.9), ("d2", True)]:
+        cases.append((risk_run, key, {**base, "kernel": {**base["kernel"], key: value}},
+                      wrong_type))
+    for key, value in [("p", True), ("replicates", 2.5), ("master_seed", "1"),
+                       ("slope_tol", "0.2"), ("sample_sizes", [64, 128.5, 256])]:
+        cases.append((risk_run, key, {**base, key: value}, wrong_type))
+    cases.append((risk_run, "nodes_per_panel",
+                  {**base, "eval_rule": {"nodes_per_panel": 8.5, "panels_per_axis": [4]}},
+                  wrong_type))
+    univariate = {"order": 1, "poly_coeffs": [0.5], "strict": False}
+    for key, value in [("order", 2.9), ("strict", "false"), ("poly_coeffs", ["0.5"])]:
+        cases.append((kernel_verify, key, {**univariate, key: value}, wrong_type))
+    cases.append((kernel_verify, "s2", {**product, "kappa1": univariate, "s2": 1.0},
+                  wrong_type))
     for argv, key, doc, message in cases:
         cfg.write_text(json.dumps(doc))
         assert run(argv) == 2
@@ -147,13 +190,17 @@ def test_risk_run_rejects_non_object_config(tmp_path, capsys):
 
 def test_family_verify_without_params_names_key(tmp_path, capsys):
     cfg = tmp_path / "family.json"
-    wrong_amplitude = {**params_to_report(choose_parameters(10_000, 240.0, 1.5, 1, 1, 1, 1,
-                                                            big_n=8.4)), "A": [1]}
-    for doc in ({"code_size": 3}, {"params": [1, 2]}, {"params": "M=9"},
-                {"params": wrong_amplitude}):
+    params = params_to_report(choose_parameters(10_000, 240.0, 1.5, 1, 1, 1, 1, big_n=8.4))
+    cases = [({"code_size": 3}, "params"), ({"params": [1, 2]}, "params"),
+             ({"params": "M=9"}, "params")]
+    # values of the wrong JSON type are rejected, not converted
+    cases += [({"params": {**params, key: value}}, key) for key, value in
+              [("A", [1]), ("compact_regime", "false"), ("M", 9.5), ("p", True)]]
+    for doc, key in cases:
         cfg.write_text(json.dumps(doc))
         assert run(["family-verify", "--config", str(cfg)]) == 2
-        assert "'params'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "'params'" in err and f"'{key}'" in err
 
 
 def test_family_build_reports_lemma_hypotheses(tmp_path):

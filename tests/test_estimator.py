@@ -4,10 +4,10 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from mixedkde.densities import plateau_density, tensor_bump_density
-from mixedkde.estimator import (KdeModel, _kernel_nodes, bandwidth_rule, bias_lp,
-                                kde_mass, kde_on_grid, mean_field_on_axes)
+from mixedkde.estimator import (KdeModel, _factor_matrix, _kernel_nodes, bandwidth_rule,
+                                bias_lp, kde_mass, kde_on_grid, mean_field_on_axes)
 from mixedkde.kernels import build_order_kernel
-from mixedkde.product import tensor_kernel, verify_class, top_abs_moment
+from mixedkde.product import ProductKernel, tensor_kernel, verify_class, top_abs_moment
 from mixedkde.quadrature import Box, QuadRule, grid_nodes, lp_norm, tensor_product
 from oracles import brute_force_kde_grid, kernel_variable_mean_field
 from test_lower_bound import small_family
@@ -119,6 +119,50 @@ def test_grid_matches_pointwise():
     coeffs = [STRICT21.kappa1.poly_coeffs, STRICT21.kappa2.poly_coeffs]
     brute = brute_force_kde_grid(sample, 0.3, coeffs, [ax, ay])
     assert grid == pytest.approx(brute, rel=1e-12, abs=1e-15)
+    # one and three dimensions, one axis unsorted
+    k2, k1 = STRICT21.kappa1, STRICT21.kappa2
+    one_d = ProductKernel(kappa1=k2, kappa2=k1, d1=1, d2=0, s1=2, s2=1)
+    axes = [ax, rng.permutation(np.linspace(-1.1, 1.1, 11)), np.linspace(-1.0, 1.0, 7)]
+    for kernel in (one_d, tensor_kernel(k2, 2, k1, 1, 2, 1)):
+        sample = rng.uniform(-1, 1, size=(90, kernel.dim))
+        model = KdeModel(kernel=kernel, h=0.3, sample=sample)
+        coeffs = [kernel.factor(j).poly_coeffs for j in range(kernel.dim)]
+        brute = brute_force_kde_grid(sample, 0.3, coeffs, axes[:kernel.dim])
+        assert kde_on_grid(model, axes[:kernel.dim]) == pytest.approx(brute, rel=1e-12,
+                                                                      abs=1e-15)
+
+
+def _factor_cases():
+    rng = np.random.default_rng(23)
+    uniform = np.linspace(-1.0, 1.0, 41)
+    unsorted = rng.permutation(np.concatenate([uniform[:-1], [uniform[7]]]))
+    h = 0.17
+    edges = np.concatenate([uniform[[0, 7, 20, 40]] + h, uniform[[0, 7, 20, 40]] - h])
+    for axis in (uniform, unsorted):
+        yield axis, rng.uniform(-1.2, 1.2, 200), h
+        yield axis, edges, h
+        yield axis, np.array([-0.3, 50.0, -1e6]), h
+        yield axis, rng.uniform(-1.5, 1.5, 30), 0.99
+        yield axis, rng.uniform(-1.5, 1.5, 30), 3.0
+        yield axis, np.array([uniform[7] + h]), h
+    for node in (0.0, 0.4):
+        yield np.array([node]), np.array([-0.1, 0.2, node + h, node - h, 9.0]), h
+        yield np.array([node]), np.array([node - h]), h
+    # duplicated nodes one ulp outside [x - h, x + h] whose u still rounds to +-1
+    x = np.array([0.16158123897629065, -0.1569871736659199])
+    outside = [np.nextafter(x[0] - 0.1, -np.inf), np.nextafter(x[1] + 0.1, np.inf)]
+    yield np.concatenate([outside * 2, uniform]), x, 0.1
+
+
+@pytest.mark.parametrize("order", [1, 2, 4])
+def test_windowed_factor_matches_dense_bit_for_bit(order):
+    kappa = build_order_kernel(order, True)
+    for axis, x, h in _factor_cases():
+        dense = kappa((x[:, None] - axis[None, :]) / h)
+        windowed = _factor_matrix(kappa, x, axis, h)
+        assert windowed.flags.c_contiguous
+        assert np.array_equal(windowed, dense), (axis.size, x.size, h)
+        assert np.array_equal(np.signbit(windowed), np.signbit(dense))
 
 
 def test_nonnegative_kernel_gives_nonnegative_estimate():
