@@ -96,7 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
     rr = sub.add_parser("risk-run", help="run a Monte Carlo risk experiment")
     rr.add_argument("--config", required=True, help="experiment JSON path")
     rr.add_argument("--out", required=True, help="output prefix (.csv and .json written)")
-    rr.add_argument("--threads", type=int, default=1, help="worker processes")
+    rr.add_argument("--threads", type=int, default=1,
+                    help="worker processes, one BLAS thread each")
     rr.add_argument("--replicates", type=int, help="override the config replicate count")
     rr.add_argument("--seed", type=int, help="override the config master seed")
 
@@ -197,12 +198,15 @@ def _cmd_family_verify(args) -> int:
 
 
 def _cmd_risk_run(args) -> int:
+    if args.threads < 1:
+        print(f"risk-run: --threads must be at least 1, got {args.threads}", file=sys.stderr)
+        return USAGE_ERROR
     doc = _read_json_object(args.config)
     if args.replicates is not None:
         doc["replicates"] = args.replicates
     if args.seed is not None:
         doc["master_seed"] = args.seed
-    report = mc_risk(doc, workers=max(1, args.threads))
+    report = mc_risk(doc, workers=args.threads)
     summary = report_summary(report, slope_tol=float(doc.get("slope_tol", 0.15)))
     out = Path(args.out)
     out.with_suffix(".csv").write_text(report_to_csv(report))

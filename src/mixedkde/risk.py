@@ -21,6 +21,7 @@ precision.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -271,6 +272,34 @@ def _worker_cells(doc_json: str, n: int, replicates: list[int]) -> list[RiskCell
     return _cells(*_worker_state(doc_json), n, replicates)
 
 
+# C thread setters of numpy's OpenBLAS copy, scipy's copy and plain OpenBLAS
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                 "openblas_set_num_threads")
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: run every OpenBLAS mapped into this worker on one thread.
+
+    A forked worker inherits the parent's BLAS thread count, so k workers
+    would run k times that many threads on the same cores.  Cell values do
+    not depend on the thread count; a library left unpinned costs only time.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line}
+    except OSError:
+        return
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        setter = next((getattr(lib, name) for name in _BLAS_SETTERS if hasattr(lib, name)), None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+
+
 def fit_rate(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
     """OLS slope and its standard error on (log n, log risk)."""
     if len(points) < 3:
@@ -296,20 +325,23 @@ def mc_risk(config: ExperimentConfig | dict, workers: int = 1) -> RiskReport:
     The work is split into jobs, one per contiguous block of replicates at
     each ``n`` (``workers`` blocks per ``n``), and the cells come back in
     ``(n, replicate)`` order.  With ``workers > 1`` the config must be the
-    JSON-mirror dict so jobs can be shipped to worker processes.  Every
-    cell is a pure function of ``(config, n, replicate)``, so the output is
-    byte-identical for every worker count.
+    JSON-mirror dict so jobs can be shipped to worker processes.  Each
+    worker runs BLAS on one thread, and every worker has exited when this
+    returns.  Every cell is a pure function of ``(config, n, replicate)``,
+    so the output is byte-identical for every worker count.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     doc = None
     if isinstance(config, dict):
         doc, config = config, config_from_dict(config)
     elif workers > 1:
         raise ValueError("parallel mc_risk needs a dict config (JSON mirror)")
     blocks = [b.tolist() for b in np.array_split(np.arange(config.replicates),
-                                                 max(workers, 1)) if b.size]
+                                                 workers) if b.size]
     jobs = [(n, block) for n in config.sample_sizes for block in blocks]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             results = list(pool.map(partial(_worker_cells, json.dumps(doc, sort_keys=True)),
                                     *zip(*jobs)))
     else:

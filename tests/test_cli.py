@@ -98,16 +98,29 @@ def test_risk_run_output_ignores_blas_threads(tmp_path):
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     outputs = []
-    for blas_threads in ("1", None):
-        run_env = env if blas_threads is None else {**env, "OPENBLAS_NUM_THREADS": blas_threads}
-        out = tmp_path / f"run_blas{blas_threads}"
-        # run() waits for the child and kills it if the timeout expires
-        proc = subprocess.run([sys.executable, "-m", "mixedkde.cli", "risk-run",
-                               "--config", str(cfg), "--out", str(out)],
-                              env=run_env, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        outputs.append([out.with_suffix(ext).read_bytes() for ext in (".csv", ".json")])
-    assert outputs[0] == outputs[1]
+    for workers in ("1", "2"):
+        for blas_threads in ("1", None):
+            run_env = env if blas_threads is None else {**env, "OPENBLAS_NUM_THREADS": blas_threads}
+            out = tmp_path / f"run_threads{workers}_blas{blas_threads}"
+            # run() waits for the child and kills it if the timeout expires
+            proc = subprocess.run([sys.executable, "-m", "mixedkde.cli", "risk-run",
+                                   "--config", str(cfg), "--out", str(out), "--threads", workers],
+                                  env=run_env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([out.with_suffix(ext).read_bytes() for ext in (".csv", ".json")])
+    assert len(outputs) == 4
+    assert all(output == outputs[0] for output in outputs)
+
+
+def test_risk_run_rejects_threads_below_one(tmp_path, capsys):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(SMALL_RISK))
+    for threads in ("0", "-1"):
+        out = tmp_path / f"run{threads}"
+        assert run(["risk-run", "--config", str(cfg), "--out", str(out),
+                    "--threads", threads]) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.with_suffix(".csv").exists()
 
 
 def test_risk_run_replicate_and_seed_overrides(tmp_path):

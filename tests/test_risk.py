@@ -1,12 +1,17 @@
+import ctypes
 import itertools
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from mixedkde import risk
 from mixedkde.densities import tensor_bump_density
 from mixedkde.estimator import bandwidth_rule
 from mixedkde.kernels import build_order_kernel
@@ -148,6 +153,52 @@ def test_mc_risk_worker_invariance():
     for replicates in (2, 5):
         doc = dict(TINY_DOC, replicates=replicates)
         assert mc_risk(dict(doc), workers=3) == mc_risk(dict(doc), workers=1)
+
+
+def test_mc_risk_rejects_worker_count_below_one():
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="workers"):
+            mc_risk(dict(TINY_DOC), workers=workers)
+
+
+def test_mc_risk_pool_leaves_no_process():
+    mc_risk(dict(TINY_DOC), workers=2)
+    assert multiprocessing.active_children() == []
+    children = sorted(Path("/proc/self/task").glob("*/children"))
+    if not children:
+        pytest.skip("no /proc/self/task/*/children on this system")
+    assert [path.read_text() for path in children] == [""] * len(children)
+
+
+_BLAS_GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                 "openblas_get_num_threads")
+
+
+def _blas_thread_counts() -> dict[str, int]:
+    """Thread count of every OpenBLAS mapped into this process, by path."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line}
+    except OSError:
+        return {}
+    counts = {}
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        getter = next((getattr(lib, name) for name in _BLAS_GETTERS if hasattr(lib, name)), None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            counts[path] = getter()
+    return counts
+
+
+def test_pool_workers_run_one_blas_thread():
+    parent = _blas_thread_counts()
+    if not parent:
+        pytest.skip("no OpenBLAS with a thread getter is mapped into this process")
+    with ProcessPoolExecutor(max_workers=1, initializer=risk._one_blas_thread) as pool:
+        assert pool.submit(_blas_thread_counts).result(timeout=120) == dict.fromkeys(parent, 1)
+    mc_risk(dict(TINY_DOC), workers=2)
+    assert _blas_thread_counts() == parent
 
 
 def test_risk_dominance():
