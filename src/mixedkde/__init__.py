@@ -1,10 +1,9 @@
 """Product-kernel density estimation under dominating mixed smoothness."""
 
-from .quadrature import Box, QuadRule, integrate, lp_norm, partial_fd
+from .quadrature import Box, QuadRule, integrate, lp_norm, partial_fd_field
 from .kernels import UnivariateKernel, build_order_kernel, moment, verify_order
 from .product import ProductKernel, tensor_kernel, verify_class, q_norm
-from .sobolev import (SmoothnessSpec, DifferentiableField, index_set,
-                      mixed_norm, classical_norm, aniso_norm, ball_membership)
+from .sobolev import SmoothnessSpec, DifferentiableField, index_set, sobolev_norm
 from .bumps import bump_k, g_function, lambda_value
 from .densities import Density, tensor_bump_density, plateau_density
 from .lower_bound import (FamilyParams, LowerBoundFamily, InfeasibleParameters,

@@ -12,13 +12,14 @@ import json
 import sys
 from pathlib import Path
 
+from .densities import pdf_ok
 from .kernels import (build_order_kernel, config_section, kernel_from_dict, kernel_to_json,
                       verify_order)
 from .lower_bound import (InfeasibleParameters, build_family, choose_parameters,
                           family_report, params_from_report)
 from .product import (product_kernel_from_dict, product_kernel_to_json,
                       tensor_kernel, verify_class)
-from .risk import (mc_risk, rate_exponent, report_summary, report_to_csv,
+from .risk import (config_from_dict, mc_risk, rate_exponent, report_summary, report_to_csv,
                    verify_lower_hypotheses)
 
 USAGE_ERROR = 2
@@ -188,8 +189,7 @@ def _cmd_family_verify(args) -> int:
     report["pass"] = bool(
         report["distance_identity_rel_error"] <= args.tol
         and report["affinity_identity_rel_error"] <= args.tol
-        and report["worst_pdf_defect"] <= 1e-8
-        and report["worst_negative_value"] >= -1e-12
+        and pdf_ok(report["worst_pdf_defect"], report["worst_negative_value"])
         and report["code_size"] >= report["code_size_bound"]
         and report["min_hamming_distance"] >= report["min_hamming_bound"]
     )
@@ -207,7 +207,7 @@ def _cmd_risk_run(args) -> int:
     if args.seed is not None:
         doc["master_seed"] = args.seed
     report = mc_risk(doc, workers=args.threads)
-    summary = report_summary(report, slope_tol=float(doc.get("slope_tol", 0.15)))
+    summary = report_summary(report, slope_tol=config_from_dict(doc).slope_tol)
     out = Path(args.out)
     out.with_suffix(".csv").write_text(report_to_csv(report))
     out.with_suffix(".json").write_text(

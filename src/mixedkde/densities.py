@@ -11,7 +11,8 @@ family of the lower-bound construction is layered on top of it in
 
 Product densities are sampled per axis through a tabulated cumulative
 trapezoid CDF inverted by bisection; non-product perturbations use
-rejection sampling (see ``lower_bound``).
+rejection sampling (see ``lower_bound``).  Every density carries its
+sampler; ``pdf_ok`` holds the one pass rule for a measured pdf.
 """
 
 from __future__ import annotations
@@ -29,11 +30,14 @@ from .sobolev import DifferentiableField
 __all__ = [
     "AxisFactor",
     "Density",
+    "pdf_ok",
     "tensor_bump_density",
     "plateau_density",
 ]
 
 _CDF_KNOTS = 4096
+# points per axis of the grid on which verify_pdf looks for negative values
+_PDF_CHECK_GRID = 256
 
 
 @dataclass(frozen=True)
@@ -45,8 +49,8 @@ class AxisFactor:
     hi: float
     deriv: Callable[[int], Callable[[np.ndarray], np.ndarray]]
 
-    def cdf_table(self, knots: int = _CDF_KNOTS) -> tuple[np.ndarray, np.ndarray]:
-        x = np.linspace(self.lo, self.hi, knots)
+    def cdf_table(self) -> tuple[np.ndarray, np.ndarray]:
+        x = np.linspace(self.lo, self.hi, _CDF_KNOTS)
         vals = self.pdf(x)
         steps = np.diff(x)
         cdf = np.concatenate(([0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * steps)))
@@ -57,8 +61,8 @@ class AxisFactor:
 class _ProductSampler:
     """Per-axis inverse-CDF sampler for product densities."""
 
-    def __init__(self, factors: Sequence[AxisFactor], knots: int = _CDF_KNOTS):
-        self._tables = [f.cdf_table(knots) for f in factors]
+    def __init__(self, factors: Sequence[AxisFactor]):
+        self._tables = [f.cdf_table() for f in factors]
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         out = np.empty((count, len(self._tables)))
@@ -73,18 +77,23 @@ class _ProductSampler:
         return out
 
 
+def pdf_ok(integral_defect: float, min_value: float) -> bool:
+    """Pass rule for a measured pdf: unit mass and no negative value, up to rounding."""
+    return bool(integral_defect <= 1e-8 and min_value >= -1e-12)
+
+
 @dataclass(frozen=True)
 class Density:
-    """Evaluable pdf on a bounded box with a sampler.
+    """Evaluable pdf on a bounded box with its sampler.
 
-    ``axis_factors`` is set for product densities and unlocks factorized
-    fast paths (per-axis convolutions, inverse-CDF sampling).
+    ``sampler.draw(rng, count)`` returns ``count`` points.  ``axis_factors``
+    is set for product densities and unlocks the factorized paths
+    (per-axis convolutions, tensor-grid values, inverse-CDF sampling).
     """
 
     field: DifferentiableField
-    is_pdf_tol: float = 1e-8
+    sampler: object = dataclasses.field(repr=False)
     axis_factors: tuple[AxisFactor, ...] | None = None
-    sampler: object | None = dataclasses.field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -108,32 +117,25 @@ class Density:
             raise ValueError("count must be non-negative")
         if count == 0:
             return np.empty((0, self.dim))
-        if self.sampler is None:
-            raise ValueError("density has no sampler")
         rng = np.random.default_rng(np.uint64(seed))
         return self.sampler.draw(rng, count)
 
     def on_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
-        """Values on the tensor grid spanned by per-axis node vectors.
+        """Values of a product density on the tensor grid spanned by per-axis
+        node vectors, evaluated factor by factor and multiplied out."""
+        return tensor_product([f.pdf(a) for f, a in zip(self.axis_factors, axes)])
 
-        Product densities are evaluated factor by factor and multiplied out.
-        """
-        if self.axis_factors is not None:
-            return tensor_product([f.pdf(a) for f, a in zip(self.axis_factors, axes)])
-        return self.field.eval(grid_points(axes)).reshape([len(a) for a in axes])
-
-    def verify_pdf(self, rule: QuadRule, grid_per_axis: int = 256) -> dict:
-        """Measure the unit-mass defect and the most negative grid value."""
+    def verify_pdf(self, rule: QuadRule) -> dict:
+        """Measure the unit-mass defect and the most negative value on a uniform grid."""
         total = integrate(self.field.eval, self.support, rule)
-        axes = [np.linspace(lo, hi, grid_per_axis)
+        axes = [np.linspace(lo, hi, _PDF_CHECK_GRID)
                 for lo, hi in zip(self.support.lower, self.support.upper)]
-        vals = self.field.eval(grid_points(axes))
-        min_val = float(np.min(vals))
+        min_val = float(np.min(self.field.eval(grid_points(axes))))
         return {
             "integral": total,
             "integral_defect": abs(total - 1.0),
             "min_grid_value": min_val,
-            "ok": bool(abs(total - 1.0) <= self.is_pdf_tol and min_val >= -1e-12),
+            "ok": pdf_ok(abs(total - 1.0), min_val),
         }
 
 
@@ -157,10 +159,10 @@ def _product_field(factors: Sequence[AxisFactor]) -> DifferentiableField:
                                partial_factory=partial_factory)
 
 
-def product_density(factors: Sequence[AxisFactor], is_pdf_tol: float = 1e-8) -> Density:
+def product_density(factors: Sequence[AxisFactor]) -> Density:
     factors = tuple(factors)
-    return Density(field=_product_field(factors), is_pdf_tol=is_pdf_tol,
-                   axis_factors=factors, sampler=_ProductSampler(factors))
+    return Density(field=_product_field(factors), sampler=_ProductSampler(factors),
+                   axis_factors=factors)
 
 
 def _bump_factor(center: float, width: float) -> AxisFactor:

@@ -37,6 +37,9 @@ __all__ = [
     "bias_lp",
 ]
 
+# Gauss-Legendre nodes per panel of the mean field's kernel-variable quadrature
+_MEAN_FIELD_NODES = 10
+
 
 def bandwidth_rule(n: int, s1: int, s2: int, d1: int, d2: int) -> float:
     """``h = n^(-1/(2(s1+s2)+(d1+d2)))``, clamped strictly below one."""
@@ -133,16 +136,16 @@ def kde_mass(model: KdeModel, box: Box) -> float:
     return float(total.sum()) / model.n
 
 
-def _kernel_nodes(h: float, truth: Density, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def _kernel_nodes(h: float, truth: Density) -> tuple[np.ndarray, np.ndarray]:
     """GL nodes and weights on the kernel support [-1, 1] resolving the
     truth's features seen through an h-scaled window."""
     rel = truth.feature_scale / h
     panels = max(2, int(np.ceil(2.0 / max(rel / 2.0, 1e-3))))
-    return _axis_nodes(-1.0, 1.0, min(panels, 64), nodes)
+    return _axis_nodes(-1.0, 1.0, min(panels, 64), _MEAN_FIELD_NODES)
 
 
 def mean_field_on_axes(kernel: ProductKernel, h: float, truth: Density,
-                       axes: Sequence[np.ndarray], nodes: int = 10) -> np.ndarray:
+                       axes: Sequence[np.ndarray]) -> np.ndarray:
     """Field of ``E[fhat] = (scaled kernel) * truth`` on a tensor grid.
 
     A product truth makes the convolution a product of univariate ones,
@@ -154,7 +157,7 @@ def mean_field_on_axes(kernel: ProductKernel, h: float, truth: Density,
         raise ValueError(f"bandwidth must lie in (0, 1), got {h}")
     if truth.axis_factors is None:
         raise ValueError("the mean field needs a product truth (one with axis_factors)")
-    pts_1d, wts_1d = _kernel_nodes(h, truth, nodes)
+    pts_1d, wts_1d = _kernel_nodes(h, truth)
     conv = []
     for j in range(kernel.dim):
         k_vals = kernel.factor(j)(pts_1d)
@@ -166,7 +169,7 @@ def mean_field_on_axes(kernel: ProductKernel, h: float, truth: Density,
 
 
 def bias_lp(kernel: ProductKernel, h: float, truth: Density, p: float,
-            box: Box, rule: QuadRule, nodes: int = 10) -> float:
+            box: Box, rule: QuadRule) -> float:
     """``L^p`` norm of the mean-field error over a box (deterministic).
 
     The quadrature nodes form a tensor grid, so the mean field is
@@ -176,7 +179,7 @@ def bias_lp(kernel: ProductKernel, h: float, truth: Density, p: float,
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     axes, axis_weights = grid_nodes(box, rule)
-    mean_grid = mean_field_on_axes(kernel, h, truth, axes, nodes=nodes)
+    mean_grid = mean_field_on_axes(kernel, h, truth, axes)
     err = np.abs(mean_grid - truth.on_grid(axes)) ** p
     val = float(np.sum(tensor_product(axis_weights) * err))
     return val ** (1.0 / p)

@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 MAX_ORDER = 12
+# points of the uniform grid on [-1, 1] that sup_norm scans
+_SUP_GRID = 10_001
 
 
 @dataclass(frozen=True)
@@ -59,15 +61,17 @@ class UnivariateKernel:
 
     def __post_init__(self):
         object.__setattr__(self, "poly_coeffs", tuple(float(c) for c in self.poly_coeffs))
+        if not self.poly_coeffs:
+            raise ValueError("kernel 'poly_coeffs' must hold at least one coefficient")
 
     def __call__(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         vals = nppoly.polyval(u, np.asarray(self.poly_coeffs))
         return np.where(np.abs(u) <= 1.0, vals, 0.0)
 
-    def sup_norm(self, grid_points: int = 10_001) -> float:
-        grid = np.linspace(-1.0, 1.0, grid_points)
-        return float(np.max(np.abs(self(grid))))
+    def sup_norm(self) -> float:
+        """Largest ``|K|`` on a uniform grid of ``[-1, 1]``."""
+        return float(np.max(np.abs(self(np.linspace(-1.0, 1.0, _SUP_GRID)))))
 
     def interior_roots(self) -> np.ndarray:
         """Real roots of the polynomial part strictly inside (-1, 1)."""
@@ -131,14 +135,19 @@ def moment(kernel: UnivariateKernel, nu: int) -> float:
                         panels=1, nodes=nodes)
 
 
-def abs_moment(kernel: UnivariateKernel, nu: float) -> float:
-    """``integral of |u|^nu |K(u)| du``, split at sign changes of K."""
+def _split_at_roots(kernel: UnivariateKernel, f) -> float:
+    """``integral of f`` over [-1, 1], summed over the pieces between sign
+    changes of K, where ``|K|`` is smooth."""
     edges = np.concatenate(([-1.0], kernel.interior_roots(), [1.0]))
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
-        total += integrate_1d(lambda u: np.abs(u) ** nu * np.abs(kernel(u)),
-                              lo, hi, panels=4, nodes=16)
+        total += integrate_1d(f, lo, hi, panels=4, nodes=16)
     return total
+
+
+def abs_moment(kernel: UnivariateKernel, nu: float) -> float:
+    """``integral of |u|^nu |K(u)| du``, split at sign changes of K."""
+    return _split_at_roots(kernel, lambda u: np.abs(u) ** nu * np.abs(kernel(u)))
 
 
 def q_norm_1d(kernel: UnivariateKernel, q: float) -> float:
@@ -147,12 +156,7 @@ def q_norm_1d(kernel: UnivariateKernel, q: float) -> float:
         return kernel.sup_norm()
     if q < 1:
         raise ValueError(f"q must be >= 1 or inf, got {q}")
-    edges = np.concatenate(([-1.0], kernel.interior_roots(), [1.0]))
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        total += integrate_1d(lambda u: np.abs(kernel(u)) ** q, lo, hi,
-                              panels=4, nodes=16)
-    return total ** (1.0 / q)
+    return _split_at_roots(kernel, lambda u: np.abs(kernel(u)) ** q) ** (1.0 / q)
 
 
 def verify_order(kernel: UnivariateKernel, s: int, tol: float) -> OrderReport:
@@ -160,8 +164,11 @@ def verify_order(kernel: UnivariateKernel, s: int, tol: float) -> OrderReport:
 
     Moments ``1 .. s-1`` must vanish, and the moment of order ``s`` too when
     the kernel is strict.  The worst violation includes the normalization
-    defect ``|moment_0 - 1|``.
+    defect ``|moment_0 - 1|``.  ``s`` must be at least 1: order 0 would
+    check no moment.
     """
+    if s < 1:
+        raise ValueError(f"kernel order must be >= 1, got {s}")
     if tol <= 0:
         raise ValueError("tol must be positive")
     violations = [abs(moment(kernel, 0) - 1.0)]

@@ -53,6 +53,8 @@ __all__ = [
 
 MAX_CODE_WORDS = 1 << 16
 _LEX_SCAN_BUDGET = 200_000
+# code words whose members family_report checks for unit mass and sign
+_PDF_CHECKED_WORDS = 4
 
 
 class InfeasibleParameters(ValueError):
@@ -116,7 +118,7 @@ def params_from_report(doc: dict) -> FamilyParams:
                                for name, key in keys.items()})
 
 
-def validate_params(params: FamilyParams, require_code_capacity: bool = True) -> None:
+def validate_params(params: FamilyParams) -> None:
     """Check every construction invariant, naming the first violated one."""
     p = params
     if p.p < 1:
@@ -137,7 +139,7 @@ def validate_params(params: FamilyParams, require_code_capacity: bool = True) ->
     if abs(m_exact - p.m_per_axis) > 1e-9 * max(1.0, p.m_per_axis):
         raise InfeasibleParameters(
             f"M = {p.m_per_axis} does not satisfy M = N/(20 kappa sigma) = {m_exact}")
-    if require_code_capacity and p.n_blocks < 8:
+    if p.n_blocks < 8:
         raise InfeasibleParameters(
             f"M^D = {p.n_blocks} < 8: too few blocks for the binary code")
     plateau_value = (p.kappa / p.big_n) ** p.dim
@@ -453,8 +455,7 @@ class LowerBoundFamily:
         field = DifferentiableField(eval=evaluate, support=f0_field.support,
                                     partial_factory=partial_factory)
         sampler = _RejectionSampler(self.f0, self.params.amplitude, evaluate)
-        return Density(field=field, is_pdf_tol=1e-8, axis_factors=None,
-                       sampler=sampler)
+        return Density(field=field, sampler=sampler)
 
     def min_pairwise_hamming(self) -> int:
         packed = _pack(self.code)
@@ -510,7 +511,7 @@ def build_family(params: FamilyParams, code: np.ndarray | None = None,
     always enforced.
     """
     if validate:
-        validate_params(params, require_code_capacity=code is None)
+        validate_params(params)
     f0, info = plateau_density(params.big_n, params.kappa, params.dim)
     if code is None:
         code = vg_code(params.n_blocks, seed=code_seed)
@@ -546,10 +547,14 @@ def family_distance(fam: LowerBoundFamily, word_a: np.ndarray, word_b: np.ndarra
         val = integrate(lambda pts: np.abs(fa(pts) - fb(pts)) ** p,
                         fam.f0.support, rule)
         return val ** (1.0 / p)
-    rho = hamming_distance(a, b)
-    dim = fam.params.dim
-    value_p = (fam.params.amplitude ** p * rho * fam.params.sigma ** dim
-               * g_norm(p) ** (p * dim))
+    return _member_distance(fam.params, hamming_distance(a, b))
+
+
+def _member_distance(params: FamilyParams, rho: int) -> float:
+    """Closed-form ``L^p`` distance between members whose words differ in
+    ``rho`` places: ``(A^p rho sigma^D ||g||_p^{pD})^{1/p}``."""
+    p, dim = params.p, params.dim
+    value_p = params.amplitude ** p * rho * params.sigma ** dim * g_norm(p) ** (p * dim)
     return value_p ** (1.0 / p)
 
 
@@ -563,8 +568,6 @@ def chi2_affinity(fam: LowerBoundFamily, word: np.ndarray, n: int,
     plateau where ``f_0`` is the constant ``(kappa/N)^D``.
     """
     bits = fam._word_bits(word)
-    params = fam.params
-    dim = params.dim
     if via_quadrature:
         pert = fam.perturbation_field(bits)
         f0_eval = fam.f0.field.eval
@@ -580,20 +583,25 @@ def chi2_affinity(fam: LowerBoundFamily, word: np.ndarray, n: int,
 
         integral = integrate(ratio, fam.f0.support, rule)
         return float((1.0 + integral) ** n)
-    k = int(np.sum(bits != 0))
+    return float(_chi2_closed_form(fam.params, int(np.sum(bits != 0)), n))
+
+
+def _chi2_closed_form(params: FamilyParams, ones, n: int):
+    """Chi-square affinity at sample size ``n`` of a word with ``ones`` ones;
+    ``ones`` may be an array holding the count of every word of a code."""
+    dim = params.dim
     bump_mass = ((params.big_n / params.kappa) ** dim * params.amplitude ** 2
-                 * k * params.sigma ** dim * g_norm(2.0) ** (2 * dim))
-    return float((1.0 + bump_mass) ** n)
+                 * ones * params.sigma ** dim * g_norm(2.0) ** (2 * dim))
+    return (1.0 + bump_mass) ** n
 
 
-def family_report(fam: LowerBoundFamily, pdf_rule: QuadRule | None = None,
-                  max_checked_words: int = 4) -> dict:
+def family_report(fam: LowerBoundFamily, pdf_rule: QuadRule | None = None) -> dict:
     """Parameters plus measured identity defects, JSON-ready."""
     params = fam.params
     rule = pdf_rule or family_rule(fam)
     consts = family_constants(params)
     rho_min = fam.min_pairwise_hamming() if fam.code.shape[0] > 1 else 0
-    checked = fam.code[:max_checked_words]
+    checked = fam.code[:_PDF_CHECKED_WORDS]
     worst_pdf_defect = 0.0
     worst_negative = 0.0
     for word in checked:

@@ -33,7 +33,6 @@ __all__ = [
     "integrate_1d",
     "lp_norm",
     "lp_norm_1d",
-    "partial_fd",
     "partial_fd_field",
 ]
 
@@ -292,8 +291,14 @@ def _fd_stencil(alpha: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     return offsets, coeffs
 
 
-def _fd_alpha(alpha: Sequence[int], step: float | None) -> tuple[int, ...]:
-    """Validated multi-index of a finite-difference partial (and its step)."""
+def partial_fd_field(f: Callable, alpha: Sequence[int],
+                     step: float | None = None) -> Callable:
+    """Field computing the nested central-difference partial at every row of a batch.
+
+    Axes are differenced one at a time in increasing index order; the
+    default step is ``1e-3 * max(1, |coordinate|)`` per axis and row.  A
+    single point is a batch of one row.
+    """
     alpha = tuple(int(a) for a in alpha)
     if any(a < 0 for a in alpha):
         raise ValueError("multi-index entries must be non-negative")
@@ -304,24 +309,6 @@ def _fd_alpha(alpha: Sequence[int], step: float | None) -> tuple[int, ...]:
         )
     if step is not None and not step > 0:
         raise ValueError(f"step must be positive, got {step}")
-    return alpha
-
-
-def partial_fd(f: Callable, point: Sequence[float], alpha: Sequence[int],
-               step: float | None = None) -> float:
-    """Nested central-difference partial derivative of ``f`` at ``point``."""
-    field = partial_fd_field(f, alpha, step)
-    return float(field(np.asarray(point, dtype=float)[None, :])[0])
-
-
-def partial_fd_field(f: Callable, alpha: Sequence[int],
-                     step: float | None = None) -> Callable:
-    """Field computing the nested central-difference partial at every row of a batch.
-
-    Axes are differenced one at a time in increasing index order; the
-    default step is ``1e-3 * max(1, |coordinate|)`` per axis and row.
-    """
-    alpha = _fd_alpha(alpha, step)
     offsets, coeffs = _fd_stencil(alpha)
 
     def field(pts: np.ndarray) -> np.ndarray:

@@ -35,7 +35,8 @@ import numpy as np
 from .densities import Density, plateau_density, tensor_bump_density
 from .estimator import KdeModel, bandwidth_rule, kde_on_grid, mean_field_on_axes
 from .kernels import build_order_kernel, config_scalar, config_section, config_values
-from .lower_bound import LowerBoundFamily, chi2_affinity, family_constants
+from .lower_bound import (LowerBoundFamily, _chi2_closed_form, _member_distance,
+                          family_constants)
 from .product import ProductKernel, q_norm, tensor_kernel, verify_class
 from .quadrature import (Box, QuadRule, integrate, lp_norm, mixed_multi_indices,
                          tensor_product, trapezoid_axes)
@@ -57,6 +58,9 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+
+# largest accepted |fitted slope + theoretical exponent| unless a config sets slope_tol
+_SLOPE_TOL = 0.15
 
 _REGIMES = ("mixed-upper", "classical-min", "classical-sum", "aniso",
             "noncompact-lower", "nu-fold")
@@ -138,7 +142,7 @@ class ExperimentConfig:
     eval_box: Box
     eval_rule: QuadRule
     master_seed: int
-    slope_tol: float = 0.15
+    slope_tol: float
 
     def __post_init__(self):
         sizes = tuple(int(n) for n in self.sample_sizes)
@@ -159,6 +163,12 @@ class ExperimentConfig:
         return self.p * float(frac)
 
 
+def _check_dim(key: str, dim: int, kernel_dim: int) -> None:
+    if dim != kernel_dim:
+        raise ValueError(f"config {key!r}: dimension {dim} does not match "
+                         f"the kernel's dimension {kernel_dim}")
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build a config from its JSON mirror, deriving grid defaults.
 
@@ -170,6 +180,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         truth = _build_truth(config_section(doc, "truth"))
     with config_values("kernel"):
         kernel = _build_kernel(config_section(doc, "kernel"))
+    _check_dim("truth", truth.dim, kernel.dim)
     with config_values("sample_sizes"):
         sizes = tuple(config_scalar(n, int, "sample_sizes") for n in doc["sample_sizes"])
     k = kernel
@@ -179,6 +190,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         box = config_section(doc, "eval_box")
         with config_values("eval_box"):
             eval_box = Box(tuple(box["lower"]), tuple(box["upper"]))
+        _check_dim("eval_box", eval_box.dim, kernel.dim)
     else:
         support = truth.support
         eval_box = Box(tuple(lo - h_max for lo in support.lower),
@@ -198,7 +210,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             sample_sizes=sizes, replicates=config_scalar(doc["replicates"], int, "replicates"),
             eval_box=eval_box, eval_rule=eval_rule,
             master_seed=config_scalar(doc["master_seed"], int, "master_seed"),
-            slope_tol=config_scalar(doc.get("slope_tol", 0.15), float, "slope_tol"),
+            slope_tol=config_scalar(doc.get("slope_tol", _SLOPE_TOL), float, "slope_tol"),
         )
 
 
@@ -396,35 +408,24 @@ class LowerHypothesesReport:
     min_distance: float
 
 
-def verify_lower_hypotheses(fam: LowerBoundFamily, n: int,
-                            subsample: int = 4096,
-                            subsample_seed: int = 0) -> LowerHypothesesReport:
+def verify_lower_hypotheses(fam: LowerBoundFamily, n: int) -> LowerHypothesesReport:
     """Check the two hypotheses of the reduction lemma numerically.
 
     The separation condition compares the minimum pairwise member distance
-    (closed form driven by the code's minimum Hamming distance) against
-    ``2 rho_n`` with ``rho_n = C_1 A N^{D/p}``; the averaged chi-square
-    affinity uses the closed form, over the full code or a seeded uniform
-    subsample when the code is large.
+    (the closed form of ``family_distance`` at the code's minimum Hamming
+    distance) against ``2 rho_n`` with ``rho_n = C_1 A N^{D/p}``.  The
+    averaged chi-square affinity is the closed form of ``chi2_affinity``
+    evaluated for every word of the code at once from its count of ones,
+    and averaged with an exactly rounded sum.
     """
     params = fam.params
     consts = family_constants(params)
     rho_n = (consts.c1 * params.amplitude
              * params.big_n ** (params.dim / params.p))
-    rho_min = fam.min_pairwise_hamming()
-    min_distance = (params.amplitude
-                    * (rho_min * params.sigma ** params.dim) ** (1.0 / params.p)
-                    * consts.g_p ** params.dim)
+    min_distance = _member_distance(params, fam.min_pairwise_hamming())
     condition = min_distance >= 2.0 * rho_n * (1.0 - 1e-12)
-    code = fam.code
-    if code.shape[0] > subsample:
-        rng = np.random.default_rng(np.uint64(subsample_seed))
-        idx = rng.choice(code.shape[0], size=subsample, replace=False)
-        code = code[np.sort(idx)]
-    total = 0.0
-    for word in code:
-        total += chi2_affinity(fam, word, n)
-    c0 = total / code.shape[0]
+    affinities = _chi2_closed_form(params, np.count_nonzero(fam.code, axis=1), n)
+    c0 = math.fsum(affinities) / affinities.size
     bound_exponent = (consts.c2 * n * params.big_n ** (2 * params.dim)
                       * params.amplitude ** 2)
     return LowerHypothesesReport(rho_n=rho_n, condition_l11=bool(condition),
@@ -444,7 +445,7 @@ def report_to_csv(report: RiskReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_summary(report: RiskReport, slope_tol: float = 0.15) -> dict:
+def report_summary(report: RiskReport, slope_tol: float) -> dict:
     passed = abs(report.fitted_slope + report.theoretical_exponent) <= slope_tol
     return {
         "fitted_slope": report.fitted_slope,

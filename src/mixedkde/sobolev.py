@@ -7,8 +7,10 @@ The three norms differ only in which multi-indices enter the sum of
 * ``classical``  : ``|alpha| <= s1`` over all ``d1 + d2`` axes
 * ``aniso``      : ``|alpha_1|/s1 + |alpha_2|/s2 <= 1``
 
-The index-set enumeration is exposed separately so tests can pin the set
-contents; the norms just sum ``lp_norm`` over it.
+``SmoothnessSpec.variant`` selects the index set and ``sobolev_norm``
+sums ``lp_norm`` over it, so the three norms are one function.  The
+index-set enumeration is exposed separately so tests can pin the set
+contents.
 """
 
 from __future__ import annotations
@@ -25,11 +27,7 @@ __all__ = [
     "SmoothnessSpec",
     "DifferentiableField",
     "index_set",
-    "mixed_norm",
-    "classical_norm",
-    "aniso_norm",
     "sobolev_norm",
-    "ball_membership",
 ]
 
 _VARIANTS = ("mixed", "classical", "aniso")
@@ -100,28 +98,3 @@ def sobolev_norm(f: DifferentiableField, spec: SmoothnessSpec, rule: QuadRule) -
         total += lp_norm(field, f.support, spec.p, rule)
     return total
 
-
-def mixed_norm(f: DifferentiableField, spec: SmoothnessSpec, rule: QuadRule) -> float:
-    if spec.variant != "mixed":
-        raise ValueError("mixed_norm requires variant='mixed'")
-    return sobolev_norm(f, spec, rule)
-
-
-def classical_norm(f: DifferentiableField, spec: SmoothnessSpec, rule: QuadRule) -> float:
-    if spec.variant != "classical":
-        raise ValueError("classical_norm requires variant='classical'")
-    return sobolev_norm(f, spec, rule)
-
-
-def aniso_norm(f: DifferentiableField, spec: SmoothnessSpec, rule: QuadRule) -> float:
-    if spec.variant != "aniso":
-        raise ValueError("aniso_norm requires variant='aniso'")
-    return sobolev_norm(f, spec, rule)
-
-
-def ball_membership(f: DifferentiableField, spec: SmoothnessSpec, r: float,
-                    rule: QuadRule) -> dict:
-    if r <= 0:
-        raise ValueError("ball radius must be positive")
-    norm = sobolev_norm(f, spec, rule)
-    return {"member": bool(norm <= r), "norm": norm}

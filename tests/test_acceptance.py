@@ -23,7 +23,7 @@ from mixedkde.product import tensor_kernel, verify_class
 from mixedkde.quadrature import Box, QuadRule
 from mixedkde.risk import (cell_seed, config_from_dict, mc_risk, rate_exponent,
                            verify_lower_hypotheses)
-from mixedkde.sobolev import SmoothnessSpec, classical_norm, mixed_norm
+from mixedkde.sobolev import SmoothnessSpec, sobolev_norm
 from oracles import brute_force_risk
 
 
@@ -159,7 +159,7 @@ def test_criterion_6_family_identities():
             quad = chi2_affinity(fam, code[idx], 1, via_quadrature=True, rule=rule)
             worst_aff = max(worst_aff, abs(closed - quad) / abs(closed - 1.0))
         for word in code:
-            res = fam.member(word).verify_pdf(rule, grid_per_axis=256)
+            res = fam.member(word).verify_pdf(rule)
             worst_pdf = max(worst_pdf, res["integral_defect"])
             worst_neg = min(worst_neg, res["min_grid_value"])
     elapsed = time.time() - t0
@@ -197,11 +197,11 @@ def test_criterion_8_sobolev_inclusion_chain():
         s1, s2 = rng.integers(1, 3, size=2)
         p = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
         rule = QuadRule.for_box(field.support, feature_scale=float(min(widths)) / 3.0)
-        lo = classical_norm(field, SmoothnessSpec(int(min(s1, s2)), int(min(s1, s2)),
-                                                  1, 1, p, "classical"), rule)
-        mid = mixed_norm(field, SmoothnessSpec(int(s1), int(s2), 1, 1, p, "mixed"), rule)
-        hi = classical_norm(field, SmoothnessSpec(int(s1 + s2), int(s1 + s2),
-                                                  1, 1, p, "classical"), rule)
+        lo = sobolev_norm(field, SmoothnessSpec(int(min(s1, s2)), int(min(s1, s2)),
+                                                1, 1, p, "classical"), rule)
+        mid = sobolev_norm(field, SmoothnessSpec(int(s1), int(s2), 1, 1, p, "mixed"), rule)
+        hi = sobolev_norm(field, SmoothnessSpec(int(s1 + s2), int(s1 + s2),
+                                                1, 1, p, "classical"), rule)
         if not (lo <= mid + 1e-9 and mid <= hi + 1e-9):
             violations += 1
     elapsed = time.time() - t0

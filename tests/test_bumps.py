@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 
 from mixedkde.bumps import (bump_k, bump_k_deriv, bump_l1, g_deriv, g_function,
                             g_norm, lambda_bar, lambda_deriv, lambda_value)
-from mixedkde.quadrature import integrate_1d, partial_fd
+from mixedkde.quadrature import integrate_1d, partial_fd_field
 from oracles import adaptive_simpson
 
 BUMP_INTEGRAL = 0.4439938161680793  # adaptive-Simpson reference, rel tol < 1e-12
@@ -45,7 +45,8 @@ def test_bump_derivatives_match_finite_differences(m):
     # the bump's high derivatives are huge near the edges: loose tolerance
     for u0 in (0.0, 0.37, -0.62, 0.9):
         analytic = float(bump_k_deriv(m, u0))
-        fd = partial_fd(lambda pts: bump_k(pts[:, 0]), [u0], (m,), step=1e-3)
+        field = partial_fd_field(lambda pts: bump_k(pts[:, 0]), (m,), step=1e-3)
+        fd = field(np.array([[u0]]))[0]
         assert fd == pytest.approx(analytic, rel=5e-3, abs=1e-5)
 
 
@@ -87,7 +88,8 @@ def test_g_integral_zero():
 def test_g_derivatives_match_finite_differences(m):
     for t0 in (0.3, -0.9, 1.4):
         analytic = float(g_deriv(m, t0))
-        fd = partial_fd(lambda pts: g_function(pts[:, 0]), [t0], (m,), step=1e-3)
+        field = partial_fd_field(lambda pts: g_function(pts[:, 0]), (m,), step=1e-3)
+        fd = field(np.array([[t0]]))[0]
         assert fd == pytest.approx(analytic, rel=5e-3, abs=1e-5)
 
 

@@ -174,6 +174,15 @@ def test_risk_run_rejects_non_object_config(tmp_path, capsys):
                   {**base, "truth": {"name": "tensor_bump", "params": {"widths": 3}}},
                   "wrong value type"))
     cases.append((risk_run, "sample_sizes", {**base, "sample_sizes": 5}, "wrong value type"))
+    # the truth and the evaluation box must have the kernel's dimension
+    three_axes = {"lower": [-2.0, -2.0, -2.0], "upper": [2.0, 2.0, 2.0]}
+    for key, dim, doc in [
+            ("eval_box", 1, {**base, "eval_box": {"lower": [-2.0], "upper": [2.0]}}),
+            ("truth", 3, {**base, "truth": {"name": "tensor_bump",
+                                            "params": {"widths": [1.0, 3.0, 2.0]}}}),
+            ("eval_box", 3, {**base, "eval_box": three_axes})]:
+        cases.append((risk_run, key, doc,
+                      f"dimension {dim} does not match the kernel's dimension 2"))
     product = {"s1": 1, "s2": 1, "d1": 1, "d2": 1, "kappa1": [1],
                "kappa2": {"order": 1, "poly_coeffs": [0.5], "strict": False}}
     kernel_verify = ["kernel-verify", "--config", str(cfg)]
@@ -192,6 +201,8 @@ def test_risk_run_rejects_non_object_config(tmp_path, capsys):
     univariate = {"order": 1, "poly_coeffs": [0.5], "strict": False}
     for key, value in [("order", 2.9), ("strict", "false"), ("poly_coeffs", ["0.5"])]:
         cases.append((kernel_verify, key, {**univariate, key: value}, wrong_type))
+    cases.append((kernel_verify, "poly_coeffs", {**univariate, "poly_coeffs": []},
+                  "at least one coefficient"))
     cases.append((kernel_verify, "s2", {**product, "kappa1": univariate, "s2": 1.0},
                   wrong_type))
     for argv, key, doc, message in cases:
@@ -199,6 +210,10 @@ def test_risk_run_rejects_non_object_config(tmp_path, capsys):
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert f"'{key}'" in err and message in err
+    # order 0 would check no moment, so every kernel would pass
+    cfg.write_text(json.dumps(univariate))
+    assert run(kernel_verify + ["--order", "0"]) == 2
+    assert "kernel order must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_family_verify_without_params_names_key(tmp_path, capsys):

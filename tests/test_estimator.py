@@ -207,7 +207,7 @@ def test_mean_field_factorized_matches_generic():
     tb = tensor_bump_density([1.0, 2.0])
     axes = [np.linspace(-1.3, 1.3, 21), np.linspace(-2.3, 2.3, 17)]
     grid = mean_field_on_axes(STRICT21, 0.35, tb, axes)
-    u_nodes, u_weights = _kernel_nodes(0.35, tb, 10)
+    u_nodes, u_weights = _kernel_nodes(0.35, tb)
     coeffs = [STRICT21.kappa1.poly_coeffs, STRICT21.kappa2.poly_coeffs]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)

@@ -94,6 +94,10 @@ def test_rebuild_is_bitwise_identical():
 def test_order_bounds(s):
     with pytest.raises(ValueError, match="order"):
         build_order_kernel(s)
+    if s < 1:
+        # order 0 would check no moment, so every kernel would pass
+        with pytest.raises(ValueError, match="order"):
+            verify_order(build_order_kernel(1), s, 1e-8)
 
 
 def test_support_clamps_to_zero():

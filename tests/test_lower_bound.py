@@ -14,7 +14,7 @@ from mixedkde.lower_bound import (ConstructionError, FamilyParams,
                                   hamming_distance, params_from_report,
                                   params_to_report, validate_params, vg_code)
 from mixedkde.quadrature import QuadRule, integrate
-from mixedkde.sobolev import SmoothnessSpec, mixed_norm
+from mixedkde.sobolev import SmoothnessSpec, sobolev_norm
 
 
 def small_params(m_per_axis=3, p=2.0, amplitude_frac=0.5):
@@ -263,7 +263,7 @@ def test_sobolev_budget_on_feasible_instance():
                             nodes_per_panel=6)
     spec = SmoothnessSpec(1, 1, 1, 1, params.p, "mixed")
     member = fam.member(word)
-    norm_member = mixed_norm(member.field, spec, rule)
+    norm_member = sobolev_norm(member.field, spec, rule)
     assert norm_member <= params.r + 1e-9
 
     from mixedkde.sobolev import DifferentiableField
@@ -271,7 +271,7 @@ def test_sobolev_budget_on_feasible_instance():
         eval=fam.perturbation_field(word),
         support=fam.f0.support,
         partial_factory=lambda alpha: fam.perturbation_field(word, alpha))
-    norm_pert = mixed_norm(pert, spec, rule)
+    norm_pert = sobolev_norm(pert, spec, rule)
     assert norm_pert <= params.r * (1.0 - params.epsilon) + 1e-9
 
 

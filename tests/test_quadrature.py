@@ -4,7 +4,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from mixedkde.quadrature import (Box, QuadRule, integrate, integrate_1d, lp_norm,
-                                 lp_norm_1d, partial_fd, partial_fd_field)
+                                 lp_norm_1d, partial_fd_field)
 from oracles import adaptive_simpson
 
 RULE_2D = QuadRule(8, (8, 8))
@@ -128,19 +128,19 @@ def test_lp_norm_homogeneity_and_abs(c):
 
 def test_partial_fd_mixed_polynomial():
     f = lambda pts: pts[:, 0] ** 2 * pts[:, 1]
-    val = partial_fd(f, [1.0, 1.0], (1, 1), step=1e-4)
+    val = partial_fd_field(f, (1, 1), step=1e-4)(np.array([[1.0, 1.0]]))[0]
     assert val == pytest.approx(2.0, abs=1e-6)
 
 
 def test_partial_fd_constant():
     f = lambda pts: np.full(pts.shape[0], 7.5)
     for alpha in [(1,), (2,), (3,)]:
-        assert abs(partial_fd(f, [0.3], alpha)) < 1e-8
+        assert abs(partial_fd_field(f, alpha)(np.array([[0.3]]))[0]) < 1e-8
 
 
 def test_partial_fd_sin_second_derivative_at_zero():
     f = lambda pts: np.sin(pts[:, 0])
-    assert abs(partial_fd(f, [0.0], (2,))) < 1e-6
+    assert abs(partial_fd_field(f, (2,))(np.array([[0.0]]))[0]) < 1e-6
 
 
 @pytest.mark.parametrize("alpha", [(1, 0), (0, 1), (2, 0), (1, 1), (2, 2), (3, 1)])
@@ -162,7 +162,7 @@ def test_partial_fd_monomials(alpha):
         for j in range(a):
             coef *= (k - j)
         expected *= coef * point[ax] ** (k - a)
-    val = partial_fd(f, point, alpha, step=1e-3)
+    val = partial_fd_field(f, alpha, step=1e-3)(point[None, :])[0]
     if expected == 0.0:
         assert abs(val) < 1e-5
     else:
@@ -172,17 +172,15 @@ def test_partial_fd_monomials(alpha):
 def test_partial_fd_rejects_high_order():
     f = lambda pts: pts[:, 0]
     with pytest.raises(ValueError, match="unsupported"):
-        partial_fd(f, [0.0, 0.0], (4, 3))
+        partial_fd_field(f, (4, 3))
 
 
 @pytest.mark.parametrize("alpha, step, message", [
     ((-1, 1), 1e-3, "non-negative"),
     ((1, 1), 0.0, "step"),
 ])
-def test_partial_fd_field_validates_like_partial_fd(alpha, step, message):
+def test_partial_fd_field_validates(alpha, step, message):
     f = lambda pts: pts[:, 0] * pts[:, 1]
-    with pytest.raises(ValueError, match=message):
-        partial_fd(f, [0.1, 0.2], alpha, step=step)
     with pytest.raises(ValueError, match=message):
         partial_fd_field(f, alpha, step=step)
 
@@ -193,7 +191,7 @@ def test_partial_fd_field_matches_pointwise():
     pts = np.array([[0.1, 0.5], [-0.4, 1.2]])
     vals = field(pts)
     for row, v in zip(pts, vals):
-        assert v == pytest.approx(partial_fd(f, row, (1, 1), step=1e-4), rel=1e-12)
+        assert v == pytest.approx(field(row[None, :])[0], rel=1e-12)
 
 
 def test_box_validation():

@@ -15,7 +15,8 @@ from mixedkde import risk
 from mixedkde.densities import tensor_bump_density
 from mixedkde.estimator import bandwidth_rule
 from mixedkde.kernels import build_order_kernel
-from mixedkde.lower_bound import build_family, choose_parameters, vg_code, FamilyParams
+from mixedkde.lower_bound import (FamilyParams, build_family, chi2_affinity, choose_parameters,
+                                  family_distance, vg_code)
 from mixedkde.product import q_norm, tensor_kernel, verify_class
 from mixedkde.quadrature import QuadRule, lp_norm
 from mixedkde.risk import (cell_seed, config_from_dict, fit_rate, mc_risk,
@@ -300,7 +301,6 @@ def test_upper_bound_constant_rejects_small_p():
 
 
 def test_verify_lower_hypotheses_single_word():
-    from mixedkde.lower_bound import chi2_affinity
     params = FamilyParams(s1=1, s2=1, d1=1, d2=1, p=2.0, r=5.0, big_n=9.0,
                           kappa=1.0, sigma=9.0 / 60.0, amplitude=0.5 / 81.0,
                           m_per_axis=3, epsilon=0.5, r_star=5.0,
@@ -310,6 +310,27 @@ def test_verify_lower_hypotheses_single_word():
     fam = build_family(params, code=word, validate=False)
     rep = verify_lower_hypotheses(fam, 10)
     assert rep.c0_estimate == pytest.approx(chi2_affinity(fam, word[0], 10), rel=1e-14)
+
+
+def test_verify_lower_hypotheses_averages_every_word_of_a_large_code():
+    # more than 4,096 words: every word enters the average, none is sampled out
+    n = 10_000
+    params = choose_parameters(n, 240.0, 1.5, 1, 1, 1, 1, big_n=8.4)
+    code = np.random.default_rng(5).integers(0, 2, size=(5_000, params.n_blocks),
+                                             dtype=np.uint8)
+    fam = build_family(params, code=code, validate=False)
+    rep = verify_lower_hypotheses(fam, n)
+    mean = np.mean([chi2_affinity(fam, word, n) for word in code])
+    assert rep.c0_estimate == pytest.approx(mean, rel=1e-12)
+    # the separation side is family_distance at a closest pair of words
+    packed = np.packbits(code, axis=1)
+    closest = (params.n_blocks + 1, 0, 0)
+    for i in range(len(code) - 1):
+        dist = np.bitwise_count(packed[i + 1:] ^ packed[i]).sum(axis=1)
+        k = int(np.argmin(dist))
+        closest = min(closest, (int(dist[k]), i, i + 1 + k))
+    _, i, j = closest
+    assert rep.min_distance == family_distance(fam, code[i], code[j])
 
 
 def test_verify_lower_hypotheses_feasible_family():

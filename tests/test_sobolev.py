@@ -6,9 +6,7 @@ import hypothesis.strategies as st
 from mixedkde.bumps import lambda_deriv, lambda_value
 from mixedkde.densities import plateau_density, tensor_bump_density
 from mixedkde.quadrature import Box, QuadRule, integrate_1d, lp_norm_1d
-from mixedkde.sobolev import (DifferentiableField, SmoothnessSpec, aniso_norm,
-                              ball_membership, classical_norm, index_set,
-                              mixed_norm, sobolev_norm)
+from mixedkde.sobolev import DifferentiableField, SmoothnessSpec, index_set, sobolev_norm
 
 RULE = QuadRule(8, (24, 24))
 
@@ -58,7 +56,7 @@ def test_mixed_norm_tensor_factorization():
     panels = (60, 90)
     field = bump_field(widths)
     spec = SmoothnessSpec(s1=2, s2=1, d1=1, d2=1, p=2.0, variant="mixed")
-    got = mixed_norm(field, spec, QuadRule(10, panels))
+    got = sobolev_norm(field, spec, QuadRule(10, panels))
 
     def axis_sum(width, top, n_panels):
         total = 0.0
@@ -95,9 +93,9 @@ def test_classical_norm_two_terms():
 def test_norm_chain(s1, s2):
     field = bump_field((1.0, 1.3))
     p = 2.0
-    lo = classical_norm(field, SmoothnessSpec(min(s1, s2), min(s1, s2), 1, 1, p, "classical"), RULE)
-    mid = mixed_norm(field, SmoothnessSpec(s1, s2, 1, 1, p, "mixed"), RULE)
-    hi = classical_norm(field, SmoothnessSpec(s1 + s2, s1 + s2, 1, 1, p, "classical"), RULE)
+    lo = sobolev_norm(field, SmoothnessSpec(min(s1, s2), min(s1, s2), 1, 1, p, "classical"), RULE)
+    mid = sobolev_norm(field, SmoothnessSpec(s1, s2, 1, 1, p, "mixed"), RULE)
+    hi = sobolev_norm(field, SmoothnessSpec(s1 + s2, s1 + s2, 1, 1, p, "classical"), RULE)
     assert lo <= mid + 1e-9
     assert mid <= hi + 1e-9
 
@@ -106,7 +104,7 @@ def test_aniso_below_mixed():
     field = bump_field((1.0, 0.8))
     spec_a = SmoothnessSpec(3, 2, 1, 1, 2.0, "aniso")
     spec_m = SmoothnessSpec(3, 2, 1, 1, 2.0, "mixed")
-    assert aniso_norm(field, spec_a, RULE) <= mixed_norm(field, spec_m, RULE) + 1e-9
+    assert sobolev_norm(field, spec_a, RULE) <= sobolev_norm(field, spec_m, RULE) + 1e-9
 
 
 @given(st.floats(-4.0, 4.0).filter(lambda c: abs(c) > 1e-3))
@@ -119,8 +117,8 @@ def test_homogeneity(c):
         partial_factory=lambda alpha: (lambda pts: c * base.partial_factory(alpha)(pts)))
     spec = SmoothnessSpec(1, 1, 1, 1, 2.0, "mixed")
     rule = QuadRule(8, (12, 12))
-    assert mixed_norm(scaled, spec, rule) == pytest.approx(
-        abs(c) * mixed_norm(base, spec, rule), rel=1e-10)
+    assert sobolev_norm(scaled, spec, rule) == pytest.approx(
+        abs(c) * sobolev_norm(base, spec, rule), rel=1e-10)
 
 
 def test_triangle_inequality():
@@ -142,22 +140,14 @@ def test_triangle_inequality():
                                  partial_factory=g.partial_factory)
     spec = SmoothnessSpec(1, 1, 1, 1, 2.0, "mixed")
     rule = QuadRule(8, (16, 16))
-    assert (mixed_norm(both, spec, rule)
-            <= mixed_norm(f_clip, spec, rule) + mixed_norm(g_clip, spec, rule) + 1e-9)
+    assert (sobolev_norm(both, spec, rule)
+            <= sobolev_norm(f_clip, spec, rule) + sobolev_norm(g_clip, spec, rule) + 1e-9)
 
 
-def test_ball_membership_zero_and_pdf():
-    zero = DifferentiableField(
-        eval=lambda pts: np.zeros(pts.shape[0]),
-        support=Box((-1, -1), (1, 1)),
-        partial_factory=lambda alpha: (lambda pts: np.zeros(pts.shape[0])))
+def test_pdf_norm_at_p1_exceeds_one():
+    # a pdf at p = 1 has L1 norm one, so derivative terms push it past 1
     spec = SmoothnessSpec(1, 1, 1, 1, 1.0, "mixed")
-    assert ball_membership(zero, spec, 0.5, RULE)["member"]
-    # a pdf at p = 1 has L1 norm one, so derivative terms push it past r = 1
-    pdf = bump_field((1.0, 1.0))
-    res = ball_membership(pdf, spec, 1.0, RULE)
-    assert not res["member"]
-    assert res["norm"] > 1.0
+    assert sobolev_norm(bump_field((1.0, 1.0)), spec, RULE) > 1.0
 
 
 def test_fd_fallback_matches_analytic():
@@ -166,8 +156,8 @@ def test_fd_fallback_matches_analytic():
                                    partial_factory=None)
     spec = SmoothnessSpec(1, 1, 1, 1, 2.0, "mixed")
     rule = QuadRule(6, (10, 10))
-    assert mixed_norm(fd_field, spec, rule) == pytest.approx(
-        mixed_norm(field, spec, rule), rel=1e-4)
+    assert sobolev_norm(fd_field, spec, rule) == pytest.approx(
+        sobolev_norm(field, spec, rule), rel=1e-4)
 
 
 def test_fd_fallback_rejects_high_order():
@@ -183,7 +173,7 @@ def test_f0_norm_against_construction_bound():
     f0, info = plateau_density(20.0, 1.0, 2)
     spec = SmoothnessSpec(1, 1, 1, 1, 2.0, "mixed")
     rule = QuadRule.for_box(f0.support, feature_scale=0.25)
-    norm = mixed_norm(f0.field, spec, rule)
+    norm = sobolev_norm(f0.field, spec, rule)
     assert norm > 0
 
     factor = f0.axis_factors[0]
