@@ -13,8 +13,8 @@ rational recurrence
 
 Indicator convolutions are evaluated through the antiderivative
 ``LambdaBar(u) = integral of Lambda from -1 to u``, tabulated once on
-[-1, 1] and interpolated with a monotone cubic; outside [-1, 1] it is
-clamped to 0 and 1.
+[-1, 1] and interpolated by a cubic Hermite with exact slopes Lambda;
+outside [-1, 1] it is clamped to 0 and 1.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from functools import lru_cache, partial
 
 import numpy as np
 from numpy.polynomial import polynomial as nppoly
-from scipy.interpolate import PchipInterpolator
 
 from .quadrature import integrate_1d, lp_norm_1d
 
@@ -41,6 +40,7 @@ __all__ = [
 ]
 
 _TABLE_KNOTS = 16_384
+_TABLE_SCALE = (_TABLE_KNOTS - 1) / 2.0  # knot intervals per unit length, exact
 
 
 def bump_k(u) -> np.ndarray:
@@ -103,7 +103,13 @@ def lambda_deriv(m: int, u) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _lambda_bar_table() -> PchipInterpolator:
+def _lambda_bar_table() -> tuple[np.ndarray, ...]:
+    """Cubic coefficients of LambdaBar on each knot interval, lowest first.
+
+    The cubic of interval i is in the local coordinate ``s = (u - knot_i) /
+    step`` on [0, 1]; it matches the table values and the exact slopes
+    Lambda at both knots (cubic Hermite, O(step^4) error).
+    """
     knots = np.linspace(-1.0, 1.0, _TABLE_KNOTS)
     # per-interval GL panels, accumulated; each interval is so narrow the
     # panel is exact to machine precision for the smooth integrand
@@ -114,21 +120,30 @@ def _lambda_bar_table() -> PchipInterpolator:
     vals = lambda_value(pts.ravel()).reshape(pts.shape)
     increments = (vals * w[None, :]).sum(axis=1) * half
     cdf = np.concatenate(([0.0], np.cumsum(increments)))
+    slopes = lambda_value(knots) / (_TABLE_SCALE * cdf[-1])
     cdf /= cdf[-1]
-    return PchipInterpolator(knots, cdf, extrapolate=False)
+    rise = np.diff(cdf)
+    left, right = slopes[:-1], slopes[1:]
+    return cdf[:-1], left, 3.0 * rise - 2.0 * left - right, left + right - 2.0 * rise
 
 
 def lambda_bar(u) -> np.ndarray:
     """Antiderivative of Lambda with ``lambda_bar(-1) = 0``; clamped outside."""
     u = np.asarray(u, dtype=float)
-    out = np.empty(np.shape(u))
-    lo = u <= -1.0
     hi = u >= 1.0
-    mid = ~(lo | hi)
-    out[lo] = 0.0
-    out[hi] = 1.0
+    mid = ~(hi | (u <= -1.0))
+    out = np.array(hi, dtype=float)
     if np.any(mid):
-        out[mid] = _lambda_bar_table()(u[mid])
+        c0, c1, c2, c3 = _lambda_bar_table()
+        t = (u[mid] + 1.0) * _TABLE_SCALE
+        # fmin maps NaN (which fails both clamps) to the last interval; t stays NaN
+        i = np.fmin(t, _TABLE_KNOTS - 2).astype(np.intp)
+        t -= i
+        vals = c3[i]
+        for c in (c2, c1, c0):  # Horner in the local coordinate, in place
+            vals *= t
+            vals += c[i]
+        out[mid] = np.clip(vals, 0.0, 1.0, out=vals)
     return out
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as nppoly
 
 from .densities import Density
 from .kernels import UnivariateKernel
@@ -32,7 +31,6 @@ __all__ = [
     "KdeModel",
     "bandwidth_rule",
     "kde_on_grid",
-    "kde_mass",
     "mean_field_on_axes",
     "bias_lp",
 ]
@@ -118,22 +116,6 @@ def _factor_matrix(kappa: UnivariateKernel, x: np.ndarray, axis, h: float) -> np
     out = np.zeros((x.size, nodes.size))
     np.put_along_axis(out, order[cols], kappa((x[:, None] - nodes[cols]) / h), axis=1)
     return out
-
-
-def kde_mass(model: KdeModel, box: Box) -> float:
-    """Exact integral of the estimator over a box via polynomial antiderivatives."""
-    if box.dim != model.kernel.dim:
-        raise ValueError("box dimension mismatch")
-    h = model.h
-    total = np.ones(model.n)
-    for j in range(model.kernel.dim):
-        anti = nppoly.polyint(np.asarray(model.kernel.factor(j).poly_coeffs))
-        # substituting u = (X - x)/h maps x in [lo, hi] to u in
-        # [(X - hi)/h, (X - lo)/h] and absorbs one 1/h factor
-        u_upper = np.clip((model.sample[:, j] - box.lower[j]) / h, -1.0, 1.0)
-        u_lower = np.clip((model.sample[:, j] - box.upper[j]) / h, -1.0, 1.0)
-        total *= nppoly.polyval(u_upper, anti) - nppoly.polyval(u_lower, anti)
-    return float(total.sum()) / model.n
 
 
 def _kernel_nodes(h: float, truth: Density) -> tuple[np.ndarray, np.ndarray]:

@@ -245,7 +245,10 @@ def _tensor_reduce(f, nodes: Sequence[np.ndarray], weights: Sequence[np.ndarray]
         if power is not None:
             vals = np.abs(vals) ** power
         wts = reduce(np.multiply, grid_points(weights, start, stop).T)
-        total += float(wts @ vals)
+        # einsum's own loop, not BLAS: OpenBLAS threads a dot this long and
+        # leaves its threads spinning between chunks, and its partial sums
+        # depend on the thread count
+        total += float(np.einsum("i,i->", wts, vals))
     return total
 
 

@@ -25,6 +25,7 @@ import ctypes
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -169,6 +170,15 @@ def _check_dim(key: str, dim: int, kernel_dim: int) -> None:
                          f"the kernel's dimension {kernel_dim}")
 
 
+@contextmanager
+def _value_named(key: str):
+    """Report a ``ValueError`` raised in the block as one naming the config ``key``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"config {key!r}: {exc}") from exc
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build a config from its JSON mirror, deriving grid defaults.
 
@@ -188,7 +198,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     h_min = bandwidth_rule(max(sizes), k.s1, k.s2, k.d1, k.d2)
     if "eval_box" in doc:
         box = config_section(doc, "eval_box")
-        with config_values("eval_box"):
+        with config_values("eval_box"), _value_named("eval_box"):
             eval_box = Box(tuple(box["lower"]), tuple(box["upper"]))
         _check_dim("eval_box", eval_box.dim, kernel.dim)
     else:
@@ -197,10 +207,11 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                        tuple(hi + h_max for hi in support.upper))
     if "eval_rule" in doc:
         rule = config_section(doc, "eval_rule")
-        with config_values("eval_rule"):
+        with config_values("eval_rule"), _value_named("eval_rule"):
             eval_rule = QuadRule(config_scalar(rule["nodes_per_panel"], int, "nodes_per_panel"),
                                  tuple(config_scalar(v, int, "panels_per_axis")
                                        for v in rule["panels_per_axis"]))
+            eval_rule.panels_for(eval_box.dim)
     else:
         eval_rule = QuadRule.for_box(eval_box, feature_scale=min(h_min, truth.feature_scale),
                                      nodes_per_panel=8)
@@ -284,7 +295,8 @@ def _worker_cells(doc_json: str, n: int, replicates: list[int]) -> list[RiskCell
     return _cells(*_worker_state(doc_json), n, replicates)
 
 
-# C thread setters of numpy's OpenBLAS copy, scipy's copy and plain OpenBLAS
+# C thread setters of numpy's OpenBLAS copy, scipy's copy (mapped only when a
+# caller imports scipy; the package does not) and plain OpenBLAS
 _BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
                  "openblas_set_num_threads")
 

@@ -66,6 +66,32 @@ def test_lambda_bar_clamps_and_centers():
     assert np.all(np.diff(vals) >= -1e-15)
 
 
+def test_lambda_bar_matches_gauss_legendre_reference():
+    # composite Gauss-Legendre on [-1, u], 64 panels x 20 nodes, is exact to
+    # rounding for the smooth integrand; the table must agree to 1e-13
+    x, w = np.polynomial.legendre.leggauss(20)
+    u = np.random.default_rng(2024).uniform(-1.0, 1.0, 2000)
+    edges = -1.0 + (u[:, None] + 1.0) * np.linspace(0.0, 1.0, 65)[None, :]
+    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
+    half = 0.5 * np.diff(edges, axis=1)
+    pts = mid[..., None] + half[..., None] * x
+    reference = ((lambda_value(pts.ravel()).reshape(pts.shape) * w).sum(axis=-1)
+                 * half).sum(axis=-1)
+    vals = lambda_bar(u)
+    assert np.max(np.abs(vals - reference)) <= 1e-13
+    assert np.all((vals >= 0.0) & (vals <= 1.0))
+
+
+def test_lambda_bar_edges_and_nan():
+    dense = lambda_bar(np.linspace(-1.0, 1.0, 200_001))
+    assert np.all((dense >= 0.0) & (dense <= 1.0))
+    assert abs(float(lambda_bar(np.nextafter(-1.0, 0.0)))) <= 1e-15
+    assert abs(float(lambda_bar(np.nextafter(1.0, 0.0))) - 1.0) <= 1e-15
+    assert np.isnan(lambda_bar(np.nan))
+    vals = lambda_bar(np.array([np.nan, -2.0, 0.0, 2.0]))
+    assert np.isnan(vals[0]) and vals[1] == 0.0 and vals[3] == 1.0
+
+
 def test_g_is_odd_and_bounded():
     grid = np.linspace(0.0, 2.5, 4001)
     assert np.max(np.abs(g_function(grid) + g_function(-grid))) < 1e-12

@@ -198,6 +198,13 @@ def test_risk_run_rejects_non_object_config(tmp_path, capsys):
     cases.append((risk_run, "nodes_per_panel",
                   {**base, "eval_rule": {"nodes_per_panel": 8.5, "panels_per_axis": [4]}},
                   wrong_type))
+    # a rule with the wrong number of axes and an inverted box name their key
+    cases.append((risk_run, "eval_rule",
+                  {**base, "eval_rule": {"nodes_per_panel": 2, "panels_per_axis": [4, 4, 4]}},
+                  "rule has 3 axes but box has 2"))
+    cases.append((risk_run, "eval_box",
+                  {**base, "eval_box": {"lower": [1.0, -1.0], "upper": [-1.0, 1.0]}},
+                  "box axis 0: lower=1.0 must be < upper=-1.0"))
     univariate = {"order": 1, "poly_coeffs": [0.5], "strict": False}
     for key, value in [("order", 2.9), ("strict", "false"), ("poly_coeffs", ["0.5"])]:
         cases.append((kernel_verify, key, {**univariate, key: value}, wrong_type))

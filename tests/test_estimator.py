@@ -5,11 +5,11 @@ import hypothesis.strategies as st
 
 from mixedkde.densities import plateau_density, tensor_bump_density
 from mixedkde.estimator import (KdeModel, _factor_matrix, _kernel_nodes, bandwidth_rule,
-                                bias_lp, kde_mass, kde_on_grid, mean_field_on_axes)
+                                bias_lp, kde_on_grid, mean_field_on_axes)
 from mixedkde.kernels import build_order_kernel
 from mixedkde.product import ProductKernel, tensor_kernel, verify_class, top_abs_moment
 from mixedkde.quadrature import Box, QuadRule, grid_nodes, lp_norm, tensor_product
-from oracles import brute_force_kde_grid, kernel_variable_mean_field
+from oracles import brute_force_kde_grid, kde_mass, kernel_variable_mean_field
 from test_lower_bound import small_family
 
 UNIFORM2 = tensor_kernel(build_order_kernel(1, True), 1,
@@ -63,9 +63,9 @@ def test_mass_is_one_over_padded_box():
     rng = np.random.default_rng(11)
     sample = rng.uniform(-1, 1, size=(300, 2))
     for kernel in (UNIFORM2, STRICT21):
-        model = KdeModel(kernel=kernel, h=0.4, sample=sample)
-        box = Box((-1.4, -1.4), (1.4, 1.4))
-        assert kde_mass(model, box) == pytest.approx(1.0, abs=1e-8)
+        coeffs = [kernel.factor(j).poly_coeffs for j in range(kernel.dim)]
+        mass = kde_mass(sample, 0.4, coeffs, (-1.4, -1.4), (1.4, 1.4))
+        assert mass == pytest.approx(1.0, abs=1e-8)
 
 
 def test_mass_matches_quadrature():
@@ -73,7 +73,8 @@ def test_mass_matches_quadrature():
     sample = rng.uniform(-0.5, 0.5, size=(40, 2))
     model = KdeModel(kernel=UNIFORM2, h=0.3, sample=sample)
     box = Box((-0.9, -0.9), (0.9, 0.9))
-    exact = kde_mass(model, box)
+    coeffs = [UNIFORM2.factor(j).poly_coeffs for j in range(2)]
+    exact = kde_mass(sample, 0.3, coeffs, box.lower, box.upper)
     assert exact == pytest.approx(1.0, abs=1e-12)
     # generic quadrature only resolves the kernel-support kinks coarsely
     axes, weights = grid_nodes(box, QuadRule(8, (40, 40)))
