@@ -5,20 +5,23 @@ sample point:
 
     fhat(x) = (1 / (n h^D)) sum_i K((X_i - x) / h).
 
-The estimator is evaluated on tensor grids only: ``kde_on_grid``
-factorizes the kernel across axes, which turns the whole grid into one
-matrix product per sample block (a point is a one-node grid).  Each
-factor matrix is evaluated only inside each sample's support window and
-holds exactly the values of the dense build, zeros included.  Bias
-studies use the deterministic mean field (the truth convolved with the
-scaled kernel), never Monte Carlo; it is computed per axis, so it needs
-a product truth.
+The estimator is evaluated on tensor grids only (a point is a one-node
+grid).  ``kde_on_grid`` factorizes the kernel across axes and contracts
+the samples in blocks: each kernel factor is evaluated only on the nodes
+of each sample's support window, bit for bit the dense value, and each
+block adds one small matrix product into the band of grid columns its
+windows cover.  No sample × node matrix is built, so memory grows with
+the grid and the block, not with n × nodes.  The small products round
+differently on different BLAS thread counts, which is why the risk
+harness computes its cells on one BLAS thread.  Bias studies use the
+deterministic mean field (the truth convolved with the scaled kernel),
+never Monte Carlo; it is computed per axis, so it needs a product truth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,6 +40,8 @@ __all__ = [
 
 # Gauss-Legendre nodes per panel of the mean field's kernel-variable quadrature
 _MEAN_FIELD_NODES = 10
+# samples per block of the grid contraction in kde_on_grid
+_BLOCK = 256
 
 
 def bandwidth_rule(n: int, s1: int, s2: int, d1: int, d2: int) -> float:
@@ -73,36 +78,94 @@ def kde_on_grid(model: KdeModel, axes: Sequence[np.ndarray]) -> np.ndarray:
     """Estimator on the tensor grid spanned by per-axis node vectors.
 
     The product kernel factorizes: with ``B_j[i, a] = kappa((X_ij -
-    axes_j[a]) / h)`` the grid values are ``sum_i prod_j B_j[i, a_j]``,
-    an einsum contraction over the sample index.  Each ``B_j`` is built
-    by ``_factor_matrix`` from the sample's support windows only and is
-    bit for bit the dense matrix.
+    axes_j[a]) / h)`` the grid values are ``sum_i prod_j B_j[i, a_j]``, a
+    contraction over the sample index.  No ``B_j`` is built.  The samples
+    are stable-sorted by where their window starts on the band axis (the
+    first axis with the most nodes) and contracted in blocks of
+    ``_BLOCK``.  Per block, the band-axis windows fill a slab over the
+    sorted band nodes the block covers, the products of the other axes'
+    windows fill a reused block × (other-axes grid size) buffer, and one
+    matrix product adds ``buffer.T @ slab`` into those band columns.  The
+    other axes are scattered in node order, so only the band axis needs
+    its node order restored at the end.  Every factor value is bit for bit
+    the dense entry.  Memory is the grid plus ``_BLOCK`` rows of the buffer and the
+    slab plus O(n), never n × nodes.
+
+    The sum is exact up to its order, which is fixed for a given input.
+    The small per-block products may round differently on different BLAS
+    thread counts, so ``mc_risk`` computes every cell on one BLAS thread.
     """
     dim = model.kernel.dim
     if len(axes) != dim:
         raise ValueError(f"grid has dimension {len(axes)}, kernel wants {dim}")
-    h = model.h
-    mats = [_factor_matrix(model.kernel.factor(j), model.sample[:, j], axes[j], h)
-            for j in range(dim)]
-    if dim == 1:
-        grid = mats[0].sum(axis=0)
-    elif dim == 2:
-        grid = mats[0].T @ mats[1]
-    else:
-        letters = "abcdefg"[:dim]
-        spec = ",".join(f"i{c}" for c in letters) + "->" + letters
-        grid = np.einsum(spec, *mats)
-    return grid / (model.n * h ** dim)
+    h, x = model.h, model.sample
+    kappas = [model.kernel.factor(j) for j in range(dim)]
+    wins = [_axis_windows(x[:, j], axes[j], h) for j in range(dim)]
+    band = max(range(dim), key=lambda j: wins[j].nodes.size)
+    others = [j for j in range(dim) if j != band]
+    band_win = wins[band]
+    strides = np.cumprod([1] + [wins[j].nodes.size for j in reversed(others)])[::-1]
+    rest = int(strides[0])
+    acc = np.zeros((rest, band_win.nodes.size))
+    buffer = np.zeros(min(_BLOCK, model.n) * rest)
+    perm = np.argsort(band_win.start, kind="stable")
+    for first in range(0, model.n, _BLOCK):
+        rows = perm[first:first + _BLOCK]
+        m = rows.size
+        # each window cell's place in the block buffer, and its factor product
+        cell = np.arange(m)[:, None] * rest
+        vals = np.ones((m, 1))
+        for j, stride in zip(others, strides[1:]):
+            cols, factor = wins[j].factor(kappas[j], x[:, j], rows, h)
+            cell = (cell[:, :, None] + stride * wins[j].order[cols][:, None, :]).reshape(m, -1)
+            vals = (vals[:, :, None] * factor[:, None, :]).reshape(m, -1)
+        buffer[cell] = vals
+        cols, factor = band_win.factor(kappas[band], x[:, band], rows, h)
+        lo = int(band_win.start[rows[0]])
+        span = int(band_win.start[rows[-1]]) - lo + band_win.width
+        slab = np.zeros(m * span)
+        slab[cols - lo + np.arange(m)[:, None] * span] = factor
+        block = buffer[:m * rest].reshape(m, rest)
+        acc[:, lo:lo + span] += block.T @ slab.reshape(m, span)
+        buffer[cell] = 0.0
+    grid = np.empty([win.nodes.size for win in wins])
+    # undo the band axis's node sort; the other axes were scattered unsorted
+    restored = np.moveaxis(grid, band, -1)
+    restored[..., band_win.order] = acc.reshape(restored.shape)
+    grid /= model.n * h ** dim
+    return grid
 
 
-def _factor_matrix(kappa: UnivariateKernel, x: np.ndarray, axis, h: float) -> np.ndarray:
-    """``kappa((x[:, None] - axis[None, :]) / h)``, evaluated only on the
-    nodes of each sample's window ``[x - h, x + h]``.
+class _AxisWindows(NamedTuple):
+    """Each sample's support window on one axis.
+
+    ``nodes = axis[order]`` is the axis sorted, and sample ``i``'s window
+    is the ``width`` sorted nodes from ``start[i]`` on.
+    """
+
+    order: np.ndarray
+    nodes: np.ndarray
+    start: np.ndarray
+    width: int
+
+    def factor(self, kappa: UnivariateKernel, x: np.ndarray, rows,
+               h: float) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted-node columns and ``kappa((x - node) / h)`` of the windows of ``rows``.
+
+        Each value is computed by the dense formula, so it is bit for bit
+        the dense entry.
+        """
+        cols = self.start[rows, None] + np.arange(self.width)
+        return cols, kappa((x[rows, None] - self.nodes[cols]) / h)
+
+
+def _axis_windows(x: np.ndarray, axis, h: float) -> _AxisWindows:
+    """The windows ``[x - h, x + h]`` of the samples ``x`` on one axis.
 
     The window is widened by a margin that covers the rounding of ``u``:
     a node outside it has ``|u| > 1`` as computed, so its dense entry is
-    the exact zero left here.  Inside, each entry is computed by the
-    dense formula, so the matrix equals the dense one bit for bit.
+    an exact zero.  All windows share one width; clipping the starts keeps
+    every window on the axis.
     """
     axis = np.asarray(axis, dtype=float)
     order = np.argsort(axis)
@@ -110,12 +173,8 @@ def _factor_matrix(kappa: UnivariateKernel, x: np.ndarray, axis, h: float) -> np
     pad = 4.0 * np.finfo(float).eps * (np.abs(x) + h)
     lo = np.searchsorted(nodes, x - h - pad, side="left")
     hi = np.searchsorted(nodes, x + h + pad, side="right")
-    # one common width; clipping the starts keeps every window on the axis
     width = min(int(np.max(hi - lo)), nodes.size)
-    cols = np.clip(lo, 0, nodes.size - width)[:, None] + np.arange(width)
-    out = np.zeros((x.size, nodes.size))
-    np.put_along_axis(out, order[cols], kappa((x[:, None] - nodes[cols]) / h), axis=1)
-    return out
+    return _AxisWindows(order, nodes, np.clip(lo, 0, nodes.size - width), width)
 
 
 def _kernel_nodes(h: float, truth: Density) -> tuple[np.ndarray, np.ndarray]:

@@ -65,9 +65,16 @@ class UnivariateKernel:
             raise ValueError("kernel 'poly_coeffs' must hold at least one coefficient")
 
     def __call__(self, u) -> np.ndarray:
+        # in-place Horner: the same bits as polyval + where, without their temporaries
         u = np.asarray(u, dtype=float)
-        vals = nppoly.polyval(u, np.asarray(self.poly_coeffs))
-        return np.where(np.abs(u) <= 1.0, vals, 0.0)
+        coeffs = self.poly_coeffs
+        out = np.full_like(u, coeffs[-1])
+        for c in reversed(coeffs[:-1]):
+            out *= u
+            out += c
+        # written as a negated test so that NaN lands outside the support
+        out[~(np.abs(u) <= 1.0)] = 0.0
+        return out
 
     def sup_norm(self) -> float:
         """Largest ``|K|`` on a uniform grid of ``[-1, 1]``."""

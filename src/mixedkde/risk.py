@@ -5,8 +5,10 @@ cell derives its own seed from the master seed by a counter-based integer
 hash (two rounds of multiply-xor-shift with the fixed constants
 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB).  Serial
 and pool runs execute the same job, one contiguous block of replicates at
-one ``n``, and concatenate the blocks in job order, so the output is
-byte-identical for every worker count.
+one ``n``, and concatenate the blocks in job order.  Both compute every
+cell on one BLAS thread (the estimator's small per-block matrix products
+may round differently on more), so the output is byte-identical for
+every worker count and every BLAS thread setting.
 
 The risk, bias and stochastic terms of one cell are all computed on the
 same uniform grid with composite trapezoid weights.  Sharing the grid
@@ -152,8 +154,10 @@ class ExperimentConfig:
             raise ValueError("sample_sizes must be strictly increasing, length >= 3")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
+        if not (math.isfinite(self.p) and self.p >= 1):
+            raise ValueError(f"'p' must be a finite number >= 1, got {self.p}")
+        if not (math.isfinite(self.slope_tol) and self.slope_tol > 0):
+            raise ValueError(f"'slope_tol' must be a finite number > 0, got {self.slope_tol}")
         if self.p < 2 and not np.all(np.isfinite(self.truth.support.widths())):
             raise ValueError("p < 2 requires a compactly supported truth density")
 
@@ -194,8 +198,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     with config_values("sample_sizes"):
         sizes = tuple(config_scalar(n, int, "sample_sizes") for n in doc["sample_sizes"])
     k = kernel
-    h_max = bandwidth_rule(min(sizes), k.s1, k.s2, k.d1, k.d2)
-    h_min = bandwidth_rule(max(sizes), k.s1, k.s2, k.d1, k.d2)
+    with _value_named("sample_sizes"):
+        h_max = bandwidth_rule(min(sizes), k.s1, k.s2, k.d1, k.d2)
+        h_min = bandwidth_rule(max(sizes), k.s1, k.s2, k.d1, k.d2)
     if "eval_box" in doc:
         box = config_section(doc, "eval_box")
         with config_values("eval_box"), _value_named("eval_box"):
@@ -296,32 +301,63 @@ def _worker_cells(doc_json: str, n: int, replicates: list[int]) -> list[RiskCell
 
 
 # C thread setters of numpy's OpenBLAS copy, scipy's copy (mapped only when a
-# caller imports scipy; the package does not) and plain OpenBLAS
+# caller imports scipy; the package does not) and plain OpenBLAS.  Pool workers
+# and serial runs alike compute every cell on one BLAS thread.
 _BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
                  "openblas_set_num_threads")
+
+
+def _blas_thread_controls() -> list[tuple]:
+    """``(set, get)`` thread-count functions of each OpenBLAS mapped into this process."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line}
+    except OSError:
+        return []
+    controls = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_SETTERS:
+            getter_name = name.replace("_set_", "_get_")
+            if hasattr(lib, name) and hasattr(lib, getter_name):
+                setter, getter = getattr(lib, name), getattr(lib, getter_name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                controls.append((setter, getter))
+                break
+    return controls
 
 
 def _one_blas_thread() -> None:
     """Pool initializer: run every OpenBLAS mapped into this worker on one thread.
 
     A forked worker inherits the parent's BLAS thread count, so k workers
-    would run k times that many threads on the same cores.  Cell values do
-    not depend on the thread count; a library left unpinned costs only time.
+    would run k times that many threads on the same cores.
     """
+    for setter, _ in _blas_thread_controls():
+        setter(1)
+
+
+@contextmanager
+def _one_blas_thread_scope():
+    """Run the block on one BLAS thread, then restore each library's thread count.
+
+    ``kde_on_grid``'s per-block matrix products round differently on
+    different thread counts, so a serial run pins one thread for its
+    cells, as each pool worker does.
+    """
+    controls = _blas_thread_controls()
+    counts = [getter() for _, getter in controls]
+    for setter, _ in controls:
+        setter(1)
     try:
-        with open("/proc/self/maps") as maps:
-            paths = {line.split()[-1] for line in maps if "openblas" in line}
-    except OSError:
-        return
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        setter = next((getattr(lib, name) for name in _BLAS_SETTERS if hasattr(lib, name)), None)
-        if setter is not None:
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            setter(1)
+        yield
+    finally:
+        for (setter, _), count in zip(controls, counts):
+            setter(count)
 
 
 def fit_rate(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
@@ -349,10 +385,12 @@ def mc_risk(config: ExperimentConfig | dict, workers: int = 1) -> RiskReport:
     The work is split into jobs, one per contiguous block of replicates at
     each ``n`` (``workers`` blocks per ``n``), and the cells come back in
     ``(n, replicate)`` order.  With ``workers > 1`` the config must be the
-    JSON-mirror dict so jobs can be shipped to worker processes.  Each
-    worker runs BLAS on one thread, and every worker has exited when this
-    returns.  Every cell is a pure function of ``(config, n, replicate)``,
-    so the output is byte-identical for every worker count.
+    JSON-mirror dict so jobs can be shipped to worker processes, and
+    every worker has exited when this returns.  Each worker runs BLAS on
+    one thread; a serial run pins one thread for its cells and then
+    restores the caller's thread counts.  Every cell is a pure function of
+    ``(config, n, replicate)``, so the output is byte-identical for every
+    worker count and BLAS thread setting.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -369,7 +407,8 @@ def mc_risk(config: ExperimentConfig | dict, workers: int = 1) -> RiskReport:
             results = list(pool.map(partial(_worker_cells, json.dumps(doc, sort_keys=True)),
                                     *zip(*jobs)))
     else:
-        results = map(partial(_cells, config, _shared_grids(config)), *zip(*jobs))
+        with _one_blas_thread_scope():
+            results = list(map(partial(_cells, config, _shared_grids(config)), *zip(*jobs)))
     cells = tuple(cell for block in results for cell in block)
     means = [(n, float(np.mean([c.risk for c in cells if c.n == n])))
              for n in config.sample_sizes]

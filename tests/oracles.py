@@ -57,6 +57,16 @@ def kernel_factor(coeffs, u):
     return np.where(np.abs(u) <= 1.0, horner(coeffs, u), 0.0)
 
 
+def polyval_kernel(coeffs, u):
+    """A kernel factor as ``polyval`` + ``where``: the package's former
+    evaluation, kept as a bit-for-bit reference for its in-place Horner."""
+    u = np.asarray(u, dtype=float)
+    # polyval forms u * 0, which warns at +-inf before where discards it
+    with np.errstate(invalid="ignore"):
+        vals = np.polynomial.polynomial.polyval(u, np.asarray(coeffs))
+    return np.where(np.abs(u) <= 1.0, vals, 0.0)
+
+
 def kde_mass(sample: np.ndarray, h: float, factor_coeffs: list, lower, upper) -> float:
     """Exact integral of the estimator over a box from per-factor antiderivatives."""
     total = np.ones(sample.shape[0])

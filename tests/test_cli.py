@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from mixedkde.cli import run
+from mixedkde.estimator import _BLOCK
 from mixedkde.lower_bound import choose_parameters, params_to_report
 
 
@@ -92,24 +93,29 @@ def test_risk_run_outputs_are_byte_identical(tmp_path):
 
 
 def test_risk_run_output_ignores_blas_threads(tmp_path):
-    cfg = tmp_path / "exp.json"
-    cfg.write_text(json.dumps(SMALL_RISK))
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    outputs = []
-    for workers in ("1", "2"):
-        for blas_threads in ("1", None):
-            run_env = env if blas_threads is None else {**env, "OPENBLAS_NUM_THREADS": blas_threads}
-            out = tmp_path / f"run_threads{workers}_blas{blas_threads}"
-            # run() waits for the child and kills it if the timeout expires
-            proc = subprocess.run([sys.executable, "-m", "mixedkde.cli", "risk-run",
-                                   "--config", str(cfg), "--out", str(out), "--threads", workers],
-                                  env=run_env, capture_output=True, text=True, timeout=300)
-            assert proc.returncode == 0, proc.stderr
-            outputs.append([out.with_suffix(ext).read_bytes() for ext in (".csv", ".json")])
-    assert len(outputs) == 4
-    assert all(output == outputs[0] for output in outputs)
+    # the second config's largest n spans several blocks of the grid contraction
+    for name, doc in [("small", SMALL_RISK),
+                      ("blocks", {**SMALL_RISK, "sample_sizes": [128, 2 * _BLOCK, 8 * _BLOCK]})]:
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(doc))
+        outputs = []
+        for workers in ("1", "2"):
+            for blas_threads in ("1", None):
+                run_env = (env if blas_threads is None
+                           else {**env, "OPENBLAS_NUM_THREADS": blas_threads})
+                out = tmp_path / f"{name}_threads{workers}_blas{blas_threads}"
+                # run() waits for the child and kills it if the timeout expires
+                proc = subprocess.run([sys.executable, "-m", "mixedkde.cli", "risk-run",
+                                       "--config", str(cfg), "--out", str(out),
+                                       "--threads", workers],
+                                      env=run_env, capture_output=True, text=True, timeout=300)
+                assert proc.returncode == 0, proc.stderr
+                outputs.append([out.with_suffix(ext).read_bytes() for ext in (".csv", ".json")])
+        assert len(outputs) == 4
+        assert all(output == outputs[0] for output in outputs), name
 
 
 def test_risk_run_rejects_threads_below_one(tmp_path, capsys):
@@ -195,6 +201,12 @@ def test_risk_run_rejects_non_object_config(tmp_path, capsys):
     for key, value in [("p", True), ("replicates", 2.5), ("master_seed", "1"),
                        ("slope_tol", "0.2"), ("sample_sizes", [64, 128.5, 256])]:
         cases.append((risk_run, key, {**base, key: value}, wrong_type))
+    # values of the right type that no run can use
+    for key, value, message in [("p", float("nan"), "finite number >= 1"),
+                                ("p", float("inf"), "finite number >= 1"),
+                                ("slope_tol", -0.1, "finite number > 0"),
+                                ("sample_sizes", [1, 64, 128], "needs n >= 2")]:
+        cases.append((risk_run, key, {**base, key: value}, message))
     cases.append((risk_run, "nodes_per_panel",
                   {**base, "eval_rule": {"nodes_per_panel": 8.5, "panels_per_axis": [4]}},
                   wrong_type))

@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from mixedkde.densities import plateau_density, tensor_bump_density
-from mixedkde.estimator import (KdeModel, _factor_matrix, _kernel_nodes, bandwidth_rule,
-                                bias_lp, kde_on_grid, mean_field_on_axes)
+from mixedkde.estimator import (_BLOCK, KdeModel, _axis_windows, _kernel_nodes,
+                                bandwidth_rule, bias_lp, kde_on_grid, mean_field_on_axes)
 from mixedkde.kernels import build_order_kernel
 from mixedkde.product import ProductKernel, tensor_kernel, verify_class, top_abs_moment
 from mixedkde.quadrature import Box, QuadRule, grid_nodes, lp_norm, tensor_product
@@ -124,13 +126,44 @@ def test_grid_matches_pointwise():
     k2, k1 = STRICT21.kappa1, STRICT21.kappa2
     one_d = ProductKernel(kappa1=k2, kappa2=k1, d1=1, d2=0, s1=2, s2=1)
     axes = [ax, rng.permutation(np.linspace(-1.1, 1.1, 11)), np.linspace(-1.0, 1.0, 7)]
-    for kernel in (one_d, tensor_kernel(k2, 2, k1, 1, 2, 1)):
+    three_d = tensor_kernel(k2, 2, k1, 1, 2, 1)
+    for kernel in (one_d, three_d):
         sample = rng.uniform(-1, 1, size=(90, kernel.dim))
         model = KdeModel(kernel=kernel, h=0.3, sample=sample)
         coeffs = [kernel.factor(j).poly_coeffs for j in range(kernel.dim)]
         brute = brute_force_kde_grid(sample, 0.3, coeffs, axes[:kernel.dim])
         assert kde_on_grid(model, axes[:kernel.dim]) == pytest.approx(brute, rel=1e-12,
                                                                       abs=1e-15)
+    # several sample blocks; the band axis (most nodes) first, middle and
+    # last, an unsorted axis with a duplicated node, one and three dimensions
+    n = 3 * _BLOCK + 17
+    long, short = np.linspace(-1.3, 1.3, 31), np.linspace(-1.2, 1.2, 9)
+    shuffled = rng.permutation(np.concatenate([short, short[[3]]]))
+    cases = [(STRICT21, [long, short]), (STRICT21, [short, long]),
+             (STRICT21, [shuffled, long]), (STRICT21, [long, shuffled]),
+             (one_d, [shuffled]), (three_d, [short, long, shuffled]),
+             (three_d, [shuffled, short[:5], long[::3]])]
+    for kernel, axes in cases:
+        sample = rng.uniform(-1.2, 1.2, size=(n, kernel.dim))
+        model = KdeModel(kernel=kernel, h=0.3, sample=sample)
+        coeffs = [kernel.factor(j).poly_coeffs for j in range(kernel.dim)]
+        brute = brute_force_kde_grid(sample, 0.3, coeffs, axes)
+        assert kde_on_grid(model, axes) == pytest.approx(brute, rel=1e-12, abs=1e-15)
+
+
+def test_grid_memory_stays_below_one_factor_matrix():
+    # the criterion-4 grid at n = 2^14: a dense n x 385 factor matrix is 50 MB
+    axes = [np.linspace(-1.5, 1.5, 169), np.linspace(-3.5, 3.5, 385)]
+    n = 2 ** 14
+    sample = np.random.default_rng(5).uniform([-1.0, -3.0], [1.0, 3.0], size=(n, 2))
+    model = KdeModel(kernel=STRICT21, h=bandwidth_rule(n, 2, 1, 1, 1), sample=sample)
+    tracemalloc.start()
+    try:
+        kde_on_grid(model, axes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 385 * 8 / 4
 
 
 def _factor_cases():
@@ -160,10 +193,12 @@ def test_windowed_factor_matches_dense_bit_for_bit(order):
     kappa = build_order_kernel(order, True)
     for axis, x, h in _factor_cases():
         dense = kappa((x[:, None] - axis[None, :]) / h)
-        windowed = _factor_matrix(kappa, x, axis, h)
-        assert windowed.flags.c_contiguous
-        assert np.array_equal(windowed, dense), (axis.size, x.size, h)
-        assert np.array_equal(np.signbit(windowed), np.signbit(dense))
+        windows = _axis_windows(x, axis, h)
+        cols, values = windows.factor(kappa, x, np.arange(x.size), h)
+        scattered = np.zeros_like(dense)
+        np.put_along_axis(scattered, windows.order[cols], values, axis=1)
+        assert np.array_equal(scattered, dense), (axis.size, x.size, h)
+        assert np.array_equal(np.signbit(scattered), np.signbit(dense))
 
 
 def test_nonnegative_kernel_gives_nonnegative_estimate():

@@ -12,7 +12,7 @@ from mixedkde.kernels import (UnivariateKernel, abs_moment, build_order_kernel,
 from mixedkde.product import (mixed_moment, product_kernel_from_dict,
                               product_kernel_to_json, q_norm,
                               required_moment_indices, tensor_kernel, verify_class)
-from oracles import tensor_trapezoid
+from oracles import polyval_kernel, tensor_trapezoid
 
 UNIFORM = build_order_kernel(1, strict=True)  # 1/2 on [-1, 1]
 
@@ -104,6 +104,20 @@ def test_support_clamps_to_zero():
     k = build_order_kernel(4)
     assert k(np.array([1.5]))[0] == 0.0
     assert k(np.array([-2.0]))[0] == 0.0
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_horner_matches_polyval_bit_for_bit(strict):
+    one, zero = np.nextafter(1.0, [0.0, 2.0]), [0.0, -0.0]
+    edges = np.concatenate([[1.0, -1.0], one, -one, zero, [np.inf, -np.inf, np.nan]])
+    u = np.concatenate([edges, np.random.default_rng(3).uniform(-1.5, 1.5, 2000)])
+    for order in range(1, 13):
+        kernel = build_order_kernel(order, strict)
+        for arg in (u, u[:2002].reshape(-1, 7), *edges):
+            got, want = kernel(arg), polyval_kernel(kernel.poly_coeffs, arg)
+            assert got.shape == want.shape, order
+            assert np.array_equal(got, want), order
+            assert np.array_equal(np.signbit(got), np.signbit(want)), order
 
 
 def test_q_norm_order4_l2():

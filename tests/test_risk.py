@@ -192,13 +192,25 @@ def _blas_thread_counts() -> dict[str, int]:
     return counts
 
 
-def test_pool_workers_run_one_blas_thread():
+def test_pool_workers_run_one_blas_thread(monkeypatch):
     parent = _blas_thread_counts()
     if not parent:
         pytest.skip("no OpenBLAS with a thread getter is mapped into this process")
     with ProcessPoolExecutor(max_workers=1, initializer=risk._one_blas_thread) as pool:
         assert pool.submit(_blas_thread_counts).result(timeout=120) == dict.fromkeys(parent, 1)
     mc_risk(dict(TINY_DOC), workers=2)
+    assert _blas_thread_counts() == parent
+    # a serial run computes its cells on one thread and restores the counts
+    seen = []
+    kde_on_grid = risk.kde_on_grid
+
+    def counting_kde(*args):
+        seen.append(_blas_thread_counts())
+        return kde_on_grid(*args)
+
+    monkeypatch.setattr(risk, "kde_on_grid", counting_kde)
+    mc_risk(dict(TINY_DOC))
+    assert seen and all(counts == dict.fromkeys(parent, 1) for counts in seen)
     assert _blas_thread_counts() == parent
 
 
