@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bumps import lambda_bar, lambda_deriv, lambda_value
-from .quadrature import Box, QuadRule, grid_points, integrate, tensor_product
+from .quadrature import Box, QuadRule, integrate, tensor_product
 from .sobolev import DifferentiableField
 
 __all__ = [
@@ -121,16 +121,17 @@ class Density:
         return self.sampler.draw(rng, count)
 
     def on_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
-        """Values of a product density on the tensor grid spanned by per-axis
-        node vectors, evaluated factor by factor and multiplied out."""
-        return tensor_product([f.pdf(a) for f, a in zip(self.axis_factors, axes)])
+        """Values on the tensor grid spanned by per-axis node vectors (the
+        field's ``on_grid``; a product density's is evaluated factor by factor
+        and multiplied out)."""
+        return self.field.eval.on_grid(axes)
 
     def verify_pdf(self, rule: QuadRule) -> dict:
         """Measure the unit-mass defect and the most negative value on a uniform grid."""
         total = integrate(self.field.eval, self.support, rule)
         axes = [np.linspace(lo, hi, _PDF_CHECK_GRID)
                 for lo, hi in zip(self.support.lower, self.support.upper)]
-        min_val = float(np.min(self.field.eval(grid_points(axes))))
+        min_val = float(np.min(self.on_grid(axes)))
         return {
             "integral": total,
             "integral_defect": abs(total - 1.0),
@@ -153,6 +154,10 @@ def _product_field(factors: Sequence[AxisFactor]) -> DifferentiableField:
                 vals *= fn(pts[:, j])
             return vals
 
+        def on_grid(axes: Sequence[np.ndarray]) -> np.ndarray:
+            return tensor_product([fn(a) for fn, a in zip(funcs, axes)])
+
+        deriv_field.on_grid = on_grid
         return deriv_field
 
     return DifferentiableField(eval=partial_factory((0,) * len(factors)), support=box,

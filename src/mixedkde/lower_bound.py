@@ -30,7 +30,7 @@ import numpy as np
 from .bumps import g_deriv, g_function, g_norm, g_sobolev_norm, bump_sobolev_norm, bump_l1
 from .densities import Density, PlateauInfo, plateau_density
 from .kernels import config_scalar, config_values
-from .quadrature import QuadRule, integrate
+from .quadrature import QuadRule, integrate, tensor_product
 from .sobolev import DifferentiableField
 
 __all__ = [
@@ -53,6 +53,8 @@ __all__ = [
 
 MAX_CODE_WORDS = 1 << 16
 _LEX_SCAN_BUDGET = 200_000
+# word pairs per block of min_pairwise_hamming's all-pairs distances
+_HAMMING_BLOCK = 1 << 20
 # code words whose members family_report checks for unit mass and sign
 _PDF_CHECKED_WORDS = 4
 
@@ -303,8 +305,10 @@ def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:
 
 def _pack(words: np.ndarray) -> np.ndarray:
     """Rows of bits as little-endian uint64 lanes; lane 0 of a word is its integer value."""
-    bits = np.pad(words, ((0, 0), (0, -words.shape[1] % 64)))
-    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    m = words.shape[1]
+    packed = np.zeros((words.shape[0], 8 * -(-m // 64)), dtype=np.uint8)
+    packed[:, :-(-m // 8)] = np.packbits(words, axis=1, bitorder="little")
+    return packed.view("<u8")
 
 
 def vg_code(m: int, seed: int = 0) -> np.ndarray:
@@ -357,6 +361,15 @@ def vg_code(m: int, seed: int = 0) -> np.ndarray:
 
 # ----------------------------- the family -----------------------------
 
+def _pointwise(op: Callable, *fields: Callable) -> Callable:
+    """Field ``op(f_1, ..., f_k)`` of fields that all carry ``on_grid``; it carries one too."""
+    def field(pts: np.ndarray) -> np.ndarray:
+        return op(*(f(pts) for f in fields))
+
+    field.on_grid = lambda axes: op(*(f.on_grid(axes) for f in fields))
+    return field
+
+
 class LowerBoundFamily:
     """The plateau density plus its coded perturbations."""
 
@@ -397,7 +410,7 @@ class LowerBoundFamily:
 
     def perturbation_field(self, word: np.ndarray,
                            alpha: tuple[int, ...] | None = None) -> Callable:
-        """Field of ``F_omega`` (or its partial derivative ``alpha``)."""
+        """Field of ``F_omega`` (or its partial derivative ``alpha``), with ``on_grid``."""
         bits = self._word_bits(word)
         params = self.params
         dim = params.dim
@@ -405,6 +418,10 @@ class LowerBoundFamily:
         shape = (params.m_per_axis,) * dim
         orders = tuple(alpha) if alpha is not None else (0,) * dim
         scale = params.amplitude / sigma ** sum(orders)
+
+        def wiggle(j: int, coords: np.ndarray, idx: np.ndarray) -> np.ndarray:
+            u = (coords - self.xi[idx]) / sigma
+            return g_deriv(orders[j], u) if orders[j] else g_function(u)
 
         def field(pts: np.ndarray) -> np.ndarray:
             pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -427,30 +444,41 @@ class LowerBoundFamily:
                 return out
             vals = np.full(sel.size, scale)
             for j in range(dim):
-                u = (pts[sel, j] - self.xi[idx[sel, j]]) / sigma
-                vals *= g_deriv(orders[j], u) if orders[j] else g_function(u)
+                vals *= wiggle(j, pts[sel, j], idx[sel, j])
             out[sel] = vals
             return out
 
+        # the word's bits on the block grid, padded with a zero block that
+        # every node outside the blocks of its axis points to
+        padded = np.zeros((params.m_per_axis + 1,) * dim, dtype=bool)
+        padded[(slice(-1),) * dim] = bits.reshape(shape) != 0
+
+        def on_grid(axes) -> np.ndarray:
+            if len(axes) != dim:
+                raise ValueError(f"expected dimension {dim}, got {len(axes)}")
+            factors, active = [], padded
+            for j, a in enumerate(axes):
+                a = np.asarray(a, dtype=float)
+                idx, inside = self._locate(a)
+                vals = np.zeros(a.shape)
+                vals[inside] = wiggle(j, a[inside], idx[inside])
+                factors.append(vals)
+                active = active.take(np.where(inside, idx, params.m_per_axis), axis=j)
+            factors[0] = scale * factors[0]
+            return np.where(active, tensor_product(factors), 0.0)
+
+        field.on_grid = on_grid
         return field
 
     def member(self, word: np.ndarray) -> Density:
         """The density ``f_omega = f_0 + F_omega`` with a rejection sampler."""
         bits = self._word_bits(word)
         f0_field = self.f0.field
-        pert = self.perturbation_field(bits)
-
-        def evaluate(pts: np.ndarray) -> np.ndarray:
-            return f0_field.eval(pts) + pert(pts)
+        evaluate = _pointwise(np.add, f0_field.eval, self.perturbation_field(bits))
 
         def partial_factory(alpha: tuple[int, ...]) -> Callable:
-            base = f0_field.partial_factory(alpha)
-            wiggle = self.perturbation_field(bits, alpha)
-
-            def deriv(pts: np.ndarray) -> np.ndarray:
-                return base(pts) + wiggle(pts)
-
-            return deriv
+            return _pointwise(np.add, f0_field.partial_factory(alpha),
+                              self.perturbation_field(bits, alpha))
 
         field = DifferentiableField(eval=evaluate, support=f0_field.support,
                                     partial_factory=partial_factory)
@@ -458,9 +486,22 @@ class LowerBoundFamily:
         return Density(field=field, sampler=sampler)
 
     def min_pairwise_hamming(self) -> int:
+        """Smallest Hamming distance between two code words (the word length
+        for a one-word code), from all-pairs distances in blocks of rows."""
         packed = _pack(self.code)
-        return min((int(np.bitwise_count(packed[i + 1:] ^ packed[i]).sum(axis=1).min())
-                    for i in range(len(packed) - 1)), default=self.code.shape[1])
+        words, lanes = packed.shape
+        length = self.code.shape[1]
+        rows = max(1, _HAMMING_BLOCK // words)
+        best = length
+        for start in range(0, words, rows):
+            block = packed[start:start + rows]
+            dist = np.zeros((len(block), words), dtype=np.int32)
+            for k in range(lanes):
+                dist += np.bitwise_count(block[:, k, None] ^ packed[:, k])
+            # a word's distance to itself does not count
+            np.fill_diagonal(dist[:, start:], length)
+            best = min(best, int(dist.min()))
+        return best
 
 
 class _RejectionSampler:
@@ -544,7 +585,7 @@ def family_distance(fam: LowerBoundFamily, word_a: np.ndarray, word_b: np.ndarra
         fa = fam.perturbation_field(a)
         fb = fam.perturbation_field(b)
         rule = rule or family_rule(fam)
-        val = integrate(lambda pts: np.abs(fa(pts) - fb(pts)) ** p,
+        val = integrate(_pointwise(lambda va, vb: np.abs(va - vb) ** p, fa, fb),
                         fam.f0.support, rule)
         return val ** (1.0 / p)
     return _member_distance(fam.params, hamming_distance(a, b))
@@ -569,19 +610,16 @@ def chi2_affinity(fam: LowerBoundFamily, word: np.ndarray, n: int,
     """
     bits = fam._word_bits(word)
     if via_quadrature:
-        pert = fam.perturbation_field(bits)
-        f0_eval = fam.f0.field.eval
         rule = rule or family_rule(fam)
 
-        def ratio(pts: np.ndarray) -> np.ndarray:
-            f0v = f0_eval(pts)
-            fv = pert(pts)
-            out = np.zeros(pts.shape[0])
+        def ratio(f0v: np.ndarray, fv: np.ndarray) -> np.ndarray:
+            out = np.zeros(fv.shape)
             mask = fv != 0.0
             out[mask] = fv[mask] ** 2 / f0v[mask]
             return out
 
-        integral = integrate(ratio, fam.f0.support, rule)
+        integrand = _pointwise(ratio, fam.f0.field.eval, fam.perturbation_field(bits))
+        integral = integrate(integrand, fam.f0.support, rule)
         return float((1.0 + integral) ** n)
     return float(_chi2_closed_form(fam.params, int(np.sum(bits != 0)), n))
 

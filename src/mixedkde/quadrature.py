@@ -1,13 +1,19 @@
 """Deterministic numerical integration on boxes.
 
 The package's one tensor-grid layer (axes, weights, outer products,
-row-major points), composite Gauss-Legendre quadrature, grid L^p norms
-and nested central finite differences; every other module builds on these.
+row-major points, tensor slabs), composite Gauss-Legendre quadrature, grid
+L^p norms and nested central finite differences; every other module builds
+on these.
 
 Conventions
 -----------
 Multivariate fields are callables ``f(pts)`` where ``pts`` has shape
-``(npoints, dim)`` and the return value has shape ``(npoints,)``.
+``(npoints, dim)`` and the return value has shape ``(npoints,)``.  A field
+that knows its tensor structure also carries ``f.on_grid(axes)``: given
+per-axis node vectors it returns the field's values on the tensor grid they
+span, shape ``(len(axes[0]), ..., len(axes[-1]))``, bit for bit the values
+``f(grid_points(axes))`` gives.  ``integrate`` and ``lp_norm`` walk the grid
+in tensor slabs and call ``on_grid`` on each slab when the field has it.
 Univariate helpers (``integrate_1d`` and friends) take plain 1-d arrays.
 """
 
@@ -36,9 +42,11 @@ __all__ = [
     "partial_fd_field",
 ]
 
-# Tensor reductions work through the grid this many points at a time, so
-# memory stays bounded whatever the node count.
-_CHUNK = 1 << 19
+# Tensor reductions hand a field at most this many nodes at a time, so
+# memory stays bounded whatever the node count.  At 2^19 nodes glibc gave
+# each slab's 4 MB temporaries back to the kernel and faulted them in again
+# (about 37,000 minor faults per family_n1e4 operation); at 2^18 it keeps them.
+_CHUNK = 1 << 18
 
 MAX_FD_ORDER = 6
 
@@ -163,18 +171,13 @@ def tensor_product(vectors: Sequence[np.ndarray]) -> np.ndarray:
     return reduce(np.multiply.outer, vectors)
 
 
-def grid_points(axes: Sequence[np.ndarray], start: int = 0,
-                stop: int | None = None) -> np.ndarray:
+def grid_points(axes: Sequence[np.ndarray]) -> np.ndarray:
     """Points of the tensor grid spanned by ``axes``, shape ``(npoints, dim)``.
 
-    Rows are in row-major (last axis fastest) order; ``start``/``stop``
-    select a range of flat grid indices, so a grid can be walked in chunks
-    without building the whole mesh.
+    Rows are in row-major (last axis fastest) order.
     """
-    shape = tuple(len(a) for a in axes)
-    stop = math.prod(shape) if stop is None else stop
-    idx = np.unravel_index(np.arange(start, stop), shape)
-    return np.stack([np.asarray(a)[i] for a, i in zip(axes, idx)], axis=-1)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 def multi_indices(dim: int, max_total: int) -> list[tuple[int, ...]]:
@@ -195,12 +198,16 @@ def mixed_multi_indices(d1: int, s1: int, d2: int,
     return list(itertools.product(multi_indices(d1, s1), multi_indices(d2, s2)))
 
 
-def _check_finite(vals: np.ndarray, pts: np.ndarray) -> None:
+def _check_finite(vals: np.ndarray, axes: Sequence[np.ndarray]) -> None:
+    """Raise naming the first node of the grid spanned by ``axes`` whose value
+    (``vals`` in row-major order) is not finite."""
     bad = ~np.isfinite(vals)
     if np.any(bad):
-        idx = int(np.argmax(bad))
+        flat = int(np.argmax(bad))
+        idx = np.unravel_index(flat, tuple(len(a) for a in axes))
+        node = [float(a[i]) for a, i in zip(axes, idx)]
         raise FloatingPointError(
-            f"integrand returned non-finite value {vals[idx]} at node {pts[idx].tolist()}"
+            f"integrand returned non-finite value {vals.flat[flat]} at node {node}"
         )
 
 
@@ -223,32 +230,55 @@ def lp_norm(f: Callable, box: Box, p: float, rule: QuadRule) -> float:
     return float(val ** (1.0 / p))
 
 
+def _slabs(shape: tuple[int, ...]):
+    """Per-axis index ranges of the tensor slabs that cover a grid, in row-major order.
+
+    A slab is a range of the leading axis crossed with the whole of every
+    later axis; when one leading slice alone exceeds ``_CHUNK`` nodes, each
+    slice is split along the next axis in the same way.  No slab holds more
+    than ``_CHUNK`` nodes.
+    """
+    inner = math.prod(shape[1:])
+    if inner <= _CHUNK:
+        step = _CHUNK // inner
+        rest = (slice(None),) * (len(shape) - 1)
+        for start in range(0, shape[0], step):
+            yield (slice(start, start + step),) + rest
+        return
+    for i in range(shape[0]):
+        for rest in _slabs(shape[1:]):
+            yield (slice(i, i + 1),) + rest
+
+
 def _tensor_reduce(f, nodes: Sequence[np.ndarray], weights: Sequence[np.ndarray],
                    power: float | None) -> float:
-    """Sum ``w * f`` (or ``w * |f|^p``) over the tensor grid, in chunks.
+    """Sum ``w * f`` (or ``w * |f|^p``) over the tensor grid, slab by slab.
 
-    Each chunk's points and weights are built from its flat index range;
-    the weight of a node is the left-to-right product of its axis weights,
-    the same value ``tensor_product`` gives.
+    Each slab's values come from ``f.on_grid`` on the slab's per-axis nodes
+    when the field has it, otherwise from ``f`` at the slab's points; the
+    weight of a node is the left-to-right product of its axis weights
+    (``tensor_product``).
     """
-    size = math.prod(len(x) for x in nodes)
+    on_grid = getattr(f, "on_grid", None)
     total = 0.0
-    for start in range(0, size, _CHUNK):
-        stop = min(start + _CHUNK, size)
-        chunk = grid_points(nodes, start, stop)
-        vals = np.asarray(f(chunk), dtype=float)
-        if vals.shape != (chunk.shape[0],):
-            raise ValueError(
-                f"field returned shape {vals.shape}, expected ({chunk.shape[0]},)"
-            )
-        _check_finite(vals, chunk)
+    for slab in _slabs(tuple(len(x) for x in nodes)):
+        axes = [x[s] for x, s in zip(nodes, slab)]
+        shape = tuple(len(a) for a in axes)
+        if on_grid is not None:
+            vals, expected = on_grid(axes), shape
+        else:
+            vals, expected = f(grid_points(axes)), (math.prod(shape),)
+        vals = np.asarray(vals, dtype=float)
+        if vals.shape != expected:
+            raise ValueError(f"field returned shape {vals.shape}, expected {expected}")
+        _check_finite(vals, axes)
         if power is not None:
             vals = np.abs(vals) ** power
-        wts = reduce(np.multiply, grid_points(weights, start, stop).T)
+        wts = tensor_product([w[s] for w, s in zip(weights, slab)])
         # einsum's own loop, not BLAS: OpenBLAS threads a dot this long and
-        # leaves its threads spinning between chunks, and its partial sums
+        # leaves its threads spinning between slabs, and its partial sums
         # depend on the thread count
-        total += float(np.einsum("i,i->", wts, vals))
+        total += float(np.einsum("i,i->", wts.ravel(), vals.ravel()))
     return total
 
 
@@ -257,7 +287,7 @@ def integrate_1d(f: Callable, lo: float, hi: float, panels: int = 32,
     """Composite GL integral of a univariate function (1-d array in, out)."""
     x, w = _axis_nodes(lo, hi, panels, nodes)
     vals = np.asarray(f(x), dtype=float)
-    _check_finite(vals, x[:, None])
+    _check_finite(vals, [x])
     return float(w @ vals)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mixedkde.densities import plateau_density, tensor_bump_density
-from mixedkde.quadrature import QuadRule
+from mixedkde.quadrature import QuadRule, grid_points, integrate, multi_indices
 from oracles import tensor_trapezoid
 
 
@@ -88,3 +88,28 @@ def test_tensor_bump_validation():
         tensor_bump_density([1.0, -1.0])
     with pytest.raises(ValueError, match="length"):
         tensor_bump_density([1.0], centers=[0.0, 0.0])
+
+
+@pytest.mark.parametrize("density", [
+    tensor_bump_density([1.5]),
+    tensor_bump_density([1.0, 3.0], centers=[0.5, -1.0]),
+    tensor_bump_density([1.0, 2.0, 0.5]),
+    plateau_density(10.0, 1.0, 1)[0],
+    plateau_density(12.0, 0.5, 2)[0],
+    plateau_density(9.5, 1.0, 3)[0],
+], ids=["bump1", "bump2", "bump3", "plateau1", "plateau2", "plateau3"])
+def test_product_field_grid_path_equals_point_path(density):
+    box = density.support
+    # odd counts put nodes on the support edges, the centre and outside
+    axes = [np.linspace(lo - 0.3, hi + 0.3, 17 + 2 * j)
+            for j, (lo, hi) in enumerate(zip(box.lower, box.upper))]
+    shape = [len(a) for a in axes]
+    for alpha in multi_indices(density.dim, 2):
+        field = density.field.partial_field(alpha)
+        np.testing.assert_array_equal(field.on_grid(axes),
+                                      field(grid_points(axes)).reshape(shape))
+    np.testing.assert_array_equal(density.on_grid(axes), density.field.eval.on_grid(axes))
+    rule = QuadRule(4, (6,) * density.dim)
+    grid = integrate(density.field.eval, box, rule)
+    point = integrate(lambda pts: density.field.eval(pts), box, rule)
+    assert grid == pytest.approx(point, rel=1e-13, abs=0.0)

@@ -7,22 +7,24 @@ import numpy as np
 import pytest
 
 from mixedkde.bumps import g_norm
+from mixedkde import lower_bound
 from mixedkde.lower_bound import (ConstructionError, FamilyParams,
                                   InfeasibleParameters, build_family, chi2_affinity,
                                   choose_parameters, family_constants,
                                   family_distance, family_report, family_rule,
                                   hamming_distance, params_from_report,
                                   params_to_report, validate_params, vg_code)
-from mixedkde.quadrature import QuadRule, integrate
+from mixedkde import quadrature
+from mixedkde.quadrature import QuadRule, grid_points, integrate, multi_indices
 from mixedkde.sobolev import SmoothnessSpec, sobolev_norm
 
 
-def small_params(m_per_axis=3, p=2.0, amplitude_frac=0.5):
+def small_params(m_per_axis=3, p=2.0, amplitude_frac=0.5, d2=1):
     big_n, kappa = 9.0, 1.0
     sigma = big_n / (20.0 * kappa * m_per_axis)
-    return FamilyParams(s1=1, s2=1, d1=1, d2=1, p=p, r=5.0, big_n=big_n,
+    return FamilyParams(s1=1, s2=1, d1=1, d2=d2, p=p, r=5.0, big_n=big_n,
                         kappa=kappa, sigma=sigma,
-                        amplitude=amplitude_frac * (kappa / big_n) ** 2,
+                        amplitude=amplitude_frac * (kappa / big_n) ** (1 + d2),
                         m_per_axis=m_per_axis, epsilon=0.5, r_star=5.0,
                         compact_regime=True)
 
@@ -30,6 +32,12 @@ def small_params(m_per_axis=3, p=2.0, amplitude_frac=0.5):
 @pytest.fixture(scope="module")
 def small_family():
     return build_family(small_params(3), code=vg_code(9), validate=False)
+
+
+@pytest.fixture(scope="module")
+def family_3d():
+    # d = (1, 2): 27 blocks on a 3-d grid
+    return build_family(small_params(3, d2=2), code=vg_code(27), validate=False)
 
 
 # ------------------------------ codes ------------------------------
@@ -73,6 +81,19 @@ _PINNED_CODES = {
 def test_vg_code_matches_pinned_digests(m, seed):
     code = np.ascontiguousarray(vg_code(m, seed), np.uint8)
     assert hashlib.sha256(code).hexdigest() == _PINNED_CODES[m, seed]
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 20])
+def test_min_pairwise_hamming_matches_pairs(monkeypatch, block):
+    monkeypatch.setattr(lower_bound, "_HAMMING_BLOCK", block)
+    rng = np.random.default_rng(5)
+    # words of 9, 81 and 225 bits: one, two and four uint64 lanes
+    for words, m_per_axis in [(1, 3), (2, 3), (40, 9), (25, 15)]:
+        code = rng.integers(0, 2, size=(words, m_per_axis ** 2), dtype=np.uint8)
+        fam = build_family(small_params(m_per_axis), code=code, validate=False)
+        expected = min((hamming_distance(a, b) for a, b in itertools.combinations(code, 2)),
+                       default=code.shape[1])
+        assert fam.min_pairwise_hamming() == expected
 
 
 def test_hamming_distance_basics():
@@ -210,6 +231,61 @@ def test_chi2_examples(small_family):
     expected = 1.0 + (9.0 ** 2 * fam.params.amplitude ** 2 * k
                       * fam.params.sigma ** 2 * g_norm(2.0) ** 4)
     assert one_shot == pytest.approx(expected, rel=1e-12)
+
+
+def _block_cutting_axes(fam):
+    """Per-axis nodes: the first axis spans the support, the others start and
+    stop inside blocks and pass between them."""
+    lo, hi = fam.f0.support.lower[0], fam.f0.support.upper[0]
+    first = fam.xi[0] + fam.params.sigma
+    last = fam.xi[-1] - 2.0 * fam.params.sigma
+    return [np.linspace(lo, hi, 41)] + [np.linspace(first, last, 23 + 2 * j)
+                                        for j in range(1, fam.params.dim)]
+
+
+@pytest.mark.parametrize("fixture", ["small_family", "family_3d"])
+def test_family_grid_path_equals_point_path(request, fixture):
+    fam = request.getfixturevalue(fixture)
+    axes = _block_cutting_axes(fam)
+    pts = grid_points(axes)
+    shape = [len(a) for a in axes]
+    ones = np.ones(fam.params.n_blocks, dtype=np.uint8)
+    for word in (fam.code[1], ones):
+        member = fam.member(word)
+        for alpha in multi_indices(fam.params.dim, 2):
+            for field in (fam.perturbation_field(word, alpha),
+                          member.field.partial_field(alpha)):
+                np.testing.assert_array_equal(field.on_grid(axes),
+                                              field(pts).reshape(shape))
+
+
+@pytest.mark.parametrize("fixture", ["small_family", "family_3d"])
+def test_family_grid_integrals_match_point_integrals(monkeypatch, request, fixture):
+    fam = request.getfixturevalue(fixture)
+    dim = fam.params.dim
+    # slabs of at most 5,000 nodes cut through the blocks
+    monkeypatch.setattr(quadrature, "_CHUNK", 5000)
+    rule = QuadRule(2, (40,) * dim)
+    box = fam.f0.support
+    word = fam.code[1]
+    fields = [fam.member(word).field.eval, fam.perturbation_field(word, (1,) * dim)]
+    for field in fields:
+        grid = integrate(field, box, rule)
+        point = integrate(lambda pts: field(pts), box, rule)
+        assert grid == pytest.approx(point, rel=1e-13, abs=0.0)
+    p = fam.params.p
+    fa, fb = fam.perturbation_field(fam.code[0]), fam.perturbation_field(word)
+    point = integrate(lambda pts: np.abs(fa(pts) - fb(pts)) ** p, box, rule) ** (1.0 / p)
+    grid = family_distance(fam, fam.code[0], word, via_quadrature=True, rule=rule)
+    assert grid == pytest.approx(point, rel=1e-13, abs=0.0)
+    f0 = fam.f0.field.eval
+
+    def ratio(pts):
+        return np.where(fb(pts) != 0.0, fb(pts) ** 2 / f0(pts), 0.0)
+
+    point = (1.0 + integrate(ratio, box, rule)) ** 3
+    grid = chi2_affinity(fam, word, 3, via_quadrature=True, rule=rule)
+    assert grid == pytest.approx(point, rel=1e-13, abs=0.0)
 
 
 def test_word_length_validation(small_family):

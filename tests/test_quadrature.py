@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from mixedkde.quadrature import (Box, QuadRule, integrate, integrate_1d, lp_norm,
-                                 lp_norm_1d, partial_fd_field)
+from mixedkde import quadrature
+from mixedkde.quadrature import (Box, QuadRule, grid_points, integrate, integrate_1d,
+                                 lp_norm, lp_norm_1d, partial_fd_field, tensor_product)
 from oracles import adaptive_simpson
 
 RULE_2D = QuadRule(8, (8, 8))
@@ -54,6 +55,68 @@ def test_non_finite_value_names_node():
 
     with pytest.raises(FloatingPointError, match="node"):
         integrate(bad, Box((0,), (1,)), RULE_1D)
+
+
+class RecordingField:
+    """Grid field ``x_0 + 10 x_1 + 100 x_2 + ...`` on integer nodes that
+    counts how often each node is visited and how large each call is."""
+
+    def __init__(self, shape):
+        self.visits = np.zeros(shape, dtype=int)
+        self.sizes = []
+
+    def _record(self, pts):
+        self.sizes.append(len(pts))
+        np.add.at(self.visits, tuple(pts.astype(int).T), 1)
+        return pts @ (10.0 ** np.arange(pts.shape[1]))
+
+    def on_grid(self, axes):
+        return self._record(grid_points(axes)).reshape([len(a) for a in axes])
+
+
+@pytest.mark.parametrize("shape, chunk", [
+    ((3, 5, 7), 16),   # one leading slice (35 nodes) exceeds the chunk
+    ((50,), 16),       # a 1-d axis longer than the chunk
+    ((7, 3), 10),      # 21 nodes in slabs of 9
+])
+@pytest.mark.parametrize("grid", [True, False])
+def test_slabs_bounded_and_cover_grid(monkeypatch, shape, chunk, grid):
+    monkeypatch.setattr(quadrature, "_CHUNK", chunk)
+    rec = RecordingField(shape)
+    field = rec if grid else rec._record
+    nodes = [np.arange(n, dtype=float) for n in shape]
+    weights = [np.linspace(0.5, 1.5, n) for n in shape]
+    total = quadrature._tensor_reduce(field, nodes, weights, power=None)
+    assert max(rec.sizes) <= chunk
+    assert np.all(rec.visits == 1)
+    values = grid_points(nodes) @ (10.0 ** np.arange(len(shape)))
+    assert total == pytest.approx(float(tensor_product(weights).ravel() @ values), rel=1e-14)
+
+
+@pytest.mark.parametrize("chunk", [100, 5])   # one slab; a slab per row
+def test_grid_field_non_finite_value_names_node(monkeypatch, chunk):
+    monkeypatch.setattr(quadrature, "_CHUNK", chunk)
+
+    def point(pts):
+        return np.ones(len(pts))
+
+    def on_grid(axes):
+        x, y = np.meshgrid(*axes, indexing="ij")
+        return np.where((x == 2.0) & (y == 3.0), np.inf, 1.0)
+
+    point.on_grid = on_grid
+    nodes = [np.arange(4.0), np.arange(5.0)]
+    with pytest.raises(FloatingPointError, match=r"inf at node \[2\.0, 3\.0\]"):
+        quadrature._tensor_reduce(point, nodes, [np.ones(4), np.ones(5)], power=None)
+
+
+def test_grid_field_wrong_shape_rejected():
+    def point(pts):
+        return np.ones(len(pts))
+
+    point.on_grid = lambda axes: np.ones(len(axes[0]) * len(axes[1]))
+    with pytest.raises(ValueError, match="shape"):
+        integrate(point, Box((0, 0), (1, 1)), RULE_2D)
 
 
 def test_lp_norm_constant():
