@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, get_type_hints
 
 import numpy as np
@@ -585,10 +586,17 @@ def family_distance(fam: LowerBoundFamily, word_a: np.ndarray, word_b: np.ndarra
         fa = fam.perturbation_field(a)
         fb = fam.perturbation_field(b)
         rule = rule or family_rule(fam)
-        val = integrate(_pointwise(lambda va, vb: np.abs(va - vb) ** p, fa, fb),
-                        fam.f0.support, rule)
+        val = integrate(_pointwise(partial(_abs_diff_power, p=p), fa, fb), fam.f0.support, rule)
         return val ** (1.0 / p)
     return _member_distance(fam.params, hamming_distance(a, b))
+
+
+def _abs_diff_power(va: np.ndarray, vb: np.ndarray, p: float) -> np.ndarray:
+    """``|va - vb|^p``, the power taken only where the members differ (0^p = 0)."""
+    diff = np.abs(va - vb)
+    differ = diff != 0.0
+    diff[differ] = diff[differ] ** p
+    return diff
 
 
 def _member_distance(params: FamilyParams, rho: int) -> float:

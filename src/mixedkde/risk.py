@@ -5,10 +5,11 @@ cell derives its own seed from the master seed by a counter-based integer
 hash (two rounds of multiply-xor-shift with the fixed constants
 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB).  Serial
 and pool runs execute the same job, one contiguous block of replicates at
-one ``n``, and concatenate the blocks in job order.  Both compute every
-cell on one BLAS thread (the estimator's small per-block matrix products
-may round differently on more), so the output is byte-identical for
-every worker count and every BLAS thread setting.
+one ``n``, and concatenate the blocks in job order.  The estimator makes
+no BLAS call; both runs still compute every cell on one BLAS thread, which
+covers the mean field's matrix-vector product and keeps idle BLAS threads
+from spinning in the workers.  The output is byte-identical for every
+worker count and every BLAS thread setting.
 
 The risk, bias and stochastic terms of one cell are all computed on the
 same uniform grid with composite trapezoid weights.  Sharing the grid
@@ -345,8 +346,8 @@ def _one_blas_thread() -> None:
 def _one_blas_thread_scope():
     """Run the block on one BLAS thread, then restore each library's thread count.
 
-    ``kde_on_grid``'s per-block matrix products round differently on
-    different thread counts, so a serial run pins one thread for its
+    ``kde_on_grid`` makes no BLAS call, but the mean field's
+    matrix-vector product does, so a serial run pins one thread for its
     cells, as each pool worker does.
     """
     controls = _blas_thread_controls()

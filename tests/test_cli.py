@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from mixedkde.cli import run
-from mixedkde.estimator import _BLOCK
+from mixedkde.estimator import _CHUNK
 from mixedkde.lower_bound import choose_parameters, params_to_report
 
 
@@ -96,9 +96,9 @@ def test_risk_run_output_ignores_blas_threads(tmp_path):
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    # the second config's largest n spans several blocks of the grid contraction
+    # the second config's largest n spans several sample chunks of the estimator
     for name, doc in [("small", SMALL_RISK),
-                      ("blocks", {**SMALL_RISK, "sample_sizes": [128, 2 * _BLOCK, 8 * _BLOCK]})]:
+                      ("chunks", {**SMALL_RISK, "sample_sizes": [128, _CHUNK + 1, 3 * _CHUNK]})]:
         cfg = tmp_path / f"{name}.json"
         cfg.write_text(json.dumps(doc))
         outputs = []

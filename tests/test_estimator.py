@@ -6,9 +6,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from mixedkde.densities import plateau_density, tensor_bump_density
-from mixedkde.estimator import (_BLOCK, KdeModel, _axis_windows, _kernel_nodes,
-                                bandwidth_rule, bias_lp, kde_on_grid, mean_field_on_axes)
-from mixedkde.kernels import build_order_kernel
+from mixedkde.estimator import (_CHUNK, KdeModel, _AxisPlan, _kernel_nodes, bandwidth_rule,
+                                bias_lp, kde_on_grid, mean_field_on_axes)
+from mixedkde.kernels import UnivariateKernel, build_order_kernel
 from mixedkde.product import ProductKernel, tensor_kernel, verify_class, top_abs_moment
 from mixedkde.quadrature import Box, QuadRule, grid_nodes, lp_norm, tensor_product
 from oracles import brute_force_kde_grid, kde_mass, kernel_variable_mean_field
@@ -18,6 +18,8 @@ UNIFORM2 = tensor_kernel(build_order_kernel(1, True), 1,
                          build_order_kernel(1, True), 1, 1, 1)
 STRICT21 = tensor_kernel(build_order_kernel(2, True), 1,
                          build_order_kernel(1, True), 1, 2, 1)
+STRICT44 = tensor_kernel(build_order_kernel(4, True), 1,
+                         build_order_kernel(4, True), 1, 4, 4)
 
 
 def kde_at(model, point):
@@ -134,9 +136,9 @@ def test_grid_matches_pointwise():
         brute = brute_force_kde_grid(sample, 0.3, coeffs, axes[:kernel.dim])
         assert kde_on_grid(model, axes[:kernel.dim]) == pytest.approx(brute, rel=1e-12,
                                                                       abs=1e-15)
-    # several sample blocks; the band axis (most nodes) first, middle and
-    # last, an unsorted axis with a duplicated node, one and three dimensions
-    n = 3 * _BLOCK + 17
+    # several sample chunks; the longest axis first, middle and last, an
+    # unsorted axis with a duplicated node, one and three dimensions
+    n = 3 * _CHUNK + 17
     long, short = np.linspace(-1.3, 1.3, 31), np.linspace(-1.2, 1.2, 9)
     shuffled = rng.permutation(np.concatenate([short, short[[3]]]))
     cases = [(STRICT21, [long, short]), (STRICT21, [short, long]),
@@ -147,6 +149,24 @@ def test_grid_matches_pointwise():
         sample = rng.uniform(-1.2, 1.2, size=(n, kernel.dim))
         model = KdeModel(kernel=kernel, h=0.3, sample=sample)
         coeffs = [kernel.factor(j).poly_coeffs for j in range(kernel.dim)]
+        brute = brute_force_kde_grid(sample, 0.3, coeffs, axes)
+        assert kde_on_grid(model, axes) == pytest.approx(brute, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_three_dimensional_grids_match_pointwise_over_seeds(seed):
+    # two degree-2 axes: the sums cancel at many nodes, where the tolerance
+    # is the absolute 1e-15 of values about 0.1; measured at most 0.4 of it
+    k2, k1 = STRICT21.kappa1, STRICT21.kappa2
+    kernel = tensor_kernel(k2, 2, k1, 1, 2, 1)
+    coeffs = [kernel.factor(j).poly_coeffs for j in range(3)]
+    rng = np.random.default_rng(100 + seed)
+    long, short = np.linspace(-1.3, 1.3, 31), np.linspace(-1.2, 1.2, 9)
+    shuffled = rng.permutation(np.concatenate([short, short[[3]]]))
+    for axes in ([short, long, shuffled], [shuffled, short[:5], long[::3]],
+                 [long, long[::2], short]):
+        sample = rng.uniform(-1.2, 1.2, size=(_CHUNK + 17, 3))
+        model = KdeModel(kernel=kernel, h=0.3, sample=sample)
         brute = brute_force_kde_grid(sample, 0.3, coeffs, axes)
         assert kde_on_grid(model, axes) == pytest.approx(brute, rel=1e-12, abs=1e-15)
 
@@ -189,16 +209,103 @@ def _factor_cases():
 
 
 @pytest.mark.parametrize("order", [1, 2, 4])
-def test_windowed_factor_matches_dense_bit_for_bit(order):
+def test_support_ranges_match_dense_membership(order):
     kappa = build_order_kernel(order, True)
     for axis, x, h in _factor_cases():
-        dense = kappa((x[:, None] - axis[None, :]) / h)
-        windows = _axis_windows(x, axis, h)
-        cols, values = windows.factor(kappa, x, np.arange(x.size), h)
-        scattered = np.zeros_like(dense)
-        np.put_along_axis(scattered, windows.order[cols], values, axis=1)
-        assert np.array_equal(scattered, dense), (axis.size, x.size, h)
-        assert np.array_equal(np.signbit(scattered), np.signbit(dense))
+        plan = _AxisPlan.build(axis, h, kappa)
+        lo, hi = plan.support(x, h)
+        sorted_nodes = np.arange(axis.size)
+        covered = (sorted_nodes >= lo[:, None]) & (sorted_nodes < hi[:, None])
+        ranges = np.zeros_like(covered)
+        ranges[:, sorted_nodes if plan.order is None else plan.order] = covered
+        dense = np.abs((x[:, None] - axis[None, :]) / h) <= 1.0
+        assert np.array_equal(ranges, dense), (axis.size, x.size, h)
+        # a support reaches at most ``pieces`` tiles
+        assert plan.pieces == 3 or (plan.pieces == 1 and plan.bounds.size == 2)
+        live = lo < hi
+        assert np.all(plan.tile_of[hi[live] - 1] - plan.tile_of[lo[live]] < plan.pieces)
+        # about its tile's centre the expansion gives the kernel factor
+        xi = (x[:, None] - plan.centres[plan.tile_of[sorted_nodes]]) / h
+        expanded = sum(xi ** l * row[:axis.size] for l, row in enumerate(plan.poly))
+        exact = kappa((x[:, None] - plan.nodes[None, :]) / h)
+        assert np.max(np.abs(np.where(covered, expanded, 0.0) - exact)) <= 1e-12
+
+
+def _wide_axes_cases():
+    """Product kernels on a first axis whose half-width is 7, 50 and 200
+    bandwidths, even or with 400 of its nodes within half a bandwidth of 0."""
+    two_quadratic = tensor_kernel(build_order_kernel(2, True), 2,
+                                  build_order_kernel(1, True), 1, 2, 1)
+    h = 0.1
+    for ratio in (7, 50, 200):
+        wide = np.linspace(-ratio * h, ratio * h, 401)
+        uneven = np.sort(np.concatenate([wide[::8], np.linspace(-h / 2, h / 2, 400)]))
+        yield STRICT44, h, [wide, np.linspace(-0.5, 0.5, 15)]
+        yield STRICT44, h, [uneven, np.linspace(-0.5, 0.5, 15)]
+        yield two_quadratic, h, [wide, np.linspace(-0.3, 0.3, 7), np.linspace(-0.2, 0.2, 3)]
+
+
+def test_fast_sums_stay_accurate_on_wide_axes():
+    # measured: at most 1.1e-13 of the largest value (s = 4), 3.8e-15 (three axes)
+    rng = np.random.default_rng(29)
+    for kernel, h, axes in _wide_axes_cases():
+        sample = rng.uniform([a[0] for a in axes], [a[-1] for a in axes], size=(400, kernel.dim))
+        model = KdeModel(kernel=kernel, h=h, sample=sample)
+        coeffs = [kernel.factor(j).poly_coeffs for j in range(kernel.dim)]
+        brute = brute_force_kde_grid(sample, h, coeffs, axes)
+        error = np.max(np.abs(kde_on_grid(model, axes) - brute))
+        assert np.max(np.abs(brute)) > 0.0
+        assert error <= 1e-10 * np.max(np.abs(brute)), (kernel.dim, axes[0][-1] / h)
+
+
+def test_one_node_axes_match_brute_force():
+    rng = np.random.default_rng(31)
+    sample = rng.uniform(-1.0, 1.0, size=(500, 2))
+    model = KdeModel(kernel=STRICT44, h=0.3, sample=sample)
+    coeffs = [STRICT44.factor(j).poly_coeffs for j in range(2)]
+    for point in ([0.1, -0.2], [0.95, 0.95], [-1.25, 0.0]):
+        axes = [np.array([c]) for c in point]
+        brute = brute_force_kde_grid(sample, 0.3, coeffs, axes).item()
+        assert kde_at(model, point) == pytest.approx(brute, rel=1e-12, abs=1e-15)
+
+
+def test_uncovered_nodes_are_exact_zeros():
+    # samples in two clusters leave most of the grid uncovered
+    rng = np.random.default_rng(37)
+    sample = np.vstack([rng.normal([-0.6, 0.4], 0.05, size=(60, 2)),
+                        rng.normal([0.5, -0.5], 0.05, size=(60, 2))])
+    axes = [np.linspace(-1.2, 1.2, 97), np.linspace(-1.1, 1.1, 89)]
+    for kernel in (STRICT21, STRICT44):
+        grid = kde_on_grid(KdeModel(kernel=kernel, h=0.2, sample=sample), axes)
+        covered = np.zeros(grid.shape, dtype=bool)
+        for x in sample:
+            inside = [np.abs((x[j] - axes[j]) / 0.2) <= 1.0 for j in range(2)]
+            covered |= np.outer(*inside)
+        assert 0 < np.count_nonzero(covered) < covered.size // 2
+        assert np.all(grid[~covered] == 0.0)
+        assert not np.any(np.signbit(grid[~covered]))
+
+
+def test_nodes_reached_only_where_the_kernel_vanishes_are_exact_zeros():
+    # kappa(+-1) = 0; each sample lies exactly h from a node on its first axis
+    epanechnikov = UnivariateKernel(order=2, poly_coeffs=(0.75, 0.0, -0.75))
+    kernel = tensor_kernel(epanechnikov, 1, epanechnikov, 1, 2, 2)
+    h = 0.25
+    axes = [np.linspace(-1.0, 1.0, 23), np.linspace(1.1, -1.1, 29)]
+    rng = np.random.default_rng(41)
+    first = axes[0][rng.integers(3, 20, size=200)] + rng.choice([-h, h], size=200)
+    first = first[np.any((first[:, None] - axes[0]) / h == 1.0, axis=1)
+                  | np.any((first[:, None] - axes[0]) / h == -1.0, axis=1)][:12]
+    sample = np.column_stack([first, rng.uniform(-1.0, 1.0, size=first.size)])
+    grid = kde_on_grid(KdeModel(kernel=kernel, h=h, sample=sample), axes)
+    brute = brute_force_kde_grid(sample, h, [epanechnikov.poly_coeffs] * 2, axes)
+    reached = np.zeros(grid.shape, dtype=bool)
+    for x in sample:
+        reached |= np.outer(*[np.abs((x[j] - axes[j]) / h) <= 1.0 for j in range(2)])
+    assert np.count_nonzero(reached & (brute == 0.0)) > 20
+    assert np.all(grid[brute == 0.0] == 0.0)
+    assert not np.any(np.signbit(grid))
+    assert grid == pytest.approx(brute, rel=1e-12, abs=1e-15)
 
 
 def test_nonnegative_kernel_gives_nonnegative_estimate():
