@@ -1,6 +1,6 @@
 """Product-kernel density estimation under dominating mixed smoothness."""
 
-from .quadrature import Box, QuadRule, integrate, lp_norm, partial_fd_field
+from .quadrature import Box, QuadRule, integrate, lp_norm
 from .kernels import UnivariateKernel, build_order_kernel, moment, verify_order
 from .product import ProductKernel, tensor_kernel, verify_class, q_norm
 from .sobolev import SmoothnessSpec, DifferentiableField, index_set, sobolev_norm

@@ -410,7 +410,9 @@ def mean_field_on_axes(kernel: ProductKernel, h: float, truth: Density,
         grid = np.asarray(axes[j])
         shifted = grid[:, None] + h * pts_1d[None, :]
         f_vals = truth.axis_factors[j].pdf(shifted.ravel()).reshape(shifted.shape)
-        conv.append(f_vals @ (k_vals * wts_1d))
+        # einsum's own loop, not a BLAS matrix-vector product, so no cell
+        # computation depends on the BLAS thread count
+        conv.append(np.einsum("ij,j->i", f_vals, k_vals * wts_1d))
     return tensor_product(conv)
 
 

@@ -230,8 +230,13 @@ def choose_parameters(n: int, r: float, p: float, s1: int, s2: int, d1: int,
     and the wiggle amplitude decays like ``n^{-S/(2S+D)}``; in the
     non-compact regime ``big_n`` is derived from the amplitude so the
     support grows with ``n``.  Raises ``InfeasibleParameters`` naming the
-    violated constraint when ``n`` is too small.
+    violated constraint when ``p`` or ``r`` is out of range or ``n`` is too
+    small.
     """
+    if not (math.isfinite(p) and p >= 1):
+        raise InfeasibleParameters(f"p must be a finite number >= 1, got {p}")
+    if not (math.isfinite(r) and r > 0):
+        raise InfeasibleParameters(f"radius r must be a finite number > 0, got {r}")
     if n < 1:
         raise InfeasibleParameters("n must be a positive integer")
     dim = d1 + d2

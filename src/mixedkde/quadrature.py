@@ -1,9 +1,8 @@
 """Deterministic numerical integration on boxes.
 
 The package's one tensor-grid layer (axes, weights, outer products,
-row-major points, tensor slabs), composite Gauss-Legendre quadrature, grid
-L^p norms and nested central finite differences; every other module builds
-on these.
+row-major points, tensor slabs), composite Gauss-Legendre quadrature and
+grid L^p norms; every other module builds on these.
 
 Conventions
 -----------
@@ -39,7 +38,6 @@ __all__ = [
     "integrate_1d",
     "lp_norm",
     "lp_norm_1d",
-    "partial_fd_field",
 ]
 
 # Tensor reductions hand a field at most this many nodes at a time, so
@@ -47,8 +45,6 @@ __all__ = [
 # each slab's 4 MB temporaries back to the kernel and faulted them in again
 # (about 37,000 minor faults per family_n1e4 operation); at 2^18 it keeps them.
 _CHUNK = 1 << 18
-
-MAX_FD_ORDER = 6
 
 
 @dataclass(frozen=True)
@@ -275,7 +271,7 @@ def _tensor_reduce(f, nodes: Sequence[np.ndarray], weights: Sequence[np.ndarray]
         if power is not None:
             vals = np.abs(vals) ** power
         wts = tensor_product([w[s] for w, s in zip(weights, slab)])
-        # einsum's own loop, not BLAS: OpenBLAS threads a dot this long and
+        # einsum's own loop, not BLAS: a threaded BLAS splits a dot this long,
         # leaves its threads spinning between slabs, and its partial sums
         # depend on the thread count
         total += float(np.einsum("i,i->", wts.ravel(), vals.ravel()))
@@ -299,58 +295,3 @@ def lp_norm_1d(f: Callable, lo: float, hi: float, p: float, panels: int = 32,
     val = integrate_1d(lambda x: np.abs(np.asarray(f(x), dtype=float)) ** p,
                        lo, hi, panels, nodes)
     return val ** (1.0 / p)
-
-
-def _fd_stencil(alpha: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets (in steps) and integer coefficients of the nested central difference.
-
-    Nesting the two-point central difference ``order`` times along one axis
-    expands to the binomial stencil below; the expansion is the nested
-    operator written out, not a wider one-shot stencil.  Coefficients stay
-    exact integers (so constants cancel exactly) and the ``(2h)^order``
-    scale is divided out once at the end.
-    """
-    offsets = np.zeros((1, len(alpha)))
-    coeffs = np.ones(1)
-    for axis, order in enumerate(alpha):
-        if order == 0:
-            continue
-        j = np.arange(order + 1)
-        cf = ((-1.0) ** j) * np.array([math.comb(order, int(k)) for k in j])
-        new_offsets = np.repeat(offsets, order + 1, axis=0)
-        new_offsets[:, axis] += np.tile(order - 2 * j, offsets.shape[0])
-        coeffs = (coeffs[:, None] * cf[None, :]).ravel()
-        offsets = new_offsets
-    return offsets, coeffs
-
-
-def partial_fd_field(f: Callable, alpha: Sequence[int],
-                     step: float | None = None) -> Callable:
-    """Field computing the nested central-difference partial at every row of a batch.
-
-    Axes are differenced one at a time in increasing index order; the
-    default step is ``1e-3 * max(1, |coordinate|)`` per axis and row.  A
-    single point is a batch of one row.
-    """
-    alpha = tuple(int(a) for a in alpha)
-    if any(a < 0 for a in alpha):
-        raise ValueError("multi-index entries must be non-negative")
-    if sum(alpha) > MAX_FD_ORDER:
-        raise ValueError(
-            f"finite-difference partials unsupported for |alpha|={sum(alpha)} "
-            f"> {MAX_FD_ORDER}"
-        )
-    if step is not None and not step > 0:
-        raise ValueError(f"step must be positive, got {step}")
-    offsets, coeffs = _fd_stencil(alpha)
-
-    def field(pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        steps = (1e-3 * np.maximum(1.0, np.abs(pts)) if step is None
-                 else np.full(pts.shape, float(step)))
-        acc = np.zeros(pts.shape[0])
-        for off, cf in zip(offsets, coeffs):
-            acc += cf * np.asarray(f(pts + off * steps), dtype=float)
-        return acc / np.prod((2.0 * steps) ** np.asarray(alpha), axis=1)
-
-    return field

@@ -5,11 +5,10 @@ cell derives its own seed from the master seed by a counter-based integer
 hash (two rounds of multiply-xor-shift with the fixed constants
 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB).  Serial
 and pool runs execute the same job, one contiguous block of replicates at
-one ``n``, and concatenate the blocks in job order.  The estimator makes
-no BLAS call; both runs still compute every cell on one BLAS thread, which
-covers the mean field's matrix-vector product and keeps idle BLAS threads
-from spinning in the workers.  The output is byte-identical for every
-worker count and every BLAS thread setting.
+one ``n``, and concatenate the blocks in job order.  No cell computation
+calls a BLAS routine: the estimator sums by fast sum updating and the mean
+field's per-axis convolutions are einsum loops.  So the output is
+byte-identical for every worker count and every BLAS thread setting.
 
 The risk, bias and stochastic terms of one cell are all computed on the
 same uniform grid with composite trapezoid weights.  Sharing the grid
@@ -24,7 +23,6 @@ precision.
 
 from __future__ import annotations
 
-import ctypes
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -81,8 +79,8 @@ def rate_exponent(s_list: Sequence[int], d_list: Sequence[int], p: float,
         raise ValueError("s_list and d_list must have equal positive length")
     if any(s < 1 for s in s_list) or any(d < 1 for d in d_list):
         raise ValueError("smoothness and dimension entries must be >= 1")
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not (math.isfinite(p) and p >= 1):
+        raise ValueError(f"p must be a finite number >= 1, got {p}")
     s = [Fraction(int(v)) for v in s_list]
     d = [Fraction(int(v)) for v in d_list]
     total_s, total_d = sum(s), sum(d)
@@ -191,7 +189,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     bandwidth on the schedule; default panels resolve half the smaller of
     the smallest bandwidth and the truth feature scale.
     """
-    with config_values("truth"):
+    with config_values("truth"), _value_named("truth"):
         truth = _build_truth(config_section(doc, "truth"))
     with config_values("kernel"):
         kernel = _build_kernel(config_section(doc, "kernel"))
@@ -301,66 +299,6 @@ def _worker_cells(doc_json: str, n: int, replicates: list[int]) -> list[RiskCell
     return _cells(*_worker_state(doc_json), n, replicates)
 
 
-# C thread setters of numpy's OpenBLAS copy, scipy's copy (mapped only when a
-# caller imports scipy; the package does not) and plain OpenBLAS.  Pool workers
-# and serial runs alike compute every cell on one BLAS thread.
-_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-                 "openblas_set_num_threads")
-
-
-def _blas_thread_controls() -> list[tuple]:
-    """``(set, get)`` thread-count functions of each OpenBLAS mapped into this process."""
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = {line.split()[-1] for line in maps if "openblas" in line}
-    except OSError:
-        return []
-    controls = []
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in _BLAS_SETTERS:
-            getter_name = name.replace("_set_", "_get_")
-            if hasattr(lib, name) and hasattr(lib, getter_name):
-                setter, getter = getattr(lib, name), getattr(lib, getter_name)
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                controls.append((setter, getter))
-                break
-    return controls
-
-
-def _one_blas_thread() -> None:
-    """Pool initializer: run every OpenBLAS mapped into this worker on one thread.
-
-    A forked worker inherits the parent's BLAS thread count, so k workers
-    would run k times that many threads on the same cores.
-    """
-    for setter, _ in _blas_thread_controls():
-        setter(1)
-
-
-@contextmanager
-def _one_blas_thread_scope():
-    """Run the block on one BLAS thread, then restore each library's thread count.
-
-    ``kde_on_grid`` makes no BLAS call, but the mean field's
-    matrix-vector product does, so a serial run pins one thread for its
-    cells, as each pool worker does.
-    """
-    controls = _blas_thread_controls()
-    counts = [getter() for _, getter in controls]
-    for setter, _ in controls:
-        setter(1)
-    try:
-        yield
-    finally:
-        for (setter, _), count in zip(controls, counts):
-            setter(count)
-
-
 def fit_rate(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
     """OLS slope and its standard error on (log n, log risk)."""
     if len(points) < 3:
@@ -387,11 +325,9 @@ def mc_risk(config: ExperimentConfig | dict, workers: int = 1) -> RiskReport:
     each ``n`` (``workers`` blocks per ``n``), and the cells come back in
     ``(n, replicate)`` order.  With ``workers > 1`` the config must be the
     JSON-mirror dict so jobs can be shipped to worker processes, and
-    every worker has exited when this returns.  Each worker runs BLAS on
-    one thread; a serial run pins one thread for its cells and then
-    restores the caller's thread counts.  Every cell is a pure function of
-    ``(config, n, replicate)``, so the output is byte-identical for every
-    worker count and BLAS thread setting.
+    every worker has exited when this returns.  Every cell is a pure
+    function of ``(config, n, replicate)`` and calls no BLAS routine, so the
+    output is byte-identical for every worker count and BLAS thread setting.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -404,12 +340,11 @@ def mc_risk(config: ExperimentConfig | dict, workers: int = 1) -> RiskReport:
                                                  workers) if b.size]
     jobs = [(n, block) for n in config.sample_sizes for block in blocks]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(partial(_worker_cells, json.dumps(doc, sort_keys=True)),
                                     *zip(*jobs)))
     else:
-        with _one_blas_thread_scope():
-            results = list(map(partial(_cells, config, _shared_grids(config)), *zip(*jobs)))
+        results = list(map(partial(_cells, config, _shared_grids(config)), *zip(*jobs)))
     cells = tuple(cell for block in results for cell in block)
     means = [(n, float(np.mean([c.risk for c in cells if c.n == n])))
              for n in config.sample_sizes]
@@ -430,8 +365,6 @@ def upper_bound_constant(kernel: ProductKernel, truth: Density, p: float,
     """
     if p < 2:
         raise ValueError(f"the constant is defined for p >= 2, got {p}")
-    if truth.field.partial_factory is None:
-        raise ValueError("truth must provide analytic partial derivatives")
     if rule is None:
         rule = QuadRule.for_box(truth.support, feature_scale=truth.feature_scale)
     report = verify_class(kernel, tol=1e-8)

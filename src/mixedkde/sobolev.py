@@ -8,7 +8,8 @@ The three norms differ only in which multi-indices enter the sum of
 * ``aniso``      : ``|alpha_1|/s1 + |alpha_2|/s2 <= 1``
 
 ``SmoothnessSpec.variant`` selects the index set and ``sobolev_norm``
-sums ``lp_norm`` over it, so the three norms are one function.  The
+sums ``lp_norm`` over it, so the three norms are one function.  Every
+partial comes from the field's own analytic ``partial_factory``.  The
 index-set enumeration is exposed separately so tests can pin the set
 contents.
 """
@@ -20,8 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import (Box, QuadRule, lp_norm, mixed_multi_indices, multi_indices,
-                         partial_fd_field)
+from .quadrature import Box, QuadRule, lp_norm, mixed_multi_indices, multi_indices
 
 __all__ = [
     "SmoothnessSpec",
@@ -57,24 +57,21 @@ class SmoothnessSpec:
 
 @dataclass(frozen=True)
 class DifferentiableField:
-    """Scalar field with its support box and (optionally) analytic partials.
+    """Scalar field with its support box and analytic partials.
 
     ``partial_factory(alpha)`` must return the field of the derivative for a
-    full multi-index ``alpha`` over all ``d1 + d2`` axes.  Without it, nested
-    central differences are used, which caps usable orders at six.
+    full multi-index ``alpha`` over all ``d1 + d2`` axes.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
     support: Box
-    partial_factory: Callable[[tuple[int, ...]], Callable] | None = None
+    partial_factory: Callable[[tuple[int, ...]], Callable]
 
     def partial_field(self, alpha: tuple[int, ...]) -> Callable:
         alpha = tuple(int(a) for a in alpha)
         if sum(alpha) == 0:
             return self.eval
-        if self.partial_factory is not None:
-            return self.partial_factory(alpha)
-        return partial_fd_field(self.eval, alpha, step=1e-3)
+        return self.partial_factory(alpha)
 
 
 def index_set(spec: SmoothnessSpec) -> list[tuple[int, ...]]:

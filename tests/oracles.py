@@ -2,13 +2,20 @@
 
 Nothing here imports from the package's numerical paths: quadrature is
 adaptive-bisection Simpson, tensor integrals are dense midpoint/trapezoid
-sums, and the density-estimator risk is a naive double loop with its own
-Horner polynomial evaluation.  These are deliberately slow and simple.
+sums, derivatives are nested central finite differences, and the
+density-estimator risk is a naive double loop with its own Horner
+polynomial evaluation.  These are deliberately slow and simple.
 """
 
 from __future__ import annotations
 
+import math
+from typing import Callable, Sequence
+
 import numpy as np
+
+# beyond this total order a nested central difference at step 1e-3 is rounding noise
+MAX_FD_ORDER = 6
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-12) -> float:
@@ -125,3 +132,58 @@ def brute_force_risk(sample: np.ndarray, h: float, factor_coeffs: list,
     """Risk of one cell recomputed from scratch on the same grid."""
     fhat = brute_force_kde_grid(sample, h, factor_coeffs, axes)
     return trapezoid_lp_power(fhat - truth_grid, axes, p)
+
+
+def _fd_stencil(alpha: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets (in steps) and integer coefficients of the nested central difference.
+
+    Nesting the two-point central difference ``order`` times along one axis
+    expands to the binomial stencil below; the expansion is the nested
+    operator written out, not a wider one-shot stencil.  Coefficients stay
+    exact integers (so constants cancel exactly) and the ``(2h)^order``
+    scale is divided out once at the end.
+    """
+    offsets = np.zeros((1, len(alpha)))
+    coeffs = np.ones(1)
+    for axis, order in enumerate(alpha):
+        if order == 0:
+            continue
+        j = np.arange(order + 1)
+        cf = ((-1.0) ** j) * np.array([math.comb(order, int(k)) for k in j])
+        new_offsets = np.repeat(offsets, order + 1, axis=0)
+        new_offsets[:, axis] += np.tile(order - 2 * j, offsets.shape[0])
+        coeffs = (coeffs[:, None] * cf[None, :]).ravel()
+        offsets = new_offsets
+    return offsets, coeffs
+
+
+def partial_fd_field(f: Callable, alpha: Sequence[int],
+                     step: float | None = None) -> Callable:
+    """Field computing the nested central-difference partial at every row of a batch.
+
+    Axes are differenced one at a time in increasing index order; the
+    default step is ``1e-3 * max(1, |coordinate|)`` per axis and row.  A
+    single point is a batch of one row.
+    """
+    alpha = tuple(int(a) for a in alpha)
+    if any(a < 0 for a in alpha):
+        raise ValueError("multi-index entries must be non-negative")
+    if sum(alpha) > MAX_FD_ORDER:
+        raise ValueError(
+            f"finite-difference partials unsupported for |alpha|={sum(alpha)} "
+            f"> {MAX_FD_ORDER}"
+        )
+    if step is not None and not step > 0:
+        raise ValueError(f"step must be positive, got {step}")
+    offsets, coeffs = _fd_stencil(alpha)
+
+    def field(pts: np.ndarray) -> np.ndarray:
+        pts = np.asarray(pts, dtype=float)
+        steps = (1e-3 * np.maximum(1.0, np.abs(pts)) if step is None
+                 else np.full(pts.shape, float(step)))
+        acc = np.zeros(pts.shape[0])
+        for off, cf in zip(offsets, coeffs):
+            acc += cf * np.asarray(f(pts + off * steps), dtype=float)
+        return acc / np.prod((2.0 * steps) ** np.asarray(alpha), axis=1)
+
+    return field

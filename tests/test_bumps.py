@@ -5,8 +5,8 @@ import hypothesis.strategies as st
 
 from mixedkde.bumps import (bump_k, bump_k_deriv, bump_l1, g_deriv, g_function,
                             g_norm, lambda_bar, lambda_deriv, lambda_value)
-from mixedkde.quadrature import integrate_1d, partial_fd_field
-from oracles import adaptive_simpson
+from mixedkde.quadrature import integrate_1d
+from oracles import adaptive_simpson, partial_fd_field
 
 BUMP_INTEGRAL = 0.4439938161680793  # adaptive-Simpson reference, rel tol < 1e-12
 

@@ -23,6 +23,12 @@ def test_rate_aniso(capsys):
     assert capsys.readouterr().out.startswith("4/13")
 
 
+def test_rate_rejects_non_finite_p(capsys):
+    for p in ("nan", "inf", "0.5"):
+        assert run(["rate", "--s", "1,1", "--d", "1,1", "--p", p]) == 2
+        assert f"p must be a finite number >= 1, got {p}" in capsys.readouterr().err
+
+
 def test_kernel_build_and_verify_roundtrip(tmp_path):
     path = tmp_path / "kernel.json"
     assert run(["kernel-build", "--order", "4", "--strict", "--out", str(path)]) == 0
@@ -64,6 +70,16 @@ def test_family_build_infeasible_names_constraint(capsys):
                 "--r", "10", "--n", "100"])
     assert code == 2
     assert "error" in capsys.readouterr().err
+    # out-of-range p and r are rejected before any quadrature, naming the value
+    for p, r, message in [("nan", "10", "p must be a finite number >= 1, got nan"),
+                          ("inf", "10", "p must be a finite number >= 1, got inf"),
+                          ("0.5", "10", "p must be a finite number >= 1, got 0.5"),
+                          ("2", "nan", "radius r must be a finite number > 0, got nan"),
+                          ("2", "inf", "radius r must be a finite number > 0, got inf"),
+                          ("2", "0", "radius r must be a finite number > 0, got 0.0")]:
+        assert run(["family-build", "--s", "1,1", "--d", "1,1", "--p", p, "--r", r,
+                    "--n", "10000"]) == 2
+        assert message in capsys.readouterr().err
 
 
 SMALL_RISK = {
@@ -93,6 +109,9 @@ def test_risk_run_outputs_are_byte_identical(tmp_path):
 
 
 def test_risk_run_output_ignores_blas_threads(tmp_path):
+    # the package sets no BLAS thread count, so this is the guard that no cell
+    # depends on one: runs at 1 and 2 BLAS threads (two counts that differ
+    # even on a one-core machine) and at the default must agree
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -103,7 +122,7 @@ def test_risk_run_output_ignores_blas_threads(tmp_path):
         cfg.write_text(json.dumps(doc))
         outputs = []
         for workers in ("1", "2"):
-            for blas_threads in ("1", None):
+            for blas_threads in ("1", "2", None):
                 run_env = (env if blas_threads is None
                            else {**env, "OPENBLAS_NUM_THREADS": blas_threads})
                 out = tmp_path / f"{name}_threads{workers}_blas{blas_threads}"
@@ -114,7 +133,7 @@ def test_risk_run_output_ignores_blas_threads(tmp_path):
                                       env=run_env, capture_output=True, text=True, timeout=300)
                 assert proc.returncode == 0, proc.stderr
                 outputs.append([out.with_suffix(ext).read_bytes() for ext in (".csv", ".json")])
-        assert len(outputs) == 4
+        assert len(outputs) == 6
         assert all(output == outputs[0] for output in outputs), name
 
 
@@ -179,6 +198,14 @@ def test_risk_run_rejects_non_object_config(tmp_path, capsys):
     cases.append((risk_run, "truth",
                   {**base, "truth": {"name": "tensor_bump", "params": {"widths": 3}}},
                   "wrong value type"))
+    # values that convert wrongly or describe no box name the truth too
+    cases.append((risk_run, "truth",
+                  {**base, "truth": {"name": "tensor_bump", "params": {"widths": "ab"}}},
+                  "could not convert string to float"))
+    cases.append((risk_run, "truth",
+                  {**base, "truth": {"name": "tensor_bump",
+                                     "params": {"widths": [float("nan")] * 2}}},
+                  "must be < upper=nan"))
     cases.append((risk_run, "sample_sizes", {**base, "sample_sizes": 5}, "wrong value type"))
     # the truth and the evaluation box must have the kernel's dimension
     three_axes = {"lower": [-2.0, -2.0, -2.0], "upper": [2.0, 2.0, 2.0]}

@@ -5,8 +5,8 @@ import hypothesis.strategies as st
 
 from mixedkde import quadrature
 from mixedkde.quadrature import (Box, QuadRule, grid_points, integrate, integrate_1d,
-                                 lp_norm, lp_norm_1d, partial_fd_field, tensor_product)
-from oracles import adaptive_simpson
+                                 lp_norm, lp_norm_1d, tensor_product)
+from oracles import adaptive_simpson, partial_fd_field
 
 RULE_2D = QuadRule(8, (8, 8))
 RULE_1D = QuadRule(8, (16,))
@@ -188,6 +188,8 @@ def test_lp_norm_homogeneity_and_abs(c):
     negated = lp_norm(lambda pts: -f(pts), box, 2.5, RULE_1D)
     assert negated == pytest.approx(lp_norm(f, box, 2.5, RULE_1D), rel=1e-14)
 
+
+# self-tests of the finite-difference derivative oracle
 
 def test_partial_fd_mixed_polynomial():
     f = lambda pts: pts[:, 0] ** 2 * pts[:, 1]

@@ -150,24 +150,6 @@ def test_pdf_norm_at_p1_exceeds_one():
     assert sobolev_norm(bump_field((1.0, 1.0)), spec, RULE) > 1.0
 
 
-def test_fd_fallback_matches_analytic():
-    field = bump_field((1.0, 1.0))
-    fd_field = DifferentiableField(eval=field.eval, support=field.support,
-                                   partial_factory=None)
-    spec = SmoothnessSpec(1, 1, 1, 1, 2.0, "mixed")
-    rule = QuadRule(6, (10, 10))
-    assert sobolev_norm(fd_field, spec, rule) == pytest.approx(
-        sobolev_norm(field, spec, rule), rel=1e-4)
-
-
-def test_fd_fallback_rejects_high_order():
-    field = DifferentiableField(
-        eval=lambda pts: np.zeros(pts.shape[0]),
-        support=Box((-1, -1), (1, 1)), partial_factory=None)
-    with pytest.raises(ValueError, match="finite-difference"):
-        field.partial_field((4, 3))
-
-
 def test_f0_norm_against_construction_bound():
     # the plateau density norm is controlled by N^{-D} ||LambdaTilde||^D
     f0, info = plateau_density(20.0, 1.0, 2)
