@@ -10,9 +10,10 @@ family of the lower-bound construction is layered on top of it in
 ``lower_bound``.
 
 Product densities are sampled per axis through a tabulated cumulative
-trapezoid CDF inverted by bisection; non-product perturbations use
-rejection sampling (see ``lower_bound``).  Every density carries its
-sampler; ``pdf_ok`` holds the one pass rule for a measured pdf.
+trapezoid CDF inverted by bisection.  A density without axis factors (a
+member of the lower-bound family) can be evaluated and integrated but not
+sampled: sampling, like the per-axis mean field, needs a product density.
+``pdf_ok`` holds the one pass rule for a measured pdf.
 """
 
 from __future__ import annotations
@@ -58,25 +59,6 @@ class AxisFactor:
         return x, cdf
 
 
-class _ProductSampler:
-    """Per-axis inverse-CDF sampler for product densities."""
-
-    def __init__(self, factors: Sequence[AxisFactor]):
-        self._tables = [f.cdf_table() for f in factors]
-
-    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        out = np.empty((count, len(self._tables)))
-        for j, (x, cdf) in enumerate(self._tables):
-            u = rng.random(count)
-            # bisection to the bracketing knots, linear within the bracket
-            idx = np.searchsorted(cdf, u, side="right")
-            idx = np.clip(idx, 1, len(cdf) - 1)
-            c0, c1 = cdf[idx - 1], cdf[idx]
-            frac = np.where(c1 > c0, (u - c0) / np.maximum(c1 - c0, 1e-300), 0.0)
-            out[:, j] = x[idx - 1] + frac * (x[idx] - x[idx - 1])
-        return out
-
-
 def pdf_ok(integral_defect: float, min_value: float) -> bool:
     """Pass rule for a measured pdf: unit mass and no negative value, up to rounding."""
     return bool(integral_defect <= 1e-8 and min_value >= -1e-12)
@@ -84,16 +66,21 @@ def pdf_ok(integral_defect: float, min_value: float) -> bool:
 
 @dataclass(frozen=True)
 class Density:
-    """Evaluable pdf on a bounded box with its sampler.
+    """Evaluable pdf on a bounded box.
 
-    ``sampler.draw(rng, count)`` returns ``count`` points.  ``axis_factors``
-    is set for product densities and unlocks the factorized paths
-    (per-axis convolutions, tensor-grid values, inverse-CDF sampling).
+    ``axis_factors`` is set for product densities and unlocks the
+    factorized paths (per-axis convolutions, inverse-CDF sampling); their
+    CDF tables are built with the density.
     """
 
     field: DifferentiableField
-    sampler: object = dataclasses.field(repr=False)
     axis_factors: tuple[AxisFactor, ...] | None = None
+    _cdf_tables: tuple | None = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        tables = (None if self.axis_factors is None
+                  else tuple(f.cdf_table() for f in self.axis_factors))
+        object.__setattr__(self, "_cdf_tables", tables)
 
     @property
     def dim(self) -> int:
@@ -113,12 +100,25 @@ class Density:
         return self.field.eval(np.atleast_2d(np.asarray(pts, dtype=float)))
 
     def sample(self, seed: int, count: int) -> np.ndarray:
+        """``count`` points, one uniform per point and axis inverted through
+        that axis's CDF table."""
+        if self._cdf_tables is None:
+            raise ValueError("sampling needs a product density (one with axis_factors)")
         if count < 0:
             raise ValueError("count must be non-negative")
         if count == 0:
             return np.empty((0, self.dim))
         rng = np.random.default_rng(np.uint64(seed))
-        return self.sampler.draw(rng, count)
+        out = np.empty((count, self.dim))
+        for j, (x, cdf) in enumerate(self._cdf_tables):
+            u = rng.random(count)
+            # bisection to the bracketing knots, linear within the bracket
+            idx = np.searchsorted(cdf, u, side="right")
+            idx = np.clip(idx, 1, len(cdf) - 1)
+            c0, c1 = cdf[idx - 1], cdf[idx]
+            frac = np.where(c1 > c0, (u - c0) / np.maximum(c1 - c0, 1e-300), 0.0)
+            out[:, j] = x[idx - 1] + frac * (x[idx] - x[idx - 1])
+        return out
 
     def on_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
         """Values on the tensor grid spanned by per-axis node vectors (the
@@ -166,8 +166,7 @@ def _product_field(factors: Sequence[AxisFactor]) -> DifferentiableField:
 
 def product_density(factors: Sequence[AxisFactor]) -> Density:
     factors = tuple(factors)
-    return Density(field=_product_field(factors), sampler=_ProductSampler(factors),
-                   axis_factors=factors)
+    return Density(field=_product_field(factors), axis_factors=factors)
 
 
 def _bump_factor(center: float, width: float) -> AxisFactor:

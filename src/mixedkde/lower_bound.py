@@ -178,6 +178,9 @@ def _epsilon_rstar(p: float, r: float) -> tuple[float, float]:
 
 
 def _kappa_choice(p: float, r: float, epsilon: float, c0: float, dim: int) -> float:
+    if not (math.isfinite(c0) and c0 > 0):
+        raise InfeasibleParameters(
+            f"plateau norm constant C0 = {c0} at p = {p} is not a finite number > 0")
     if p == 1:
         cap = (epsilon * r - 1.0) / c0
     else:
@@ -230,8 +233,8 @@ def choose_parameters(n: int, r: float, p: float, s1: int, s2: int, d1: int,
     and the wiggle amplitude decays like ``n^{-S/(2S+D)}``; in the
     non-compact regime ``big_n`` is derived from the amplitude so the
     support grows with ``n``.  Raises ``InfeasibleParameters`` naming the
-    violated constraint when ``p`` or ``r`` is out of range or ``n`` is too
-    small.
+    violated constraint when ``p``, ``r`` or ``big_n`` is out of range or
+    ``n`` is too small.
     """
     if not (math.isfinite(p) and p >= 1):
         raise InfeasibleParameters(f"p must be a finite number >= 1, got {p}")
@@ -243,8 +246,8 @@ def choose_parameters(n: int, r: float, p: float, s1: int, s2: int, d1: int,
     smooth = s1 + s2
     epsilon, r_star = _epsilon_rstar(p, r)
     kappa = _kappa_choice(p, r, epsilon, _plateau_constant(p, dim, smooth), dim)
-    if compact_regime and not big_n > 8:
-        raise InfeasibleParameters(f"N must exceed 8, got {big_n}")
+    if compact_regime and not (math.isfinite(big_n) and big_n > 8):
+        raise InfeasibleParameters(f"N must be a finite number > 8, got {big_n}")
     if not compact_regime and not p < 2:
         raise InfeasibleParameters("the non-compact regime is defined for 1 <= p < 2")
     consts = _constants(p, dim, smooth, kappa, big_n, compact_regime)
@@ -477,7 +480,8 @@ class LowerBoundFamily:
         return field
 
     def member(self, word: np.ndarray) -> Density:
-        """The density ``f_omega = f_0 + F_omega`` with a rejection sampler."""
+        """The density ``f_omega = f_0 + F_omega``.  It has no axis factors,
+        so it is evaluated and integrated, never sampled."""
         bits = self._word_bits(word)
         f0_field = self.f0.field
         evaluate = _pointwise(np.add, f0_field.eval, self.perturbation_field(bits))
@@ -488,8 +492,7 @@ class LowerBoundFamily:
 
         field = DifferentiableField(eval=evaluate, support=f0_field.support,
                                     partial_factory=partial_factory)
-        sampler = _RejectionSampler(self.f0, self.params.amplitude, evaluate)
-        return Density(field=field, sampler=sampler)
+        return Density(field=field)
 
     def min_pairwise_hamming(self) -> int:
         """Smallest Hamming distance between two code words (the word length
@@ -508,43 +511,6 @@ class LowerBoundFamily:
             np.fill_diagonal(dist[:, start:], length)
             best = min(best, int(dist.min()))
         return best
-
-
-class _RejectionSampler:
-    """Envelope ``f_0 + A`` on the support of ``f_0``: mixture proposal."""
-
-    def __init__(self, f0: Density, amplitude: float, target: Callable):
-        self._f0 = f0
-        self._amp = amplitude
-        self._target = target
-        box = f0.support
-        self._volume = float(np.prod(box.widths()))
-        self._box = box
-
-    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        out = np.empty((count, self._f0.dim))
-        got = 0
-        proposed = 0
-        uniform_w = self._amp * self._volume / (1.0 + self._amp * self._volume)
-        lo = np.asarray(self._box.lower)
-        hi = np.asarray(self._box.upper)
-        while got < count:
-            batch = max(1024, count - got)
-            pick_uniform = rng.random(batch) < uniform_w
-            pts = self._f0.sampler.draw(rng, batch)
-            n_uni = int(pick_uniform.sum())
-            if n_uni:
-                pts[pick_uniform] = lo + (hi - lo) * rng.random((n_uni, len(lo)))
-            envelope = self._f0.field.eval(pts) + self._amp
-            accept = rng.random(batch) * envelope <= self._target(pts)
-            take = min(int(accept.sum()), count - got)
-            out[got:got + take] = pts[accept][:take]
-            got += take
-            proposed += batch
-            if proposed >= 10_000 and got / proposed < 1e-3:
-                raise RuntimeError(
-                    f"rejection sampler degenerate: acceptance {got / proposed:.2e}")
-        return out
 
 
 def build_family(params: FamilyParams, code: np.ndarray | None = None,

@@ -340,7 +340,8 @@ def mc_risk(config: ExperimentConfig | dict, workers: int = 1) -> RiskReport:
                                                  workers) if b.size]
     jobs = [(n, block) for n in config.sample_sizes for block in blocks]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a pool forks its workers at the first submit, so start no idle ones
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             results = list(pool.map(partial(_worker_cells, json.dumps(doc, sort_keys=True)),
                                     *zip(*jobs)))
     else:

@@ -80,6 +80,16 @@ def test_family_build_infeasible_names_constraint(capsys):
         assert run(["family-build", "--s", "1,1", "--d", "1,1", "--p", p, "--r", r,
                     "--n", "10000"]) == 2
         assert message in capsys.readouterr().err
+    # a plateau constant that underflows and an unbounded plateau width
+    for extra, message in [
+            (["--p", "1e300", "--r", "10"],
+             "plateau norm constant C0 = 0.0 at p = 1e+300 is not a finite number > 0"),
+            (["--p", "2", "--r", "10", "--big-n", "inf"],
+             "N must be a finite number > 8, got inf")]:
+        assert run(["family-build", "--s", "1,1", "--d", "1,1", *extra, "--n", "10000"]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
 
 
 SMALL_RISK = {

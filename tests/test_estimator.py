@@ -359,8 +359,13 @@ def test_mean_field_factorized_matches_generic():
 
 
 def test_mean_field_needs_product_truth(small_family):
+    # one rule: a family member has no axis factors, so it has neither a
+    # per-axis mean field nor an inverse-CDF sampler
     member = small_family.member(small_family.code[-1])
     axes = [np.linspace(-1.0, 1.0, 5)] * 2
+    for count in (0, 10):
+        with pytest.raises(ValueError, match="sampling needs a product density"):
+            member.sample(1, count)
     with pytest.raises(ValueError, match="product truth"):
         mean_field_on_axes(STRICT21, 0.3, member, axes)
     with pytest.raises(ValueError, match="product truth"):

@@ -303,24 +303,6 @@ def test_members_are_pdfs(small_family):
         assert res["min_grid_value"] >= -1e-12
 
 
-def test_rejection_sampler_deterministic(small_family):
-    member = small_family.member(small_family.code[1])
-    a = member.sample(777, 800)
-    b = member.sample(777, 800)
-    assert np.array_equal(a, b)
-    half = (small_family.params.big_n + 2.0) / 2.0
-    assert np.all(np.abs(a) <= half)
-
-
-def test_rejection_sampler_degenerate_target(small_family):
-    from mixedkde.lower_bound import _RejectionSampler
-
-    sampler = _RejectionSampler(small_family.f0, small_family.params.amplitude,
-                                lambda pts: np.zeros(pts.shape[0]))
-    with pytest.raises(RuntimeError, match="degenerate"):
-        sampler.draw(np.random.default_rng(0), 10)
-
-
 def test_construction_error_on_bad_geometry():
     # huge sigma pushes blocks outside the plateau
     params = FamilyParams(s1=1, s2=1, d1=1, d2=1, p=2.0, r=5.0, big_n=9.0,

@@ -15,6 +15,7 @@ from mixedkde.estimator import bandwidth_rule
 from mixedkde.kernels import build_order_kernel
 from mixedkde.lower_bound import (FamilyParams, build_family, chi2_affinity, choose_parameters,
                                   family_distance, vg_code)
+from mixedkde import risk
 from mixedkde.product import q_norm, tensor_kernel, verify_class
 from mixedkde.quadrature import QuadRule, lp_norm
 from mixedkde.risk import (cell_seed, config_from_dict, fit_rate, mc_risk,
@@ -158,6 +159,31 @@ def test_mc_risk_rejects_worker_count_below_one():
     for workers in (0, -1):
         with pytest.raises(ValueError, match="workers"):
             mc_risk(dict(TINY_DOC), workers=workers)
+
+
+def test_mc_risk_starts_no_more_workers_than_jobs(monkeypatch):
+    # TINY_DOC makes 6 jobs (3 sample sizes, 2 non-empty replicate blocks)
+    started = []
+
+    class InProcessPool:
+        """Records the requested worker count and maps in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(risk, "ProcessPoolExecutor", InProcessPool)
+    report = mc_risk(dict(TINY_DOC), workers=64)
+    assert started == [6]
+    assert report == mc_risk(dict(TINY_DOC), workers=1)
 
 
 def test_mc_risk_pool_leaves_no_process():
