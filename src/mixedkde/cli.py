@@ -98,8 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
     rr.add_argument("--config", required=True, help="experiment JSON path")
     rr.add_argument("--out", required=True, help="output prefix (.csv and .json written)")
     rr.add_argument("--threads", type=int, default=1,
-                    help="worker processes, at most one per job; the output is the same "
-                         "for every count")
+                    help="worker processes, at most one per CPU and one per job; the output "
+                         "is the same for every count")
     rr.add_argument("--replicates", type=int, help="override the config replicate count")
     rr.add_argument("--seed", type=int, help="override the config master seed")
 

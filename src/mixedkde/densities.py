@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -149,10 +150,7 @@ def _product_field(factors: Sequence[AxisFactor]) -> DifferentiableField:
 
         def deriv_field(pts: np.ndarray) -> np.ndarray:
             pts = np.atleast_2d(np.asarray(pts, dtype=float))
-            vals = np.ones(pts.shape[0])
-            for j, fn in enumerate(funcs):
-                vals *= fn(pts[:, j])
-            return vals
+            return reduce(np.multiply, [fn(x) for fn, x in zip(funcs, pts.T)])
 
         def on_grid(axes: Sequence[np.ndarray]) -> np.ndarray:
             return tensor_product([fn(a) for fn, a in zip(funcs, axes)])

@@ -23,13 +23,13 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce, wraps
 from typing import Callable, get_type_hints
 
 import numpy as np
 
 from .bumps import g_deriv, g_function, g_norm, g_sobolev_norm, bump_sobolev_norm, bump_l1
-from .densities import Density, PlateauInfo, plateau_density
+from .densities import Density, plateau_density
 from .kernels import config_scalar, config_values
 from .quadrature import QuadRule, integrate, tensor_product
 from .sobolev import DifferentiableField
@@ -121,11 +121,21 @@ def params_from_report(doc: dict) -> FamilyParams:
                                for name, key in keys.items()})
 
 
+def _check_inputs(s1: int, s2: int, d1: int, d2: int, p: float, r: float) -> None:
+    """Smoothness orders and dimensions >= 1, a finite p >= 1 and a finite radius r > 0."""
+    for name, value in (("s1", s1), ("s2", s2), ("d1", d1), ("d2", d2)):
+        if value < 1:
+            raise InfeasibleParameters(f"{name} must be >= 1, got {value}")
+    if not (math.isfinite(p) and p >= 1):
+        raise InfeasibleParameters(f"p must be a finite number >= 1, got {p}")
+    if not (math.isfinite(r) and r > 0):
+        raise InfeasibleParameters(f"radius r must be a finite number > 0, got {r}")
+
+
 def validate_params(params: FamilyParams) -> None:
     """Check every construction invariant, naming the first violated one."""
     p = params
-    if p.p < 1:
-        raise InfeasibleParameters(f"p must be >= 1, got {p.p}")
+    _check_inputs(p.s1, p.s2, p.d1, p.d2, p.p, p.r)
     if p.p == 1 and p.r <= 1:
         raise InfeasibleParameters(f"p = 1 requires radius r > 1, got r = {p.r}")
     if not p.big_n > 8:
@@ -145,13 +155,15 @@ def validate_params(params: FamilyParams) -> None:
     if p.n_blocks < 8:
         raise InfeasibleParameters(
             f"M^D = {p.n_blocks} < 8: too few blocks for the binary code")
+    if not (math.isfinite(p.amplitude) and p.amplitude > 0):
+        raise InfeasibleParameters(f"A must be a finite number > 0, got {p.amplitude}")
     plateau_value = (p.kappa / p.big_n) ** p.dim
     if p.amplitude > plateau_value * (1 + 1e-12):
         raise InfeasibleParameters(
             f"A = {p.amplitude} exceeds the plateau value (kappa/N)^D = {plateau_value}; "
             "n is too small for this configuration")
     expected_r_star = p.r - 1.0 if p.p == 1 else p.r
-    if abs(p.r_star - expected_r_star) > 1e-12:
+    if not abs(p.r_star - expected_r_star) <= 1e-12:
         raise InfeasibleParameters(
             f"r_star = {p.r_star} inconsistent with p = {p.p}, r = {p.r}")
 
@@ -184,18 +196,37 @@ def _kappa_choice(p: float, r: float, epsilon: float, c0: float, dim: int) -> fl
     if p == 1:
         cap = (epsilon * r - 1.0) / c0
     else:
-        cap = (epsilon * r / c0) ** (p / (dim * (p - 1.0)))
+        try:
+            cap = (epsilon * r / c0) ** (p / (dim * (p - 1.0)))
+        except OverflowError:  # a cap far above 1, where kappa = 1 anyway
+            cap = math.inf
     if cap <= 0:
         raise InfeasibleParameters(
             f"plateau norm constant C0 = {c0} leaves no admissible kappa for r = {r}")
     return min(1.0, cap)
 
 
+def _finite_constants(fn: Callable) -> Callable:
+    """``fn(p, dim, smooth, ...)``, an overflowing constant reported as infeasible parameters."""
+    @wraps(fn)
+    def checked(p: float, dim: int, smooth: int, *args):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return fn(p, dim, smooth, *args)
+        except (OverflowError, FloatingPointError) as exc:
+            raise InfeasibleParameters(
+                f"construction constants overflow at smoothness s1 + s2 = {smooth}, "
+                f"dimension d1 + d2 = {dim} and p = {p}: {exc}") from exc
+    return checked
+
+
+@_finite_constants
 def _plateau_constant(p: float, dim: int, smooth: int) -> float:
     """C0, the Sobolev-norm constant of the plateau density."""
     return (2.0 * bump_sobolev_norm(smooth - 1, p) / bump_l1()) ** dim
 
 
+@_finite_constants
 def _constants(p: float, dim: int, smooth: int, kappa: float, big_n: float,
                compact_regime: bool) -> FamilyConstants:
     """C0-C5 of the compact construction; in the non-compact one C3 and C4
@@ -233,13 +264,10 @@ def choose_parameters(n: int, r: float, p: float, s1: int, s2: int, d1: int,
     and the wiggle amplitude decays like ``n^{-S/(2S+D)}``; in the
     non-compact regime ``big_n`` is derived from the amplitude so the
     support grows with ``n``.  Raises ``InfeasibleParameters`` naming the
-    violated constraint when ``p``, ``r`` or ``big_n`` is out of range or
-    ``n`` is too small.
+    violated constraint when an input is out of range, a construction
+    constant overflows or ``n`` is too small.
     """
-    if not (math.isfinite(p) and p >= 1):
-        raise InfeasibleParameters(f"p must be a finite number >= 1, got {p}")
-    if not (math.isfinite(r) and r > 0):
-        raise InfeasibleParameters(f"radius r must be a finite number > 0, got {r}")
+    _check_inputs(s1, s2, d1, d2, p, r)
     if n < 1:
         raise InfeasibleParameters("n must be a positive integer")
     dim = d1 + d2
@@ -380,35 +408,42 @@ def _pointwise(op: Callable, *fields: Callable) -> Callable:
 
 
 class LowerBoundFamily:
-    """The plateau density plus its coded perturbations."""
+    """The plateau density ``f0`` plus the perturbations coded by the rows of
+    ``code`` (``n_words x M^D`` bits).  Only the block geometry is checked
+    here, so small diagnostic instances (``M <= N``) build too;
+    ``build_family`` also checks every construction invariant."""
 
-    def __init__(self, params: FamilyParams, f0: Density, info: PlateauInfo,
-                 code: np.ndarray):
+    def __init__(self, params: FamilyParams, code: np.ndarray):
+        code = np.asarray(code, dtype=np.uint8)
+        if code.ndim != 2 or code.shape[1] != params.n_blocks:
+            raise ValueError(
+                f"code must have shape (n_words, {params.n_blocks}), got {code.shape}")
         self.params = params
-        self.f0 = f0
-        self.plateau = info
+        self.f0, self.plateau = plateau_density(params.big_n, params.kappa, params.dim)
         self.code = code
         kappa, sigma = params.kappa, params.sigma
         self.xi = (-(params.big_n - 4.0) / (4.0 * kappa)
                    + 8.0 * sigma * np.arange(1, params.m_per_axis + 1))
+        halfwidth = self.plateau.plateau_halfwidth
         lo_block = self.xi[0] - 3.0 * sigma
         hi_block = self.xi[-1] + 3.0 * sigma
-        if lo_block < -info.plateau_halfwidth - 1e-12 or hi_block > info.plateau_halfwidth + 1e-12:
+        if lo_block < -halfwidth - 1e-12 or hi_block > halfwidth + 1e-12:
             raise ConstructionError(
                 f"bump blocks [{lo_block}, {hi_block}] leave the plateau "
-                f"[-{info.plateau_halfwidth}, {info.plateau_halfwidth}]; "
-                "parameters are inconsistent")
+                f"[-{halfwidth}, {halfwidth}]; parameters are inconsistent")
 
-    # -- block geometry ------------------------------------------------
-
-    def _locate(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-axis block index (0-based) and in-block mask for coordinates."""
-        sigma = self.params.sigma
+    def _axis_wiggle(self, coords: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+        """Block index of each coordinate on one axis (``M`` outside every
+        block) and its wiggle factor ``g^(order)((x - xi) / sigma)`` (0 outside)."""
+        sigma, m_axis = self.params.sigma, self.params.m_per_axis
         idx = np.rint((coords - self.xi[0]) / (8.0 * sigma)).astype(int)
-        valid = (idx >= 0) & (idx < self.params.m_per_axis)
-        idx = np.clip(idx, 0, self.params.m_per_axis - 1)
-        inside = valid & (np.abs(coords - self.xi[idx]) <= 3.0 * sigma)
-        return idx, inside
+        inside = (idx >= 0) & (idx < m_axis)
+        idx = np.clip(idx, 0, m_axis - 1)
+        inside &= np.abs(coords - self.xi[idx]) <= 3.0 * sigma
+        u = (coords[inside] - self.xi[idx[inside]]) / sigma
+        vals = np.zeros(coords.shape)
+        vals[inside] = g_deriv(order, u) if order else g_function(u)
+        return np.where(inside, idx, m_axis), vals
 
     def _word_bits(self, word: np.ndarray) -> np.ndarray:
         word = np.asarray(word, dtype=np.uint8)
@@ -419,62 +454,37 @@ class LowerBoundFamily:
 
     def perturbation_field(self, word: np.ndarray,
                            alpha: tuple[int, ...] | None = None) -> Callable:
-        """Field of ``F_omega`` (or its partial derivative ``alpha``), with ``on_grid``."""
+        """Field of ``F_omega`` (or its partial derivative ``alpha``), with ``on_grid``.
+
+        Each axis gives a coordinate its block index and wiggle factor; a
+        value is ``A sigma^-|alpha|`` times the factors, multiplied left to
+        right, where the word's bit of the block is one, and 0 elsewhere.
+        """
         bits = self._word_bits(word)
-        params = self.params
-        dim = params.dim
-        sigma = params.sigma
-        shape = (params.m_per_axis,) * dim
+        dim, m_axis = self.params.dim, self.params.m_per_axis
         orders = tuple(alpha) if alpha is not None else (0,) * dim
-        scale = params.amplitude / sigma ** sum(orders)
-
-        def wiggle(j: int, coords: np.ndarray, idx: np.ndarray) -> np.ndarray:
-            u = (coords - self.xi[idx]) / sigma
-            return g_deriv(orders[j], u) if orders[j] else g_function(u)
-
-        def field(pts: np.ndarray) -> np.ndarray:
-            pts = np.atleast_2d(np.asarray(pts, dtype=float))
-            if pts.shape[1] != dim:
-                raise ValueError(f"expected dimension {dim}, got {pts.shape[1]}")
-            idx = np.empty((pts.shape[0], dim), dtype=int)
-            inside = np.ones(pts.shape[0], dtype=bool)
-            for j in range(dim):
-                ij, ins = self._locate(pts[:, j])
-                idx[:, j] = ij
-                inside &= ins
-            out = np.zeros(pts.shape[0])
-            if not np.any(inside):
-                return out
-            sel = np.nonzero(inside)[0]
-            flat = np.ravel_multi_index(tuple(idx[sel].T), shape)
-            active = bits[flat] != 0
-            sel = sel[active]
-            if sel.size == 0:
-                return out
-            vals = np.full(sel.size, scale)
-            for j in range(dim):
-                vals *= wiggle(j, pts[sel, j], idx[sel, j])
-            out[sel] = vals
-            return out
-
+        scale = self.params.amplitude / self.params.sigma ** sum(orders)
         # the word's bits on the block grid, padded with a zero block that
-        # every node outside the blocks of its axis points to
-        padded = np.zeros((params.m_per_axis + 1,) * dim, dtype=bool)
-        padded[(slice(-1),) * dim] = bits.reshape(shape) != 0
+        # every coordinate outside the blocks of its axis points to
+        padded = np.zeros((m_axis + 1,) * dim, dtype=bool)
+        padded[(slice(-1),) * dim] = bits.reshape((m_axis,) * dim) != 0
 
-        def on_grid(axes) -> np.ndarray:
+        def per_axis(axes):
             if len(axes) != dim:
                 raise ValueError(f"expected dimension {dim}, got {len(axes)}")
-            factors, active = [], padded
-            for j, a in enumerate(axes):
-                a = np.asarray(a, dtype=float)
-                idx, inside = self._locate(a)
-                vals = np.zeros(a.shape)
-                vals[inside] = wiggle(j, a[inside], idx[inside])
-                factors.append(vals)
-                active = active.take(np.where(inside, idx, params.m_per_axis), axis=j)
-            factors[0] = scale * factors[0]
-            return np.where(active, tensor_product(factors), 0.0)
+            return tuple(zip(*(self._axis_wiggle(np.asarray(a, dtype=float), k)
+                               for a, k in zip(axes, orders))))
+
+        def field(pts: np.ndarray) -> np.ndarray:
+            idx, vals = per_axis(np.atleast_2d(np.asarray(pts, dtype=float)).T)
+            return np.where(padded[idx], reduce(np.multiply, vals, scale), 0.0)
+
+        def on_grid(axes) -> np.ndarray:
+            idx, vals = per_axis(axes)
+            active = padded
+            for j, ij in enumerate(idx):
+                active = active.take(ij, axis=j)
+            return np.where(active, tensor_product((scale * vals[0],) + vals[1:]), 0.0)
 
         field.on_grid = on_grid
         return field
@@ -513,27 +523,11 @@ class LowerBoundFamily:
         return best
 
 
-def build_family(params: FamilyParams, code: np.ndarray | None = None,
-                 code_seed: int = 0, validate: bool = True) -> LowerBoundFamily:
-    """Assemble the family; ``code=None`` generates the packing code.
-
-    Small diagnostic instances (``M <= N``, fewer than 8 blocks) cannot
-    satisfy the full parameter invariants, which force at least nine blocks
-    per axis; pass an explicit ``code`` and ``validate=False`` to build
-    them anyway.  Block geometry (disjointness inside the plateau) is
-    always enforced.
-    """
-    if validate:
-        validate_params(params)
-    f0, info = plateau_density(params.big_n, params.kappa, params.dim)
-    if code is None:
-        code = vg_code(params.n_blocks, seed=code_seed)
-    else:
-        code = np.asarray(code, dtype=np.uint8)
-        if code.ndim != 2 or code.shape[1] != params.n_blocks:
-            raise ValueError(
-                f"code must have shape (n_words, {params.n_blocks}), got {code.shape}")
-    return LowerBoundFamily(params=params, f0=f0, info=info, code=code)
+def build_family(params: FamilyParams, code_seed: int = 0) -> LowerBoundFamily:
+    """The family of a parameter set that meets every construction invariant
+    (``validate_params``), coded by ``vg_code(M^D, code_seed)``."""
+    validate_params(params)
+    return LowerBoundFamily(params, vg_code(params.n_blocks, seed=code_seed))
 
 
 def family_rule(fam: LowerBoundFamily, nodes_per_panel: int = 8) -> QuadRule:

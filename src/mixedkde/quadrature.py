@@ -49,7 +49,7 @@ _CHUNK = 1 << 18
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box ``[lower_1, upper_1] x ... x [lower_d, upper_d]``."""
+    """Bounded axis-aligned box ``[lower_1, upper_1] x ... x [lower_d, upper_d]``."""
 
     lower: tuple[float, ...]
     upper: tuple[float, ...]
@@ -64,8 +64,8 @@ class Box:
         if len(lo) < 1:
             raise ValueError("box dimension must be >= 1")
         for i, (a, b) in enumerate(zip(lo, hi)):
-            if not a < b:
-                raise ValueError(f"box axis {i}: lower={a} must be < upper={b}")
+            if not (a < b and math.isfinite(a) and math.isfinite(b)):
+                raise ValueError(f"box axis {i}: lower={a} must be < upper={b}, both finite")
 
     @property
     def dim(self) -> int:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -157,8 +158,6 @@ class ExperimentConfig:
             raise ValueError(f"'p' must be a finite number >= 1, got {self.p}")
         if not (math.isfinite(self.slope_tol) and self.slope_tol > 0):
             raise ValueError(f"'slope_tol' must be a finite number > 0, got {self.slope_tol}")
-        if self.p < 2 and not np.all(np.isfinite(self.truth.support.widths())):
-            raise ValueError("p < 2 requires a compactly supported truth density")
 
     @property
     def theoretical_exponent(self) -> float:
@@ -321,11 +320,12 @@ def fit_rate(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
 def mc_risk(config: ExperimentConfig | dict, workers: int = 1) -> RiskReport:
     """Monte Carlo risk over the sample-size schedule.
 
-    The work is split into jobs, one per contiguous block of replicates at
-    each ``n`` (``workers`` blocks per ``n``), and the cells come back in
-    ``(n, replicate)`` order.  With ``workers > 1`` the config must be the
-    JSON-mirror dict so jobs can be shipped to worker processes, and
-    every worker has exited when this returns.  Every cell is a pure
+    ``workers`` is capped at the CPU count.  The work is split into jobs,
+    one per contiguous block of replicates at each ``n`` (``workers``
+    blocks per ``n``), and the cells come back in ``(n, replicate)``
+    order.  With ``workers > 1`` the config must be the JSON-mirror dict
+    so jobs can be shipped to worker processes, and every worker has
+    exited when this returns.  Every cell is a pure
     function of ``(config, n, replicate)`` and calls no BLAS routine, so the
     output is byte-identical for every worker count and BLAS thread setting.
     """
@@ -336,6 +336,7 @@ def mc_risk(config: ExperimentConfig | dict, workers: int = 1) -> RiskReport:
         doc, config = config, config_from_dict(config)
     elif workers > 1:
         raise ValueError("parallel mc_risk needs a dict config (JSON mirror)")
+    workers = min(workers, os.cpu_count() or 1)
     blocks = [b.tolist() for b in np.array_split(np.arange(config.replicates),
                                                  workers) if b.size]
     jobs = [(n, block) for n in config.sample_sizes for block in blocks]

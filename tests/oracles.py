@@ -2,9 +2,10 @@
 
 Nothing here imports from the package's numerical paths: quadrature is
 adaptive-bisection Simpson, tensor integrals are dense midpoint/trapezoid
-sums, derivatives are nested central finite differences, and the
+sums, derivatives are nested central finite differences, the
 density-estimator risk is a naive double loop with its own Horner
-polynomial evaluation.  These are deliberately slow and simple.
+polynomial evaluation, and the lower-bound perturbation finds its blocks
+by scanning every block centre.  These are deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -116,6 +117,35 @@ def kernel_variable_mean_field(truth_eval, h: float, factor_coeffs: list,
         for coeffs, uj in zip(factor_coeffs, u):
             w *= kernel_factor(coeffs, uj)
         out += w * truth_eval(pts + h * u[None, :])
+    return out
+
+
+def brute_force_perturbation(g, amplitude: float, sigma: float, centres: Sequence[float],
+                             word: np.ndarray, alpha: Sequence[int],
+                             pts: np.ndarray) -> np.ndarray:
+    """Partial ``alpha`` of a coded wiggle perturbation at each point:
+    ``A sigma^-|alpha| prod_j g(alpha_j, (x_j - c_{m_j}) / sigma)`` where the
+    point lies in block ``m`` and the bit of ``word`` (row-major over the
+    block grid) for ``m`` is set, else 0.  Blocks are found by direct search:
+    every centre ``c`` of every axis claims the coordinates with
+    ``|x_j - c| <= 3 sigma``.  ``g(m, t)`` is the wiggle's m-th derivative."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    count, dim = pts.shape
+    block = np.full((count, dim), -1)
+    offset = np.zeros((count, dim))
+    for j in range(dim):
+        for m, c in enumerate(centres):
+            near = np.abs(pts[:, j] - c) <= 3.0 * sigma
+            block[near, j] = m
+            offset[near, j] = pts[near, j] - c
+    bits = np.asarray(word).reshape((len(centres),) * dim)
+    hit = np.all(block >= 0, axis=1)
+    hit[hit] = bits[tuple(block[hit].T)] != 0
+    vals = amplitude / sigma ** sum(alpha)
+    for j, order in enumerate(alpha):
+        vals = vals * g(order, offset[hit, j] / sigma)
+    out = np.zeros(count)
+    out[hit] = vals
     return out
 
 

@@ -16,8 +16,8 @@ import pytest
 from mixedkde.densities import tensor_bump_density
 from mixedkde.estimator import bias_lp
 from mixedkde.kernels import build_order_kernel
-from mixedkde.lower_bound import (FamilyParams, InfeasibleParameters, build_family,
-                                  chi2_affinity, choose_parameters, family_distance,
+from mixedkde.lower_bound import (FamilyParams, InfeasibleParameters, LowerBoundFamily,
+                                  build_family, chi2_affinity, choose_parameters, family_distance,
                                   family_rule, hamming_distance, vg_code)
 from mixedkde.product import tensor_kernel, verify_class
 from mixedkde.quadrature import Box, QuadRule
@@ -129,7 +129,7 @@ def _diagnostic_family(m_per_axis: int, code: np.ndarray, p: float = 2.0):
                           amplitude=0.5 * (kappa / big_n) ** 2,
                           m_per_axis=m_per_axis, epsilon=0.5, r_star=5.0,
                           compact_regime=True)
-    return build_family(params, code=code, validate=False)
+    return LowerBoundFamily(params, code)
 
 
 def test_criterion_6_family_identities():

@@ -1,9 +1,13 @@
-"""The benchmark's span tracer must still find every name it rebinds."""
+"""The benchmark's tracer and workloads must still find every package name they use."""
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def test_tracer_install_rebinds_and_uninstall_restores():
@@ -21,3 +25,15 @@ def test_tracer_install_rebinds_and_uninstall_restores():
         tracer.uninstall()
     for owner, attr, original in patched:
         assert owner.__dict__[attr] is original, f"{owner!r}.{attr}"
+
+
+def test_workloads_import(monkeypatch):
+    # workloads.py imports its siblings oracle.py and spans.py as top-level modules
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        workloads = importlib.import_module("workloads")
+        declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
+        assert set(workloads.WORKLOADS) == {w["name"] for w in declared}
+    finally:
+        for name in ("workloads", "oracle", "spans"):
+            sys.modules.pop(name, None)

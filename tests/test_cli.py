@@ -80,13 +80,23 @@ def test_family_build_infeasible_names_constraint(capsys):
         assert run(["family-build", "--s", "1,1", "--d", "1,1", "--p", p, "--r", r,
                     "--n", "10000"]) == 2
         assert message in capsys.readouterr().err
-    # a plateau constant that underflows and an unbounded plateau width
+    # a plateau constant that underflows, an unbounded plateau width, orders and
+    # dimensions below 1 and smoothness orders whose constants overflow
+    readme = ["--p", "1.5", "--r", "240", "--big-n", "8.4"]
+    overflow = "construction constants overflow at smoothness s1 + s2 = {}, dimension d1 + d2 = 2"
     for extra, message in [
-            (["--p", "1e300", "--r", "10"],
+            (["--s", "1,1", "--d", "1,1", "--p", "1e300", "--r", "10"],
              "plateau norm constant C0 = 0.0 at p = 1e+300 is not a finite number > 0"),
-            (["--p", "2", "--r", "10", "--big-n", "inf"],
-             "N must be a finite number > 8, got inf")]:
-        assert run(["family-build", "--s", "1,1", "--d", "1,1", *extra, "--n", "10000"]) == 2
+            (["--s", "1,1", "--d", "1,1", "--p", "2", "--r", "10", "--big-n", "inf"],
+             "N must be a finite number > 8, got inf"),
+            (["--s", "1,1", "--d", "1,1", "--p", "1.5", "--r", "1e308", "--big-n", "8.4"],
+             "exceeds the plateau value"),
+            (["--s", "1,1", "--d", "0,1", *readme], "d1 must be >= 1, got 0"),
+            (["--s", "1,0", "--d", "1,1", *readme], "s2 must be >= 1, got 0"),
+            (["--s", "14,1", "--d", "1,1", *readme], overflow.format(15)),
+            (["--s", "8,8", "--d", "1,1", *readme], overflow.format(16)),
+            (["--s", "50,1", "--d", "1,1", *readme], overflow.format(51))]:
+        assert run(["family-build", *extra, "--n", "10000"]) == 2
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
@@ -254,6 +264,14 @@ def test_risk_run_rejects_non_object_config(tmp_path, capsys):
     cases.append((risk_run, "eval_box",
                   {**base, "eval_box": {"lower": [1.0, -1.0], "upper": [-1.0, 1.0]}},
                   "box axis 0: lower=1.0 must be < upper=-1.0"))
+    # infinite bounds of the evaluation box or of the truth's support
+    inf = float("inf")
+    for key, doc in [
+            ("eval_box", {**base, "eval_box": {"lower": [-inf, -2.0], "upper": [2.0, 2.0]}}),
+            ("truth", {**base, "truth": {"name": "tensor_bump", "params": {"widths": [inf, 1.0]}}}),
+            ("truth", {**base, "truth": {"name": "plateau",
+                                         "params": {"N": inf, "kappa": 1.0, "dim": 2}}})]:
+        cases.append((risk_run, key, doc, "both finite"))
     univariate = {"order": 1, "poly_coeffs": [0.5], "strict": False}
     for key, value in [("order", 2.9), ("strict", "false"), ("poly_coeffs", ["0.5"])]:
         cases.append((kernel_verify, key, {**univariate, key: value}, wrong_type))
@@ -285,6 +303,24 @@ def test_family_verify_without_params_names_key(tmp_path, capsys):
         assert run(["family-verify", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "'params'" in err and f"'{key}'" in err
+
+
+def test_family_verify_rejects_out_of_range_params(tmp_path, capsys):
+    cfg = tmp_path / "family.json"
+    params = params_to_report(choose_parameters(10_000, 240.0, 1.5, 1, 1, 1, 1, big_n=8.4))
+    nan, inf = float("nan"), float("inf")
+    for key, value, message in [("p", nan, "p must be a finite number >= 1, got nan"),
+                                ("p", inf, "p must be a finite number >= 1, got inf"),
+                                ("A", nan, "A must be a finite number > 0, got nan"),
+                                ("A", -1.0, "A must be a finite number > 0, got -1.0"),
+                                ("r", nan, "radius r must be a finite number > 0, got nan"),
+                                ("r_star", nan, "r_star = nan inconsistent with p = 1.5"),
+                                ("s1", 0, "s1 must be >= 1, got 0")]:
+        cfg.write_text(json.dumps({"params": {**params, key: value}}))
+        assert run(["family-verify", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
 
 
 def test_family_build_reports_lemma_hypotheses(tmp_path):

@@ -6,17 +6,18 @@ import math
 import numpy as np
 import pytest
 
-from mixedkde.bumps import g_norm
+from mixedkde.bumps import g_deriv, g_norm
 from mixedkde import lower_bound
 from mixedkde.lower_bound import (ConstructionError, FamilyParams,
-                                  InfeasibleParameters, build_family, chi2_affinity,
-                                  choose_parameters, family_constants,
+                                  InfeasibleParameters, LowerBoundFamily, build_family,
+                                  chi2_affinity, choose_parameters, family_constants,
                                   family_distance, family_report, family_rule,
                                   hamming_distance, params_from_report,
                                   params_to_report, validate_params, vg_code)
 from mixedkde import quadrature
 from mixedkde.quadrature import QuadRule, grid_points, integrate, multi_indices
 from mixedkde.sobolev import SmoothnessSpec, sobolev_norm
+from oracles import brute_force_perturbation
 
 
 def small_params(m_per_axis=3, p=2.0, amplitude_frac=0.5, d2=1):
@@ -31,13 +32,13 @@ def small_params(m_per_axis=3, p=2.0, amplitude_frac=0.5, d2=1):
 
 @pytest.fixture(scope="module")
 def small_family():
-    return build_family(small_params(3), code=vg_code(9), validate=False)
+    return LowerBoundFamily(small_params(3), vg_code(9))
 
 
 @pytest.fixture(scope="module")
 def family_3d():
     # d = (1, 2): 27 blocks on a 3-d grid
-    return build_family(small_params(3, d2=2), code=vg_code(27), validate=False)
+    return LowerBoundFamily(small_params(3, d2=2), vg_code(27))
 
 
 # ------------------------------ codes ------------------------------
@@ -90,7 +91,7 @@ def test_min_pairwise_hamming_matches_pairs(monkeypatch, block):
     # words of 9, 81 and 225 bits: one, two and four uint64 lanes
     for words, m_per_axis in [(1, 3), (2, 3), (40, 9), (25, 15)]:
         code = rng.integers(0, 2, size=(words, m_per_axis ** 2), dtype=np.uint8)
-        fam = build_family(small_params(m_per_axis), code=code, validate=False)
+        fam = LowerBoundFamily(small_params(m_per_axis), code)
         expected = min((hamming_distance(a, b) for a, b in itertools.combinations(code, 2)),
                        default=code.shape[1])
         assert fam.min_pairwise_hamming() == expected
@@ -246,17 +247,25 @@ def _block_cutting_axes(fam):
 @pytest.mark.parametrize("fixture", ["small_family", "family_3d"])
 def test_family_grid_path_equals_point_path(request, fixture):
     fam = request.getfixturevalue(fixture)
+    params = fam.params
+    # block centres as the construction places them
+    centres = (-(params.big_n - 4.0) / (4.0 * params.kappa)
+               + 8.0 * params.sigma * np.arange(1, params.m_per_axis + 1))
     axes = _block_cutting_axes(fam)
     pts = grid_points(axes)
     shape = [len(a) for a in axes]
-    ones = np.ones(fam.params.n_blocks, dtype=np.uint8)
+    ones = np.ones(params.n_blocks, dtype=np.uint8)
     for word in (fam.code[1], ones):
         member = fam.member(word)
-        for alpha in multi_indices(fam.params.dim, 2):
-            for field in (fam.perturbation_field(word, alpha),
-                          member.field.partial_field(alpha)):
-                np.testing.assert_array_equal(field.on_grid(axes),
-                                              field(pts).reshape(shape))
+        for alpha in multi_indices(params.dim, 2):
+            pert = brute_force_perturbation(g_deriv, params.amplitude, params.sigma, centres,
+                                            word, alpha, pts)
+            f0 = fam.f0.field.partial_field(alpha)(pts)
+            for field, expected in ((fam.perturbation_field(word, alpha), pert),
+                                    (member.field.partial_field(alpha), f0 + pert)):
+                point = field(pts)
+                np.testing.assert_array_equal(field.on_grid(axes), point.reshape(shape))
+                np.testing.assert_allclose(point, expected, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("fixture", ["small_family", "family_3d"])
@@ -309,7 +318,7 @@ def test_construction_error_on_bad_geometry():
                           kappa=1.0, sigma=0.9, amplitude=1e-4, m_per_axis=6,
                           epsilon=0.5, r_star=5.0, compact_regime=True)
     with pytest.raises(ConstructionError, match="plateau"):
-        build_family(params, code=np.zeros((2, 36), dtype=np.uint8), validate=False)
+        LowerBoundFamily(params, np.zeros((2, 36), dtype=np.uint8))
 
 
 def test_sobolev_budget_on_feasible_instance():

@@ -262,6 +262,9 @@ def test_partial_fd_field_matches_pointwise():
 def test_box_validation():
     with pytest.raises(ValueError, match="lower"):
         Box((0, 1), (1, 0.5))
+    for lower, upper in [((-np.inf, 0), (1, 1)), ((0, 0), (1, np.inf))]:
+        with pytest.raises(ValueError, match="both finite"):
+            Box(lower, upper)
     with pytest.raises(ValueError):
         Box((), ())
 

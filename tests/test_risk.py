@@ -2,6 +2,7 @@ import ctypes
 import itertools
 import math
 import multiprocessing
+import os
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,8 +14,8 @@ import hypothesis.strategies as st
 from mixedkde.densities import tensor_bump_density
 from mixedkde.estimator import bandwidth_rule
 from mixedkde.kernels import build_order_kernel
-from mixedkde.lower_bound import (FamilyParams, build_family, chi2_affinity, choose_parameters,
-                                  family_distance, vg_code)
+from mixedkde.lower_bound import (FamilyParams, LowerBoundFamily, build_family, chi2_affinity,
+                                  choose_parameters, family_distance)
 from mixedkde import risk
 from mixedkde.product import q_norm, tensor_kernel, verify_class
 from mixedkde.quadrature import QuadRule, lp_norm
@@ -162,7 +163,6 @@ def test_mc_risk_rejects_worker_count_below_one():
 
 
 def test_mc_risk_starts_no_more_workers_than_jobs(monkeypatch):
-    # TINY_DOC makes 6 jobs (3 sample sizes, 2 non-empty replicate blocks)
     started = []
 
     class InProcessPool:
@@ -181,9 +181,21 @@ def test_mc_risk_starts_no_more_workers_than_jobs(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(risk, "ProcessPoolExecutor", InProcessPool)
-    report = mc_risk(dict(TINY_DOC), workers=64)
+    serial = mc_risk(dict(TINY_DOC), workers=1)
+    # with 128 CPUs TINY_DOC makes 6 jobs (3 sample sizes, 2 non-empty replicate blocks)
+    monkeypatch.setattr(os, "cpu_count", lambda: 128)
+    assert mc_risk(dict(TINY_DOC), workers=64) == serial
     assert started == [6]
-    assert report == mc_risk(dict(TINY_DOC), workers=1)
+    # with 3 CPUs 5,000 workers split 5 replicates into 3 blocks: 9 jobs, 3 workers
+    doc = dict(TINY_DOC, replicates=5)
+    serial = mc_risk(dict(doc), workers=1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert mc_risk(dict(doc), workers=5000) == serial
+    assert started == [6, 3]
+    # an unknown CPU count runs serially
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert mc_risk(dict(doc), workers=5000) == serial
+    assert started == [6, 3]
 
 
 def test_mc_risk_pool_leaves_no_process():
@@ -330,7 +342,7 @@ def test_verify_lower_hypotheses_single_word():
                           compact_regime=True)
     word = np.zeros((1, 9), dtype=np.uint8)
     word[0, 4] = 1
-    fam = build_family(params, code=word, validate=False)
+    fam = LowerBoundFamily(params, word)
     rep = verify_lower_hypotheses(fam, 10)
     assert rep.c0_estimate == pytest.approx(chi2_affinity(fam, word[0], 10), rel=1e-14)
 
@@ -341,7 +353,7 @@ def test_verify_lower_hypotheses_averages_every_word_of_a_large_code():
     params = choose_parameters(n, 240.0, 1.5, 1, 1, 1, 1, big_n=8.4)
     code = np.random.default_rng(5).integers(0, 2, size=(5_000, params.n_blocks),
                                              dtype=np.uint8)
-    fam = build_family(params, code=code, validate=False)
+    fam = LowerBoundFamily(params, code)
     rep = verify_lower_hypotheses(fam, n)
     mean = np.mean([chi2_affinity(fam, word, n) for word in code])
     assert rep.c0_estimate == pytest.approx(mean, rel=1e-12)
