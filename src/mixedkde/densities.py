@@ -2,8 +2,8 @@
 
 Two families are built here.  ``tensor_bump_density`` is the smooth
 compactly supported product of scaled bump pdfs used by the risk harness.
-``plateau_density`` is the product density that is exactly constant on a
-central cube: each factor is ``(kappa/N) * LambdaTilde(kappa x)`` where
+``plateau_density`` is the product density that is exactly ``(kappa/N)^D``
+on the central cube of half-width ``(N - 2) / (2 kappa)``: each factor is ``(kappa/N) * LambdaTilde(kappa x)`` where
 ``LambdaTilde(u) = LambdaBar(u + N/2) - LambdaBar(u - N/2)`` is the bump
 pdf convolved with the indicator of ``[-N/2, N/2]``.  The perturbation
 family of the lower-bound construction is layered on top of it in
@@ -213,23 +213,7 @@ def _plateau_axis_factor(big_n: float, kappa: float) -> AxisFactor:
     return AxisFactor(pdf=pdf, lo=-half_support, hi=half_support, deriv=deriv)
 
 
-@dataclass(frozen=True)
-class PlateauInfo:
-    big_n: float
-    kappa: float
-    dim: int
-
-    @property
-    def value(self) -> float:
-        """Exact constant value on the central cube."""
-        return (self.kappa / self.big_n) ** self.dim
-
-    @property
-    def plateau_halfwidth(self) -> float:
-        return (self.big_n - 2.0) / (2.0 * self.kappa)
-
-
-def plateau_density(big_n: float, kappa: float, dim: int) -> tuple[Density, PlateauInfo]:
+def plateau_density(big_n: float, kappa: float, dim: int) -> Density:
     """Product density that is exactly ``(kappa/N)^dim`` on the central cube.
 
     Supported in ``[-(N+2)/(2 kappa), (N+2)/(2 kappa)]^dim`` and constant on
@@ -240,4 +224,4 @@ def plateau_density(big_n: float, kappa: float, dim: int) -> tuple[Density, Plat
     if not 0 < kappa <= 1:
         raise ValueError(f"kappa must be in (0, 1], got {kappa}")
     factors = [_plateau_axis_factor(big_n, kappa) for _ in range(dim)]
-    return product_density(factors), PlateauInfo(big_n=big_n, kappa=kappa, dim=dim)
+    return product_density(factors)

@@ -6,7 +6,8 @@ sample point:
     fhat(x) = (1 / (n h^D)) sum_i K((X_i - x) / h).
 
 The estimator is evaluated on tensor grids only (a point is a one-node
-grid).  Every kernel factor is a polynomial on ``[-1, 1]``, so
+grid) whose axes hold finite nodes in ascending order, from a finite
+sample.  Every kernel factor is a polynomial on ``[-1, 1]``, so
 ``kde_on_grid`` sums by fast sum updating (Fan and Marron 1994): each
 sample adds its power moments at the corners of its support box in one
 difference table per moment, and prefix sums along the axes, contracted
@@ -71,6 +72,8 @@ class KdeModel:
             raise ValueError(f"bandwidth must lie in (0, 1), got {self.h}")
         if sample.shape[0] == 0:
             raise ValueError("sample must be nonempty")
+        if not np.isfinite(sample).all():
+            raise ValueError("sample has a non-finite value")
         if sample.shape[1] != self.kernel.dim:
             raise ValueError(
                 f"sample dimension {sample.shape[1]} != kernel dimension {self.kernel.dim}")
@@ -83,9 +86,11 @@ class KdeModel:
 def kde_on_grid(model: KdeModel, axes: Sequence[np.ndarray]) -> np.ndarray:
     """Estimator on the tensor grid spanned by per-axis node vectors.
 
-    Every kernel factor is a polynomial on its support, so the grid sums
-    follow exactly from prefix sums of the samples' power moments (fast sum
-    updating).  On each axis a sample covers the sorted nodes ``[lo, hi)``
+    Each axis holds finite nodes in ascending order (repeated nodes are
+    allowed); any other axis raises a ``ValueError`` naming it.  Every
+    kernel factor is a polynomial on its support, so the grid sums follow
+    exactly from prefix sums of the samples' power moments (fast sum
+    updating).  On each axis a sample covers the nodes ``[lo, hi)``
     where ``|(x - node) / h| <= 1`` as the kernel factor computes it, less
     an end where the factor is exactly 0 (``_AxisPlan.support``).  Each
     axis is cut into tiles that span at most about ``h``, half a support,
@@ -94,8 +99,7 @@ def kde_on_grid(model: KdeModel, axes: Sequence[np.ndarray]) -> np.ndarray:
     ``kappa((x - y) / h) = sum_l xi^l P_l(eta)`` with ``xi = (x - c) / h``
     and ``eta = (y - c) / h``, so ``|xi| <= 1.5`` and ``|eta| <= 0.5`` on
     any axis and the sums do not cancel as they would about one centre per
-    axis.  A constant factor sums exact counts and takes the whole axis as
-    one tile.
+    axis.  A constant factor takes the whole axis as one tile.
 
     Each sample adds its moment weights ``prod_j xi_j^l_j`` at the corners
     of its pieces in the tiles, in a difference table per moment and
@@ -105,15 +109,21 @@ def kde_on_grid(model: KdeModel, axes: Sequence[np.ndarray]) -> np.ndarray:
     Summing within tiles keeps the rounding of far samples out of a
     node's sum.  The moment of order 0 on every axis counts the covering
     samples exactly, and a node that no sample covers is an exact 0.0, as
-    in the dense sum.  The cost is O(n 4^dim moments + nodes moments): no
-    matrix product, so no dependence on BLAS threads, and no work per
-    sample and node.  Memory is the tables plus one chunk.
+    in the dense sum.  The grid is scaled by ``1 / (n h^dim)`` last.  The
+    cost is O(n 4^dim moments + nodes moments): no matrix product, so no
+    dependence on BLAS threads, and no work per sample and node.  Memory
+    is the tables plus one chunk.
     """
     dim = model.kernel.dim
     if len(axes) != dim:
         raise ValueError(f"grid has dimension {len(axes)}, kernel wants {dim}")
     h = model.h
     axes = [np.asarray(axis, dtype=float) for axis in axes]
+    for j, axis in enumerate(axes):
+        if not np.isfinite(axis).all():
+            raise ValueError(f"grid axis {j} has a non-finite node")
+        if np.any(axis[1:] < axis[:-1]):
+            raise ValueError(f"grid axis {j} is not in ascending order")
     shape = tuple(axis.size for axis in axes)
     if 0 in shape:
         return np.zeros(shape)
@@ -138,13 +148,8 @@ def kde_on_grid(model: KdeModel, axes: Sequence[np.ndarray]) -> np.ndarray:
         _contract(work.real, plans[j].poly, dim - 1 - j)
         work = work[:, 0]
     work = work[tuple(slice(0, g) for g in shape)]
-    # a factor of degree 0 is one constant on every node, left out of its contraction
-    factor = np.prod([p.poly[0, 0] for p in plans if p.poly.shape[0] == 1]) / (model.n * h ** dim)
     grid = np.zeros(shape)
-    np.multiply(work.real, factor, out=grid, where=work.imag != 0.0)
-    for j, plan in enumerate(plans):
-        if plan.order is not None:
-            grid = np.take(grid, np.argsort(plan.order), axis=j)
+    np.multiply(work.real, 1.0 / (model.n * h ** dim), out=grid, where=work.imag != 0.0)
     return grid
 
 
@@ -172,9 +177,6 @@ def _difference_tables(plans: list["_AxisPlan"], x: np.ndarray, h: float) -> np.
     table = np.zeros(sizes[0] * slots * inner)
     for first in range(0, x.shape[0], _CHUNK):
         chunk = x[first:first + _CHUNK].T
-        finite = np.isfinite(chunk).all(axis=0)
-        if not finite.all():
-            chunk = chunk[:, finite]
         bounds = [plan.support(chunk[j], h) for j, plan in enumerate(plans)]
         live = np.logical_and.reduce([lo < hi for lo, hi in bounds])
         if not live.all():
@@ -196,14 +198,8 @@ def _contract(sums: np.ndarray, poly: np.ndarray, trailing: int, out=None) -> No
     """``out = sum_l P_l * sums[:, l]``: one axis's moments contracted with its
     expansion polynomials, the axis followed by ``trailing`` grid axes.
 
-    ``out`` defaults to ``sums[:, 0]``; ``sums[:, 1:]`` is overwritten.  A
-    factor of degree 0 (one moment) is left for the caller's scale, so
-    ``out`` gets ``sums[:, 0]`` as it is.
+    ``out`` defaults to ``sums[:, 0]``; ``sums[:, 1:]`` is overwritten.
     """
-    if poly.shape[0] == 1:
-        if out is not None:
-            out[...] = sums[:, 0]
-        return
     along = poly.reshape(poly.shape + (1,) * trailing)
     out = sums[:, 0] if out is None else out
     np.multiply(sums[:, 0], along[0], out=out)
@@ -214,22 +210,20 @@ def _contract(sums: np.ndarray, poly: np.ndarray, trailing: int, out=None) -> No
 
 
 class _AxisPlan(NamedTuple):
-    """One axis of the grid: sorted nodes, tiles and expansion polynomials.
+    """One axis of the grid: nodes, tiles and expansion polynomials.
 
-    ``nodes = axis[order]`` is the axis sorted (``order`` is None when it
-    is sorted already), and ``step`` its spacing when it is even (None
-    otherwise).  The support starts at the first sorted node with
-    ``u <= limits[0]`` and ends before the first with ``u <= limits[1]``.
-    Tile ``t`` holds the sorted nodes ``bounds[t]`` to ``bounds[t + 1] - 1``
-    (the last one the sink node too), ``tile_of[k]`` is the tile of sorted
-    node ``k``, and a support reaches at most ``pieces`` tiles.  Tile ``t``
-    has centre ``centres[t]``.
+    ``nodes`` is the axis, finite and ascending, and ``step`` its spacing
+    when it is even (None otherwise).  The support starts at the first
+    node with ``u <= limits[0]`` and ends before the first with
+    ``u <= limits[1]``.  Tile ``t`` holds the nodes ``bounds[t]`` to
+    ``bounds[t + 1] - 1`` (the last one the sink node too), ``tile_of[k]``
+    is the tile of node ``k``, and a support reaches at most ``pieces``
+    tiles.  Tile ``t`` has centre ``centres[t]``.
     ``poly[l, k]`` is ``P_l(eta_k)``, the coefficient of ``xi^l`` in the
-    kernel factor at sorted node ``k``; it is 0 on the sink node past the
-    end.
+    kernel factor at node ``k``; it is 0 on the sink node past the end.
+    A constant factor has one row, the constant.
     """
 
-    order: np.ndarray | None
     nodes: np.ndarray
     step: float | None
     limits: np.ndarray
@@ -242,10 +236,6 @@ class _AxisPlan(NamedTuple):
     @classmethod
     def build(cls, axis, h: float, kappa: UnivariateKernel) -> "_AxisPlan":
         nodes = np.asarray(axis, dtype=float)
-        order = None
-        if np.any(nodes[1:] < nodes[:-1]):
-            order = np.argsort(nodes, kind="stable")
-            nodes = nodes[order]
         size = nodes.size
         gaps = np.diff(nodes)
         step = (nodes[-1] - nodes[0]) / (size - 1) if size > 1 else 0.0
@@ -263,7 +253,8 @@ class _AxisPlan(NamedTuple):
         while len(coeffs) > 1 and coeffs[-1] == 0.0:
             coeffs.pop()
         if len(coeffs) == 1:
-            # a constant factor sums exact counts and needs no centres
+            # a constant factor sums exact counts and needs no centres; one
+            # tile gives a support 2 table entries on this axis, not 4
             starts, pieces = [0], 1
         else:
             starts, pieces = _tile_starts(nodes, h), _PIECES
@@ -278,16 +269,16 @@ class _AxisPlan(NamedTuple):
             for k in range(len(coeffs) - 2, l - 1, -1):
                 row *= -eta
                 row += coeffs[k] * comb(k, l)
-        return cls(order, nodes, step, limits, bounds, tile_of, pieces, centres, poly)
+        return cls(nodes, step, limits, bounds, tile_of, pieces, centres, poly)
 
     def support(self, x: np.ndarray, h: float) -> np.ndarray:
-        """Each sample's support ``[lo, hi)`` on the sorted nodes, shape (2, m).
+        """Each sample's support ``[lo, hi)`` on the nodes, shape (2, m).
 
         These are exactly the nodes where ``|(x - node) / h| <= 1`` as
         ``UnivariateKernel.__call__`` computes it, less an end where the
-        factor is exactly 0.  ``u`` does not increase along the sorted
-        nodes, so a guess for the first node past ``x -+ h`` is walked to
-        the first node past each limit.  The guess comes from the spacing
+        factor is exactly 0.  ``u`` does not increase along the nodes, so
+        a guess for the first node past ``x -+ h`` is walked to the first
+        node past each limit.  The guess comes from the spacing
         on an even axis and from a binary search on any other; on the risk
         harness's even grids the binary search alone made a call at
         n = 2^14 about 1.6 times slower.  The samples must be finite.
@@ -311,7 +302,7 @@ class _AxisPlan(NamedTuple):
              h: float) -> tuple[np.ndarray, np.ndarray]:
         """Difference-table entries of the supports ``[lo, hi)`` of samples ``x``.
 
-        Returns the sorted-node indices, shape (pieces + 1, m), and the
+        Returns the node indices, shape (pieces + 1, m), and the
         weight of each moment there, shape (moments, pieces + 1, m).  A
         support is cut at every tile start it crosses; its piece in tile
         ``t`` adds ``xi_t^l`` at its start, and the last piece subtracts it
@@ -363,7 +354,7 @@ def _powers(xi: np.ndarray, out: np.ndarray) -> None:
 
 
 def _tile_starts(nodes: np.ndarray, h: float) -> list[int]:
-    """Greedy tile starts on the sorted nodes: each tile holds the nodes less
+    """Greedy tile starts on the ascending nodes: each tile holds the nodes less
     than half a support's reach past its first, so it spans at most about h
     and one support reaches at most ``_PIECES`` = 3 tiles.
 

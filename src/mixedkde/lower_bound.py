@@ -185,7 +185,7 @@ def _epsilon_rstar(p: float, r: float) -> tuple[float, float]:
     if p == 1:
         if r <= 1:
             raise InfeasibleParameters(f"p = 1 requires r > 1, got {r}")
-        return (r + 1.0) / (2.0 * r), r - 1.0
+        return 0.5 * (r + 1.0) / r, r - 1.0
     return 0.5, r
 
 
@@ -419,12 +419,13 @@ class LowerBoundFamily:
             raise ValueError(
                 f"code must have shape (n_words, {params.n_blocks}), got {code.shape}")
         self.params = params
-        self.f0, self.plateau = plateau_density(params.big_n, params.kappa, params.dim)
+        self.f0 = plateau_density(params.big_n, params.kappa, params.dim)
         self.code = code
         kappa, sigma = params.kappa, params.sigma
         self.xi = (-(params.big_n - 4.0) / (4.0 * kappa)
                    + 8.0 * sigma * np.arange(1, params.m_per_axis + 1))
-        halfwidth = self.plateau.plateau_halfwidth
+        # f0 is the constant (kappa/N)^D on the cube of this half-width
+        halfwidth = (params.big_n - 2.0) / (2.0 * kappa)
         lo_block = self.xi[0] - 3.0 * sigma
         hi_block = self.xi[-1] + 3.0 * sigma
         if lo_block < -halfwidth - 1e-12 or hi_block > halfwidth + 1e-12:

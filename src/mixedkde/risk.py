@@ -123,8 +123,7 @@ def _build_truth(doc: dict) -> Density:
     if kind == "tensor_bump":
         return tensor_bump_density(params["widths"], params.get("centers"))
     if kind == "plateau":
-        density, _ = plateau_density(params["N"], params["kappa"], params["dim"])
-        return density
+        return plateau_density(params["N"], params["kappa"], params["dim"])
     raise ValueError(f"unknown truth density {kind!r}")
 
 

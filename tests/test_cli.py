@@ -91,6 +91,11 @@ def test_family_build_infeasible_names_constraint(capsys):
              "N must be a finite number > 8, got inf"),
             (["--s", "1,1", "--d", "1,1", "--p", "1.5", "--r", "1e308", "--big-n", "8.4"],
              "exceeds the plateau value"),
+            # at p = 1, epsilon = (r + 1) / (2 r) must not overflow to 0
+            (["--s", "1,1", "--d", "1,1", "--p", "1", "--r", "1e308", "--big-n", "8.4"],
+             "exceeds the plateau value"),
+            (["--s", "1,1", "--d", "1,1", "--p", "1", "--r", "1.7e308", "--big-n", "8.4"],
+             "exceeds the plateau value"),
             (["--s", "1,1", "--d", "0,1", *readme], "d1 must be >= 1, got 0"),
             (["--s", "1,0", "--d", "1,1", *readme], "s2 must be >= 1, got 0"),
             (["--s", "14,1", "--d", "1,1", *readme], overflow.format(15)),

@@ -7,8 +7,8 @@ from oracles import tensor_trapezoid
 
 
 def test_plateau_point_values():
-    f0, info = plateau_density(20.0, 1.0, 2)
-    assert info.value == pytest.approx(0.0025, rel=1e-14)
+    f0 = plateau_density(20.0, 1.0, 2)
+    # (kappa / N)^D = (1 / 20)^2
     assert float(f0([[0.0, 0.0]])[0]) == pytest.approx(0.0025, rel=1e-12)
     # support boundary (N+2)/(2 kappa) = 11
     assert float(f0([[11.0, 0.0]])[0]) == 0.0
@@ -19,7 +19,7 @@ def test_plateau_point_values():
 
 
 def test_plateau_unit_mass_against_trapezoid_oracle():
-    f0, _ = plateau_density(20.0, 1.0, 2)
+    f0 = plateau_density(20.0, 1.0, 2)
     direct = tensor_trapezoid(f0.field.eval, f0.support.lower, f0.support.upper,
                               pts_per_axis=2201)
     assert direct == pytest.approx(1.0, abs=2e-6)
@@ -57,7 +57,7 @@ def test_sampler_determinism():
 
 
 def test_plateau_sample_symmetry():
-    f0, _ = plateau_density(20.0, 1.0, 2)
+    f0 = plateau_density(20.0, 1.0, 2)
     pts = f0.sample(99, 100_000)
     std = pts.std(axis=0)
     mean = pts.mean(axis=0)
@@ -94,9 +94,9 @@ def test_tensor_bump_validation():
     tensor_bump_density([1.5]),
     tensor_bump_density([1.0, 3.0], centers=[0.5, -1.0]),
     tensor_bump_density([1.0, 2.0, 0.5]),
-    plateau_density(10.0, 1.0, 1)[0],
-    plateau_density(12.0, 0.5, 2)[0],
-    plateau_density(9.5, 1.0, 3)[0],
+    plateau_density(10.0, 1.0, 1),
+    plateau_density(12.0, 0.5, 2),
+    plateau_density(9.5, 1.0, 3),
 ], ids=["bump1", "bump2", "bump3", "plateau1", "plateau2", "plateau3"])
 def test_product_field_grid_path_equals_point_path(density):
     box = density.support

@@ -124,10 +124,11 @@ def test_grid_matches_pointwise():
     coeffs = [STRICT21.kappa1.poly_coeffs, STRICT21.kappa2.poly_coeffs]
     brute = brute_force_kde_grid(sample, 0.3, coeffs, [ax, ay])
     assert grid == pytest.approx(brute, rel=1e-12, abs=1e-15)
-    # one and three dimensions, one axis unsorted
+    # one and three dimensions
     k2, k1 = STRICT21.kappa1, STRICT21.kappa2
     one_d = ProductKernel(kappa1=k2, kappa2=k1, d1=1, d2=0, s1=2, s2=1)
-    axes = [ax, rng.permutation(np.linspace(-1.1, 1.1, 11)), np.linspace(-1.0, 1.0, 7)]
+    axes = [ax, np.sort(rng.permutation(np.linspace(-1.1, 1.1, 11))),
+            np.linspace(-1.0, 1.0, 7)]
     three_d = tensor_kernel(k2, 2, k1, 1, 2, 1)
     for kernel in (one_d, three_d):
         sample = rng.uniform(-1, 1, size=(90, kernel.dim))
@@ -137,14 +138,14 @@ def test_grid_matches_pointwise():
         assert kde_on_grid(model, axes[:kernel.dim]) == pytest.approx(brute, rel=1e-12,
                                                                       abs=1e-15)
     # several sample chunks; the longest axis first, middle and last, an
-    # unsorted axis with a duplicated node, one and three dimensions
+    # axis with a duplicated node, one and three dimensions
     n = 3 * _CHUNK + 17
     long, short = np.linspace(-1.3, 1.3, 31), np.linspace(-1.2, 1.2, 9)
-    shuffled = rng.permutation(np.concatenate([short, short[[3]]]))
+    repeated = np.sort(rng.permutation(np.concatenate([short, short[[3]]])))
     cases = [(STRICT21, [long, short]), (STRICT21, [short, long]),
-             (STRICT21, [shuffled, long]), (STRICT21, [long, shuffled]),
-             (one_d, [shuffled]), (three_d, [short, long, shuffled]),
-             (three_d, [shuffled, short[:5], long[::3]])]
+             (STRICT21, [repeated, long]), (STRICT21, [long, repeated]),
+             (one_d, [repeated]), (three_d, [short, long, repeated]),
+             (three_d, [repeated, short[:5], long[::3]])]
     for kernel, axes in cases:
         sample = rng.uniform(-1.2, 1.2, size=(n, kernel.dim))
         model = KdeModel(kernel=kernel, h=0.3, sample=sample)
@@ -162,13 +163,29 @@ def test_three_dimensional_grids_match_pointwise_over_seeds(seed):
     coeffs = [kernel.factor(j).poly_coeffs for j in range(3)]
     rng = np.random.default_rng(100 + seed)
     long, short = np.linspace(-1.3, 1.3, 31), np.linspace(-1.2, 1.2, 9)
-    shuffled = rng.permutation(np.concatenate([short, short[[3]]]))
-    for axes in ([short, long, shuffled], [shuffled, short[:5], long[::3]],
+    repeated = np.sort(rng.permutation(np.concatenate([short, short[[3]]])))
+    for axes in ([short, long, repeated], [repeated, short[:5], long[::3]],
                  [long, long[::2], short]):
         sample = rng.uniform(-1.2, 1.2, size=(_CHUNK + 17, 3))
         model = KdeModel(kernel=kernel, h=0.3, sample=sample)
         brute = brute_force_kde_grid(sample, 0.3, coeffs, axes)
         assert kde_on_grid(model, axes) == pytest.approx(brute, rel=1e-12, abs=1e-15)
+
+
+def test_unsorted_or_non_finite_grids_and_samples_are_rejected():
+    model = KdeModel(kernel=STRICT21, h=0.3, sample=np.zeros((5, 2)))
+    good, index = np.linspace(-1.0, 1.0, 9), np.arange(9)
+    for bad, message in [(good[::-1], "is not in ascending order"),
+                         (np.where(index == 4, np.nan, good), "has a non-finite node"),
+                         (np.where(index == 8, np.inf, good), "has a non-finite node")]:
+        for j in range(2):
+            axes = [good, good]
+            axes[j] = bad
+            with pytest.raises(ValueError, match=f"grid axis {j} {message}"):
+                kde_on_grid(model, axes)
+    for value in (np.nan, -np.inf):
+        with pytest.raises(ValueError, match="sample has a non-finite value"):
+            KdeModel(kernel=STRICT21, h=0.3, sample=np.array([[0.0, 0.1], [0.2, value]]))
 
 
 def test_grid_memory_stays_below_one_factor_matrix():
@@ -189,10 +206,10 @@ def test_grid_memory_stays_below_one_factor_matrix():
 def _factor_cases():
     rng = np.random.default_rng(23)
     uniform = np.linspace(-1.0, 1.0, 41)
-    unsorted = rng.permutation(np.concatenate([uniform[:-1], [uniform[7]]]))
+    repeated = np.sort(rng.permutation(np.concatenate([uniform[:-1], [uniform[7]]])))
     h = 0.17
     edges = np.concatenate([uniform[[0, 7, 20, 40]] + h, uniform[[0, 7, 20, 40]] - h])
-    for axis in (uniform, unsorted):
+    for axis in (uniform, repeated):
         yield axis, rng.uniform(-1.2, 1.2, 200), h
         yield axis, edges, h
         yield axis, np.array([-0.3, 50.0, -1e6]), h
@@ -205,7 +222,7 @@ def _factor_cases():
     # duplicated nodes one ulp outside [x - h, x + h] whose u still rounds to +-1
     x = np.array([0.16158123897629065, -0.1569871736659199])
     outside = [np.nextafter(x[0] - 0.1, -np.inf), np.nextafter(x[1] + 0.1, np.inf)]
-    yield np.concatenate([outside * 2, uniform]), x, 0.1
+    yield np.sort(np.concatenate([outside * 2, uniform])), x, 0.1
 
 
 @pytest.mark.parametrize("order", [1, 2, 4])
@@ -214,18 +231,16 @@ def test_support_ranges_match_dense_membership(order):
     for axis, x, h in _factor_cases():
         plan = _AxisPlan.build(axis, h, kappa)
         lo, hi = plan.support(x, h)
-        sorted_nodes = np.arange(axis.size)
-        covered = (sorted_nodes >= lo[:, None]) & (sorted_nodes < hi[:, None])
-        ranges = np.zeros_like(covered)
-        ranges[:, sorted_nodes if plan.order is None else plan.order] = covered
+        index = np.arange(axis.size)
+        covered = (index >= lo[:, None]) & (index < hi[:, None])
         dense = np.abs((x[:, None] - axis[None, :]) / h) <= 1.0
-        assert np.array_equal(ranges, dense), (axis.size, x.size, h)
+        assert np.array_equal(covered, dense), (axis.size, x.size, h)
         # a support reaches at most ``pieces`` tiles
         assert plan.pieces == 3 or (plan.pieces == 1 and plan.bounds.size == 2)
         live = lo < hi
         assert np.all(plan.tile_of[hi[live] - 1] - plan.tile_of[lo[live]] < plan.pieces)
         # about its tile's centre the expansion gives the kernel factor
-        xi = (x[:, None] - plan.centres[plan.tile_of[sorted_nodes]]) / h
+        xi = (x[:, None] - plan.centres[plan.tile_of[index]]) / h
         expanded = sum(xi ** l * row[:axis.size] for l, row in enumerate(plan.poly))
         exact = kappa((x[:, None] - plan.nodes[None, :]) / h)
         assert np.max(np.abs(np.where(covered, expanded, 0.0) - exact)) <= 1e-12
@@ -291,7 +306,7 @@ def test_nodes_reached_only_where_the_kernel_vanishes_are_exact_zeros():
     epanechnikov = UnivariateKernel(order=2, poly_coeffs=(0.75, 0.0, -0.75))
     kernel = tensor_kernel(epanechnikov, 1, epanechnikov, 1, 2, 2)
     h = 0.25
-    axes = [np.linspace(-1.0, 1.0, 23), np.linspace(1.1, -1.1, 29)]
+    axes = [np.linspace(-1.0, 1.0, 23), np.linspace(-1.1, 1.1, 29)]
     rng = np.random.default_rng(41)
     first = axes[0][rng.integers(3, 20, size=200)] + rng.choice([-h, h], size=200)
     first = first[np.any((first[:, None] - axes[0]) / h == 1.0, axis=1)
@@ -312,14 +327,14 @@ def test_nonnegative_kernel_gives_nonnegative_estimate():
     rng = np.random.default_rng(17)
     sample = rng.uniform(-1, 1, size=(100, 2))
     model = KdeModel(kernel=UNIFORM2, h=0.25, sample=sample)
-    axes = list(rng.uniform(-1.3, 1.3, size=(2, 300)))
+    axes = [np.sort(axis) for axis in rng.uniform(-1.3, 1.3, size=(2, 300))]
     assert np.all(kde_on_grid(model, axes) >= 0.0)
 
 
 def test_mean_field_reproduces_plateau():
-    f0, info = plateau_density(20.0, 1.0, 2)
+    f0 = plateau_density(20.0, 1.0, 2)
     vals = mean_field_on_axes(STRICT21, 0.25, f0, [np.array([0.0, 3.0]), np.array([0.0, -2.0])])
-    assert np.allclose(vals, info.value, atol=1e-10)
+    assert np.allclose(vals, (1.0 / 20.0) ** 2, atol=1e-10)
 
 
 def test_mean_field_small_h_limit():
@@ -373,7 +388,7 @@ def test_mean_field_needs_product_truth(small_family):
 
 
 def test_bias_zero_for_locally_constant_truth():
-    f0, info = plateau_density(20.0, 1.0, 2)
+    f0 = plateau_density(20.0, 1.0, 2)
     h = 0.3
     # deep inside the plateau the convolution reproduces the constant
     box = Box((-5.0, -5.0), (5.0, 5.0))

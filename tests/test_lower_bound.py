@@ -164,8 +164,9 @@ def test_blocks_disjoint_and_inside_plateau(small_family):
     # adjacent centers are 8 sigma apart, blocks have half width 3 sigma
     gaps = np.diff(fam.xi)
     assert np.all(gaps == pytest.approx(8.0 * sigma))
-    assert fam.xi[0] - 3.0 * sigma >= -fam.plateau.plateau_halfwidth
-    assert fam.xi[-1] + 3.0 * sigma <= fam.plateau.plateau_halfwidth
+    halfwidth = (fam.params.big_n - 2.0) / (2.0 * fam.params.kappa)
+    assert fam.xi[0] - 3.0 * sigma >= -halfwidth
+    assert fam.xi[-1] + 3.0 * sigma <= halfwidth
 
 
 def test_all_zero_word_gives_f0(small_family):

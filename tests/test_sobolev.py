@@ -152,7 +152,7 @@ def test_pdf_norm_at_p1_exceeds_one():
 
 def test_f0_norm_against_construction_bound():
     # the plateau density norm is controlled by N^{-D} ||LambdaTilde||^D
-    f0, info = plateau_density(20.0, 1.0, 2)
+    f0 = plateau_density(20.0, 1.0, 2)
     spec = SmoothnessSpec(1, 1, 1, 1, 2.0, "mixed")
     rule = QuadRule.for_box(f0.support, feature_scale=0.25)
     norm = sobolev_norm(f0.field, spec, rule)
