@@ -10,10 +10,12 @@ family of the lower-bound construction is layered on top of it in
 ``lower_bound``.
 
 Product densities are sampled per axis through a tabulated cumulative
-trapezoid CDF inverted by bisection.  A density without axis factors (a
-member of the lower-bound family) can be evaluated and integrated but not
-sampled: sampling, like the per-axis mean field, needs a product density.
-``pdf_ok`` holds the one pass rule for a measured pdf.
+trapezoid CDF inverted by bisection on the uniforms in sorted order, with
+the brackets scattered back so the draws keep their order.  A density
+without axis factors (a member of the lower-bound family) can be
+evaluated and integrated but not sampled: sampling, like the per-axis
+mean field, needs a product density.  ``pdf_ok`` holds the one pass rule
+for a measured pdf.
 """
 
 from __future__ import annotations
@@ -102,7 +104,11 @@ class Density:
 
     def sample(self, seed: int, count: int) -> np.ndarray:
         """``count`` points, one uniform per point and axis inverted through
-        that axis's CDF table."""
+        that axis's CDF table.
+
+        Each axis's uniforms are searched in ascending order (the search
+        then narrows from the previous key) and the brackets scattered back,
+        so every draw keeps its value and its place in draw order."""
         if self._cdf_tables is None:
             raise ValueError("sampling needs a product density (one with axis_factors)")
         if count < 0:
@@ -114,7 +120,9 @@ class Density:
         for j, (x, cdf) in enumerate(self._cdf_tables):
             u = rng.random(count)
             # bisection to the bracketing knots, linear within the bracket
-            idx = np.searchsorted(cdf, u, side="right")
+            order = np.argsort(u)
+            idx = np.empty(count, dtype=np.intp)
+            idx[order] = np.searchsorted(cdf, u[order], side="right")
             idx = np.clip(idx, 1, len(cdf) - 1)
             c0, c1 = cdf[idx - 1], cdf[idx]
             frac = np.where(c1 > c0, (u - c0) / np.maximum(c1 - c0, 1e-300), 0.0)

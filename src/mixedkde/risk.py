@@ -157,6 +157,8 @@ class ExperimentConfig:
             raise ValueError(f"'p' must be a finite number >= 1, got {self.p}")
         if not (math.isfinite(self.slope_tol) and self.slope_tol > 0):
             raise ValueError(f"'slope_tol' must be a finite number > 0, got {self.slope_tol}")
+        if not 0 <= self.master_seed <= _MASK64:
+            raise ValueError(f"'master_seed' must be in [0, 2**64), got {self.master_seed}")
 
     @property
     def theoretical_exponent(self) -> float:

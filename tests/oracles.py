@@ -2,10 +2,11 @@
 
 Nothing here imports from the package's numerical paths: quadrature is
 adaptive-bisection Simpson, tensor integrals are dense midpoint/trapezoid
-sums, derivatives are nested central finite differences, the
-density-estimator risk is a naive double loop with its own Horner
-polynomial evaluation, and the lower-bound perturbation finds its blocks
-by scanning every block centre.  These are deliberately slow and simple.
+sums, derivatives are nested central finite differences, inverse-CDF
+sampling bisects each uniform in draw order, the density-estimator risk
+is a naive double loop with its own Horner polynomial evaluation, and
+the lower-bound perturbation finds its blocks by scanning every block
+centre.  These are deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -48,6 +49,22 @@ def tensor_trapezoid(f, lower, upper, pts_per_axis: int = 801) -> float:
     for ax in reversed(axes):
         vals = np.trapezoid(vals, ax, axis=-1)
     return float(vals)
+
+
+def inverse_cdf_sample(tables: Sequence[tuple[np.ndarray, np.ndarray]], seed: int,
+                       count: int) -> np.ndarray:
+    """Inverse-CDF draws through per-axis ``(knots, cdf)`` tables: one
+    ``rng.random(count)`` per axis, axis 0 first, each uniform bisected in
+    draw order and interpolated linearly within its bracket."""
+    rng = np.random.default_rng(np.uint64(seed))
+    out = np.empty((count, len(tables)))
+    for j, (x, cdf) in enumerate(tables):
+        u = rng.random(count)
+        idx = np.clip(np.searchsorted(cdf, u, side="right"), 1, len(cdf) - 1)
+        c0, c1 = cdf[idx - 1], cdf[idx]
+        frac = np.where(c1 > c0, (u - c0) / np.maximum(c1 - c0, 1e-300), 0.0)
+        out[:, j] = x[idx - 1] + frac * (x[idx] - x[idx - 1])
+    return out
 
 
 def horner(coeffs, u):

@@ -257,6 +257,8 @@ def test_risk_run_rejects_non_object_config(tmp_path, capsys):
     for key, value, message in [("p", float("nan"), "finite number >= 1"),
                                 ("p", float("inf"), "finite number >= 1"),
                                 ("slope_tol", -0.1, "finite number > 0"),
+                                ("master_seed", -1, "in [0, 2**64)"),
+                                ("master_seed", 2**64, "in [0, 2**64)"),
                                 ("sample_sizes", [1, 64, 128], "needs n >= 2")]:
         cases.append((risk_run, key, {**base, key: value}, message))
     cases.append((risk_run, "nodes_per_panel",

@@ -3,7 +3,7 @@ import pytest
 
 from mixedkde.densities import plateau_density, tensor_bump_density
 from mixedkde.quadrature import QuadRule, grid_points, integrate, multi_indices
-from oracles import tensor_trapezoid
+from oracles import inverse_cdf_sample, tensor_trapezoid
 
 
 def test_plateau_point_values():
@@ -54,6 +54,20 @@ def test_sampler_determinism():
     assert np.array_equal(a, b)
     c = tb.sample(54321, 500)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("density", [
+    tensor_bump_density([1.0, 2.0]),
+    tensor_bump_density([1.0, 3.0, 0.5], centers=[0.5, -1.0, 2.0]),
+    plateau_density(20.0, 1.0, 2),
+], ids=["bump2", "bump3", "plateau2"])
+def test_sample_equals_draw_order_inversion_oracle(density):
+    # searching sorted keys must keep every draw's bits and place
+    tables = [factor.cdf_table() for factor in density.axis_factors]
+    for seed in (0, 12345, 2**64 - 1):
+        for count in (1, 2, 2047, 2049, 16384):
+            np.testing.assert_array_equal(density.sample(seed, count),
+                                          inverse_cdf_sample(tables, seed, count))
 
 
 def test_plateau_sample_symmetry():
