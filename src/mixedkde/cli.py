@@ -13,12 +13,11 @@ import sys
 from pathlib import Path
 
 from .densities import pdf_ok
-from .kernels import (build_order_kernel, config_section, kernel_from_dict, kernel_to_json,
-                      verify_order)
-from .lower_bound import (InfeasibleParameters, build_family, choose_parameters,
-                          family_report, params_from_report)
-from .product import (product_kernel_from_dict, product_kernel_to_json,
-                      tensor_kernel, verify_class)
+from .kernels import (build_order_kernel, check_tol, config_section, kernel_from_dict,
+                      kernel_to_dict, verify_order)
+from .lower_bound import build_family, choose_parameters, family_report, params_from_report
+from .product import (product_kernel_from_dict, product_kernel_to_dict, tensor_kernel,
+                      verify_class)
 from .risk import (config_from_dict, mc_risk, rate_exponent, report_summary, report_to_csv,
                    verify_lower_hypotheses)
 
@@ -33,15 +32,12 @@ def _split_pair(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _write_or_print(text: str, out: str | None) -> None:
+def _write_json(doc: dict, out: str | Path | None) -> None:
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text)
-
-
-def _write_json(doc: dict, out: str | None) -> None:
-    _write_or_print(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
 
 
 def _read_json_object(path: str) -> dict:
@@ -115,13 +111,12 @@ def _cmd_kernel_build(args) -> int:
         d1, d2 = args.d
         kernel = tensor_kernel(build_order_kernel(s1, args.strict), d1,
                                build_order_kernel(s2, args.strict), d2, s1, s2)
-        _write_or_print(product_kernel_to_json(kernel), args.out)
+        _write_json(product_kernel_to_dict(kernel), args.out)
         return 0
     if args.order is None:
         print("kernel-build: need --order or --s/--d", file=sys.stderr)
         return USAGE_ERROR
-    kernel = build_order_kernel(args.order, args.strict)
-    _write_or_print(kernel_to_json(kernel), args.out)
+    _write_json(kernel_to_dict(build_order_kernel(args.order, args.strict)), args.out)
     return 0
 
 
@@ -137,7 +132,6 @@ def _cmd_kernel_verify(args) -> int:
             "sup_norm": report.sup_norm,
             "pass": report.passed,
         }
-        passed = report.passed
     else:
         kernel = kernel_from_dict(doc)
         order = args.order if args.order is not None else kernel.order
@@ -149,9 +143,8 @@ def _cmd_kernel_verify(args) -> int:
             "sup_norm": report.sup_norm,
             "pass": report.passed,
         }
-        passed = report.passed
     _write_json(payload, args.out)
-    return 0 if passed else VERIFY_FAIL
+    return 0 if report.passed else VERIFY_FAIL
 
 
 def _cmd_rate(args) -> int:
@@ -184,6 +177,7 @@ def _cmd_family_build(args) -> int:
 
 
 def _cmd_family_verify(args) -> int:
+    check_tol(args.tol)
     params = params_from_report(config_section(_read_json_object(args.config), "params"))
     fam = build_family(params, code_seed=args.seed)
     report = family_report(fam)
@@ -211,8 +205,7 @@ def _cmd_risk_run(args) -> int:
     summary = report_summary(report, slope_tol=config_from_dict(doc).slope_tol)
     out = Path(args.out)
     out.with_suffix(".csv").write_text(report_to_csv(report))
-    out.with_suffix(".json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_json(summary, out.with_suffix(".json"))
     print(f"fitted slope {summary['fitted_slope']:+.4f} "
           f"(theory {-summary['theoretical_exponent']:+.4f}), "
           f"pass={summary['pass']}")
@@ -241,10 +234,13 @@ def run(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return USAGE_ERROR
+    except OSError as exc:
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return USAGE_ERROR
     except KeyError as exc:
         print(f"error: config is missing key {exc.args[0]!r}", file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError, InfeasibleParameters) as exc:
+    except (ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -246,12 +246,10 @@ class _AxisPlan(NamedTuple):
         # 0.  polyval takes the Horner steps of UnivariateKernel.__call__; a
         # call would count as a factor evaluation in perfbench's trace, and
         # only in the first operation, since plans are cached.
-        coeffs = list(kappa.poly_coeffs)
+        coeffs = kappa.poly_coeffs[:kappa.degree + 1]
         ends = polyval(np.array([1.0, -1.0]), coeffs)
         limits = np.array([[1.0 if ends[0] else np.nextafter(1.0, 0.0)],
                            [np.nextafter(-1.0, -2.0) if ends[1] else -1.0]])
-        while len(coeffs) > 1 and coeffs[-1] == 0.0:
-            coeffs.pop()
         if len(coeffs) == 1:
             # a constant factor sums exact counts and needs no centres; one
             # tile gives a support 2 table entries on this axis, not 4

@@ -4,12 +4,14 @@ A kernel of order ``s`` integrates to one and has vanishing moments
 ``1 .. s-1``; in strict mode the moment of order ``s`` vanishes as well.
 Kernels are built by projecting the delta at zero onto the orthonormal
 Legendre basis, which gives a closed-form polynomial supported on
-``[-1, 1]``.
+``[-1, 1]``.  A kernel's JSON form is its ``kernel_to_dict``, written by
+``json.dumps``, which prints each coefficient with Python's shortest
+round-trip float repr, so ``kernel_from_dict`` reads back the same bits.
 """
 
 from __future__ import annotations
 
-import json
+import math
 import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -33,7 +35,7 @@ __all__ = [
     "config_section",
     "config_values",
     "config_scalar",
-    "kernel_to_json",
+    "check_tol",
 ]
 
 MAX_ORDER = 12
@@ -63,6 +65,13 @@ class UnivariateKernel:
         object.__setattr__(self, "poly_coeffs", tuple(float(c) for c in self.poly_coeffs))
         if not self.poly_coeffs:
             raise ValueError("kernel 'poly_coeffs' must hold at least one coefficient")
+        if not all(map(math.isfinite, self.poly_coeffs)):
+            raise ValueError(f"kernel 'poly_coeffs' must be finite, got {list(self.poly_coeffs)}")
+
+    @property
+    def degree(self) -> int:
+        """Index of the last nonzero coefficient of ``poly_coeffs`` (0 if none)."""
+        return max((k for k, c in enumerate(self.poly_coeffs) if c != 0.0), default=0)
 
     def __call__(self, u) -> np.ndarray:
         # in-place Horner: the same bits as polyval + where, without their temporaries
@@ -82,10 +91,7 @@ class UnivariateKernel:
 
     def interior_roots(self) -> np.ndarray:
         """Real roots of the polynomial part strictly inside (-1, 1)."""
-        coeffs = np.asarray(self.poly_coeffs)
-        if coeffs.size <= 1:
-            return np.array([])
-        roots = nppoly.polyroots(coeffs)
+        roots = nppoly.polyroots(self.poly_coeffs)
         real = roots[np.abs(roots.imag) < 1e-12].real
         return np.sort(real[(real > -1.0) & (real < 1.0)])
 
@@ -126,18 +132,12 @@ def build_order_kernel(s: int, strict: bool = False) -> UnivariateKernel:
     return UnivariateKernel(order=s, poly_coeffs=coeffs, strict=strict)
 
 
-def _poly_degree(kernel: UnivariateKernel) -> int:
-    coeffs = np.asarray(kernel.poly_coeffs)
-    nonzero = np.nonzero(np.abs(coeffs) > 0)[0]
-    return int(nonzero[-1]) if nonzero.size else 0
-
-
 def moment(kernel: UnivariateKernel, nu: int) -> float:
     """``integral of u^nu K(u) du`` over [-1, 1] by Gauss-Legendre quadrature."""
     if nu < 0:
         raise ValueError("moment order must be non-negative")
     # one panel of GL nodes is exact for the polynomial integrand
-    nodes = (_poly_degree(kernel) + nu) // 2 + 2
+    nodes = (kernel.degree + nu) // 2 + 2
     return integrate_1d(lambda u: u ** nu * kernel(u), -1.0, 1.0,
                         panels=1, nodes=nodes)
 
@@ -166,6 +166,12 @@ def q_norm_1d(kernel: UnivariateKernel, q: float) -> float:
     return _split_at_roots(kernel, lambda u: np.abs(kernel(u)) ** q) ** (1.0 / q)
 
 
+def check_tol(tol: float) -> None:
+    """Raise a ``ValueError`` naming ``tol`` unless it is a finite number > 0."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite number > 0, got {tol}")
+
+
 def verify_order(kernel: UnivariateKernel, s: int, tol: float) -> OrderReport:
     """Check normalization, vanishing moments and finiteness for order ``s``.
 
@@ -176,8 +182,7 @@ def verify_order(kernel: UnivariateKernel, s: int, tol: float) -> OrderReport:
     """
     if s < 1:
         raise ValueError(f"kernel order must be >= 1, got {s}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tol(tol)
     violations = [abs(moment(kernel, 0) - 1.0)]
     top = s if kernel.strict else s - 1
     for nu in range(1, top + 1):
@@ -190,18 +195,9 @@ def verify_order(kernel: UnivariateKernel, s: int, tol: float) -> OrderReport:
                        absolute_moment_s=abs_m, sup_norm=sup)
 
 
-class _Float17(float):
-    # json.dump uses repr(); pin 17 significant digits for serialized floats
-    def __repr__(self):
-        return format(float(self), ".17g")
-
-
 def kernel_to_dict(kernel: UnivariateKernel) -> dict:
-    return {
-        "order": kernel.order,
-        "strict": kernel.strict,
-        "poly_coeffs": [_Float17(c) for c in kernel.poly_coeffs],
-    }
+    return {"order": kernel.order, "strict": kernel.strict,
+            "poly_coeffs": list(kernel.poly_coeffs)}
 
 
 def config_section(doc: dict, key: str) -> dict:
@@ -250,8 +246,4 @@ def kernel_from_dict(doc: dict) -> UnivariateKernel:
             order=config_scalar(doc["order"], int, "order"),
             poly_coeffs=tuple(config_scalar(c, float, "poly_coeffs") for c in doc["poly_coeffs"]),
             strict=config_scalar(doc["strict"], bool, "strict"))
-
-
-def kernel_to_json(kernel: UnivariateKernel) -> str:
-    return json.dumps(kernel_to_dict(kernel), indent=2, sort_keys=True) + "\n"
 

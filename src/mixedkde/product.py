@@ -6,18 +6,20 @@ kernels is checked numerically: unit mass, vanishing mixed moments for
 all multi-indices ``1 <= |alpha| < s1 + s2`` with ``|alpha_i| <= s_i``,
 finiteness of the top absolute moment, and boundedness.  Every integral
 factorizes into univariate moments; full tensor quadrature is used only
-as a test oracle.
+as a test oracle.  A product kernel's JSON form is its
+``product_kernel_to_dict``, written by ``json.dumps`` with Python's
+shortest round-trip float repr; ``product_kernel_from_dict`` reads it back
+through ``tensor_kernel``, which requires every d and s to be at least 1.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (UnivariateKernel, abs_moment, config_scalar, config_section, config_values,
-                      kernel_from_dict, kernel_to_dict, moment, q_norm_1d)
+from .kernels import (UnivariateKernel, abs_moment, check_tol, config_scalar, config_section,
+                      config_values, kernel_from_dict, kernel_to_dict, moment, q_norm_1d)
 from .quadrature import mixed_multi_indices
 
 __all__ = [
@@ -27,7 +29,7 @@ __all__ = [
     "verify_class",
     "q_norm",
     "required_moment_indices",
-    "product_kernel_to_json",
+    "product_kernel_to_dict",
     "product_kernel_from_dict",
 ]
 
@@ -116,8 +118,7 @@ def verify_class(kernel: ProductKernel, tol: float) -> ClassReport:
     Every integral factorizes into univariate moments of the polynomial
     factors, so no tensor quadrature is needed.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tol(tol)
     markov = abs(mixed_moment(kernel, (0,) * kernel.d1, (0,) * kernel.d2) - 1.0)
     worst = 0.0
     for a1, a2 in required_moment_indices(kernel):
@@ -139,8 +140,8 @@ def q_norm(kernel: ProductKernel, q: float) -> float:
     return n1 ** kernel.d1 * n2 ** kernel.d2
 
 
-def product_kernel_to_json(kernel: ProductKernel) -> str:
-    doc = {
+def product_kernel_to_dict(kernel: ProductKernel) -> dict:
+    return {
         "s1": kernel.s1,
         "s2": kernel.s2,
         "d1": kernel.d1,
@@ -148,12 +149,11 @@ def product_kernel_to_json(kernel: ProductKernel) -> str:
         "kappa1": kernel_to_dict(kernel.kappa1),
         "kappa2": kernel_to_dict(kernel.kappa2),
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def product_kernel_from_dict(doc: dict) -> ProductKernel:
     kappa1, kappa2 = (kernel_from_dict(config_section(doc, key)) for key in ("kappa1", "kappa2"))
     with config_values("kernel"):
         fields = {k: config_scalar(doc[k], int, k) for k in ("d1", "d2", "s1", "s2")}
-        return ProductKernel(kappa1=kappa1, kappa2=kappa2, **fields)
+    return tensor_kernel(kappa1=kappa1, kappa2=kappa2, **fields)
 

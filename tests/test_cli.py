@@ -10,6 +10,8 @@ from mixedkde.cli import run
 from mixedkde.estimator import _CHUNK
 from mixedkde.lower_bound import choose_parameters, params_to_report
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 def test_rate_prints_exact_fraction(capsys):
     code = run(["rate", "--s", "4,1", "--d", "1,1", "--regime", "mixed-upper"])
@@ -48,6 +50,105 @@ def test_product_kernel_build_and_verify(tmp_path):
     assert run(["kernel-verify", "--config", str(path)]) == 0
     doc = json.loads(path.read_text())
     assert doc["s1"] == 2 and doc["d2"] == 1
+
+
+KERNEL_ORDER4_STRICT = """\
+{
+  "order": 4,
+  "poly_coeffs": [
+    1.7578125,
+    0.0,
+    -8.203125,
+    0.0,
+    7.3828125
+  ],
+  "strict": true
+}
+"""
+PRODUCT_S21_D11_STRICT = """\
+{
+  "d1": 1,
+  "d2": 1,
+  "kappa1": {
+    "order": 2,
+    "poly_coeffs": [
+      1.125,
+      0.0,
+      -1.875
+    ],
+    "strict": true
+  },
+  "kappa2": {
+    "order": 1,
+    "poly_coeffs": [
+      0.5
+    ],
+    "strict": true
+  },
+  "s1": 2,
+  "s2": 1
+}
+"""
+
+
+def test_kernel_build_prints_exact_json(capsys):
+    # pins the JSON writer: sorted keys, indent 2, shortest round-trip floats
+    assert run(["kernel-build", "--order", "4", "--strict"]) == 0
+    assert capsys.readouterr().out == KERNEL_ORDER4_STRICT
+    assert run(["kernel-build", "--s", "2,1", "--d", "1,1", "--strict"]) == 0
+    assert capsys.readouterr().out == PRODUCT_S21_D11_STRICT
+
+
+def test_kernel_verify_rejects_bad_kernels(tmp_path, capsys):
+    cfg = tmp_path / "kernel.json"
+    product = json.loads(PRODUCT_S21_D11_STRICT)
+    univariate = {"order": 2, "strict": False}
+    # orders and dimensions below 1 would make the class check vacuous
+    cases = [({**product, key: value}, "d1, d2, s1, s2 must all be >= 1")
+             for key, value in [("d1", 0), ("s1", 0), ("d1", -1)]]
+    # json.dumps writes NaN and Infinity, which json.loads reads back
+    cases += [({**univariate, "poly_coeffs": [0.5, c]}, "'poly_coeffs' must be finite")
+              for c in (float("nan"), float("inf"))]
+    for doc, message in cases:
+        cfg.write_text(json.dumps(doc))
+        assert run(["kernel-verify", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_kernel_verify_moment_overflow_exits_2(tmp_path):
+    # finite coefficients whose moments overflow; a subprocess, because the
+    # test suite turns numpy's overflow warnings into errors
+    cfg = tmp_path / "kernel.json"
+    cfg.write_text(json.dumps({"order": 2, "strict": False, "poly_coeffs": [1e308, 1e308]}))
+    proc = subprocess.run([sys.executable, "-m", "mixedkde.cli", "kernel-verify",
+                           "--config", str(cfg)], env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "error: integrand returned non-finite value" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_verifiers_reject_bad_tol(tmp_path, capsys, tol):
+    message = f"tol must be a finite number > 0, got {float(tol)}"
+    kernel, product, family = (tmp_path / name for name in ("k.json", "K.json", "f.json"))
+    kernel.write_text(KERNEL_ORDER4_STRICT)
+    product.write_text(PRODUCT_S21_D11_STRICT)
+    params = params_to_report(choose_parameters(10_000, 240.0, 1.5, 1, 1, 1, 1, big_n=8.4))
+    family.write_text(json.dumps({"params": params}))
+    for command, cfg in [("kernel-verify", kernel), ("kernel-verify", product),
+                         ("family-verify", family)]:
+        assert run([command, "--config", str(cfg), f"--tol={tol}"]) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_directory_path_exits_2(tmp_path, capsys):
+    folder = str(tmp_path)
+    for argv in (["kernel-verify", "--config", folder], ["family-verify", "--config", folder],
+                 ["risk-run", "--config", folder, "--out", str(tmp_path / "run")],
+                 ["kernel-build", "--order", "2", "--out", folder]):
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {folder}: ")
 
 
 def test_missing_config_exits_2(capsys):
@@ -116,7 +217,6 @@ SMALL_RISK = {
     "master_seed": 31415,
     "slope_tol": 5.0,
 }
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_risk_run_outputs_are_byte_identical(tmp_path):

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from mixedkde.kernels import (UnivariateKernel, abs_moment, build_order_kernel,
-                              kernel_from_dict, kernel_to_json, moment, q_norm_1d,
+from mixedkde.kernels import (MAX_ORDER, UnivariateKernel, abs_moment, build_order_kernel,
+                              kernel_from_dict, kernel_to_dict, moment, q_norm_1d,
                               verify_order)
 from mixedkde.product import (mixed_moment, product_kernel_from_dict,
-                              product_kernel_to_json, q_norm,
+                              product_kernel_to_dict, q_norm,
                               required_moment_indices, tensor_kernel, verify_class)
 from oracles import polyval_kernel, tensor_trapezoid
 
@@ -100,6 +100,12 @@ def test_order_bounds(s):
             verify_order(build_order_kernel(1), s, 1e-8)
 
 
+def test_degree_is_last_nonzero_coefficient():
+    assert build_order_kernel(4, strict=True).degree == 4
+    assert UnivariateKernel(order=2, poly_coeffs=(0.5, -1.0, 0.0, 0.0)).degree == 1
+    assert UnivariateKernel(order=1, poly_coeffs=(0.0, 0.0)).degree == 0
+
+
 def test_support_clamps_to_zero():
     k = build_order_kernel(4)
     assert k(np.array([1.5]))[0] == 0.0
@@ -131,21 +137,17 @@ def test_abs_moment_uniform():
 
 
 def test_serialization_roundtrip_and_digits():
-    k = build_order_kernel(5, strict=True)
-    text = kernel_to_json(k)
-    back = kernel_from_dict(json.loads(text))
-    assert back == k
-    doc = json.loads(text)
-    assert doc["order"] == 5 and doc["strict"] is True
-    # every coefficient is printed with no more than 17 significant digits
-    for token in text.splitlines():
-        token = token.strip().rstrip(",")
-        try:
-            float(token)
-        except ValueError:
-            continue
-        digits = token.replace("-", "").replace(".", "").split("e")[0].lstrip("0")
-        assert len(digits) <= 17
+    for order, strict in itertools.product(range(1, MAX_ORDER + 1), (False, True)):
+        k = build_order_kernel(order, strict=strict)
+        text = json.dumps(kernel_to_dict(k), indent=2)
+        assert kernel_from_dict(json.loads(text)) == k
+        doc = json.loads(text)
+        assert doc["order"] == order and doc["strict"] is strict
+        # every coefficient is printed in Python's shortest round-trip repr
+        # (at most 17 significant digits)
+        lines = (line.strip().rstrip(",") for line in text.splitlines())
+        tokens = [t for t in lines if t[0] in "-0123456789"]
+        assert tokens == [repr(c) for c in k.poly_coeffs]
 
 
 # ------------------------------ product ------------------------------
@@ -254,7 +256,7 @@ def test_integral_factorization_identity():
 
 def test_product_serialization_roundtrip():
     K = tensor_kernel(build_order_kernel(2, True), 1, build_order_kernel(1, True), 3, 2, 1)
-    back = product_kernel_from_dict(json.loads(product_kernel_to_json(K)))
+    back = product_kernel_from_dict(json.loads(json.dumps(product_kernel_to_dict(K))))
     assert back == K
 
 
