@@ -31,7 +31,7 @@ import numpy as np
 from .bumps import g_deriv, g_function, g_norm, g_sobolev_norm, bump_sobolev_norm, bump_l1
 from .densities import Density, plateau_density
 from .kernels import config_scalar, config_values
-from .quadrature import QuadRule, integrate, tensor_product
+from .quadrature import QuadRule, integrate
 from .sobolev import DifferentiableField
 
 __all__ = [
@@ -333,8 +333,7 @@ def _finalize(s1, s2, d1, d2, p, r, big_n, kappa, sigma_raw, amplitude,
 # ----------------------------- binary code -----------------------------
 
 def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:
-    a = np.asarray(a, dtype=np.uint8)
-    b = np.asarray(b, dtype=np.uint8)
+    a, b = np.asarray(a, dtype=np.uint8), np.asarray(b, dtype=np.uint8)
     if a.shape != b.shape:
         raise ValueError(f"word shapes differ: {a.shape} vs {b.shape}")
     return int(np.sum(a != b))
@@ -346,6 +345,14 @@ def _pack(words: np.ndarray) -> np.ndarray:
     packed = np.zeros((words.shape[0], 8 * -(-m // 64)), dtype=np.uint8)
     packed[:, :-(-m // 8)] = np.packbits(words, axis=1, bitorder="little")
     return packed.view("<u8")
+
+
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hamming distances of packed words, ``a`` by ``b``, in the narrowest type that holds them."""
+    dist = np.zeros((len(a), len(b)), dtype=np.min_scalar_type(64 * a.shape[1]))
+    for k in range(a.shape[1]):
+        dist += np.bitwise_count(a[:, k, None] ^ b[:, k])
+    return dist
 
 
 def vg_code(m: int, seed: int = 0) -> np.ndarray:
@@ -382,16 +389,23 @@ def vg_code(m: int, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed + 1)
     misses = 0
     while count < target:
-        cand = _pack(rng.integers(0, 2, size=m, dtype=np.uint8)[None, :])
-        if np.bitwise_count(packed[:count] ^ cand).sum(axis=1).min() >= dist:
-            packed[count] = cand
-            count += 1
-            misses = 0
-            continue
-        misses += 1
-        if misses == 10_000:
-            raise RuntimeError(
-                f"randomized code search stalled at {count}/{target} words")
+        # 64 candidates: a draw of m bits takes one byte of a uint32 per bit and
+        # starts a fresh uint32, so each row holds the bits of one such draw
+        batch = _pack(rng.integers(0, 2, size=(64, 4 * -(-m // 4)), dtype=np.uint8)[:, :m])
+        far = _distances(batch, packed[:count]).min(axis=1) >= dist
+        apart = _distances(batch, batch) >= dist
+        for i in range(len(batch)):
+            misses += 1
+            if far[i]:
+                packed[count] = batch[i]
+                count, misses = count + 1, 0
+                if count == target:
+                    break
+                # later candidates of the batch must keep their distance from it
+                far &= apart[i]
+            elif misses == 10_000:
+                raise RuntimeError(
+                    f"randomized code search stalled at {count}/{target} words")
     return np.unpackbits(packed[:count].view(np.uint8), axis=1, count=m,
                          bitorder="little")
 
@@ -414,13 +428,16 @@ class LowerBoundFamily:
     ``build_family`` also checks every construction invariant."""
 
     def __init__(self, params: FamilyParams, code: np.ndarray):
-        code = np.asarray(code, dtype=np.uint8)
+        # a read-only copy: no write can make min_pairwise_hamming's value stale
+        code = np.array(code, dtype=np.uint8)
+        code.flags.writeable = False
         if code.ndim != 2 or code.shape[1] != params.n_blocks:
             raise ValueError(
                 f"code must have shape (n_words, {params.n_blocks}), got {code.shape}")
         self.params = params
         self.f0 = plateau_density(params.big_n, params.kappa, params.dim)
         self.code = code
+        self._min_hamming: int | None = None
         kappa, sigma = params.kappa, params.sigma
         self.xi = (-(params.big_n - 4.0) / (4.0 * kappa)
                    + 8.0 * sigma * np.arange(1, params.m_per_axis + 1))
@@ -476,16 +493,20 @@ class LowerBoundFamily:
             return tuple(zip(*(self._axis_wiggle(np.asarray(a, dtype=float), k)
                                for a, k in zip(axes, orders))))
 
-        def field(pts: np.ndarray) -> np.ndarray:
-            idx, vals = per_axis(np.atleast_2d(np.asarray(pts, dtype=float)).T)
+        def value(idx, vals) -> np.ndarray:
             return np.where(padded[idx], reduce(np.multiply, vals, scale), 0.0)
+
+        def field(pts: np.ndarray) -> np.ndarray:
+            return value(*per_axis(np.atleast_2d(np.asarray(pts, dtype=float)).T))
 
         def on_grid(axes) -> np.ndarray:
             idx, vals = per_axis(axes)
-            active = padded
-            for j, ij in enumerate(idx):
-                active = active.take(ij, axis=j)
-            return np.where(active, tensor_product((scale * vals[0],) + vals[1:]), 0.0)
+            out = np.zeros(tuple(len(a) for a in axes))
+            # only the sub-grid inside a block on every axis can be nonzero
+            sub = np.ix_(*(np.flatnonzero(ij < m_axis) for ij in idx))
+            out[sub] = value(tuple(ij[k] for ij, k in zip(idx, sub)),
+                             [v[k] for v, k in zip(vals, sub)])
+            return out
 
         field.on_grid = on_grid
         return field
@@ -506,22 +527,18 @@ class LowerBoundFamily:
         return Density(field=field)
 
     def min_pairwise_hamming(self) -> int:
-        """Smallest Hamming distance between two code words (the word length
-        for a one-word code), from all-pairs distances in blocks of rows."""
-        packed = _pack(self.code)
-        words, lanes = packed.shape
-        length = self.code.shape[1]
-        rows = max(1, _HAMMING_BLOCK // words)
-        best = length
-        for start in range(0, words, rows):
-            block = packed[start:start + rows]
-            dist = np.zeros((len(block), words), dtype=np.int32)
-            for k in range(lanes):
-                dist += np.bitwise_count(block[:, k, None] ^ packed[:, k])
-            # a word's distance to itself does not count
-            np.fill_diagonal(dist[:, start:], length)
-            best = min(best, int(dist.min()))
-        return best
+        """Smallest Hamming distance between two code words (the word length for a
+        one-word code), from all-pairs distances in blocks of rows; computed once."""
+        if self._min_hamming is None:
+            packed, length = _pack(self.code), self.code.shape[1]
+            rows = max(1, _HAMMING_BLOCK // len(packed))
+            self._min_hamming = length
+            for start in range(0, len(packed), rows):
+                dist = _distances(packed[start:start + rows], packed)
+                # a word's distance to itself does not count
+                np.fill_diagonal(dist[:, start:], length)
+                self._min_hamming = min(self._min_hamming, int(dist.min()))
+        return self._min_hamming
 
 
 def build_family(params: FamilyParams, code_seed: int = 0) -> LowerBoundFamily:
@@ -621,14 +638,12 @@ def family_report(fam: LowerBoundFamily, pdf_rule: QuadRule | None = None) -> di
         res = member.verify_pdf(rule)
         worst_pdf_defect = max(worst_pdf_defect, res["integral_defect"])
         worst_negative = min(worst_negative, res["min_grid_value"])
-    dist_rel_err = 0.0
+    dist_rel_err = aff_rel_err = 0.0
     if fam.code.shape[0] >= 2:
         closed = family_distance(fam, fam.code[0], fam.code[1])
         quad = family_distance(fam, fam.code[0], fam.code[1], via_quadrature=True,
                                rule=rule)
         dist_rel_err = abs(closed - quad) / max(abs(closed), 1e-300)
-    aff_rel_err = 0.0
-    if fam.code.shape[0] >= 2:
         closed = chi2_affinity(fam, fam.code[1], 1)
         quad = chi2_affinity(fam, fam.code[1], 1, via_quadrature=True, rule=rule)
         aff_rel_err = abs(closed - quad) / max(abs(closed), 1e-300)

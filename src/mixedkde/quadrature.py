@@ -13,6 +13,9 @@ per-axis node vectors it returns the field's values on the tensor grid they
 span, shape ``(len(axes[0]), ..., len(axes[-1]))``, bit for bit the values
 ``f(grid_points(axes))`` gives.  ``integrate`` and ``lp_norm`` walk the grid
 in tensor slabs and call ``on_grid`` on each slab when the field has it.
+Only a slab whose weighted sum is not finite, as any NaN or inf value makes
+it, is searched for the first such node to name in a ``FloatingPointError``;
+a finite ``|f|^p`` that overflows gives inf with numpy's warning, no error.
 Univariate helpers (``integrate_1d`` and friends) take plain 1-d arrays.
 """
 
@@ -94,9 +97,7 @@ class QuadRule:
         object.__setattr__(self, "panels_per_axis", panels)
         if any(p < 1 for p in panels):
             raise ValueError("panel counts must be positive")
-        total = self.nodes_per_panel ** len(panels)
-        for p in panels:
-            total *= p
+        total = math.prod(panels) * self.nodes_per_panel ** len(panels)
         if total > 1 << 27:
             raise ValueError(f"rule would generate {total} nodes; refusing")
 
@@ -121,8 +122,7 @@ class QuadRule:
 
 @lru_cache(maxsize=64)
 def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+    return np.polynomial.legendre.leggauss(order)
 
 
 def _axis_nodes(lo: float, hi: float, panels: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -137,12 +137,9 @@ def _axis_nodes(lo: float, hi: float, panels: int, nodes: int) -> tuple[np.ndarr
 
 def grid_nodes(box: Box, rule: QuadRule) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-axis composite GL node and weight vectors for a box."""
-    nodes, weights = [], []
-    for lo, hi, p in zip(box.lower, box.upper, rule.panels_for(box.dim)):
-        x, w = _axis_nodes(lo, hi, p, rule.nodes_per_panel)
-        nodes.append(x)
-        weights.append(w)
-    return nodes, weights
+    axes = [_axis_nodes(lo, hi, p, rule.nodes_per_panel)
+            for lo, hi, p in zip(box.lower, box.upper, rule.panels_for(box.dim))]
+    return [x for x, _ in axes], [w for _, w in axes]
 
 
 def trapezoid_axes(box: Box, rule: QuadRule) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -213,17 +210,14 @@ def integrate(f: Callable, box: Box, rule: QuadRule) -> float:
     Raises ``FloatingPointError`` naming the offending node if ``f``
     returns a non-finite value anywhere.
     """
-    nodes, weights = grid_nodes(box, rule)
-    return _tensor_reduce(f, nodes, weights, power=None)
+    return _tensor_reduce(f, *grid_nodes(box, rule), power=None)
 
 
 def lp_norm(f: Callable, box: Box, p: float, rule: QuadRule) -> float:
     """``(integral of |f|^p over box)^(1/p)``."""
     if p < 1:
         raise ValueError(f"lp_norm requires p >= 1, got {p}")
-    nodes, weights = grid_nodes(box, rule)
-    val = _tensor_reduce(f, nodes, weights, power=p)
-    return float(val ** (1.0 / p))
+    return float(_tensor_reduce(f, *grid_nodes(box, rule), power=p) ** (1.0 / p))
 
 
 def _slabs(shape: tuple[int, ...]):
@@ -267,14 +261,15 @@ def _tensor_reduce(f, nodes: Sequence[np.ndarray], weights: Sequence[np.ndarray]
         vals = np.asarray(vals, dtype=float)
         if vals.shape != expected:
             raise ValueError(f"field returned shape {vals.shape}, expected {expected}")
-        _check_finite(vals, axes)
-        if power is not None:
-            vals = np.abs(vals) ** power
+        terms = vals if power is None else np.abs(vals) ** power
         wts = tensor_product([w[s] for w, s in zip(weights, slab)])
         # einsum's own loop, not BLAS: a threaded BLAS splits a dot this long,
         # leaves its threads spinning between slabs, and its partial sums
         # depend on the thread count
-        total += float(np.einsum("i,i->", wts.ravel(), vals.ravel()))
+        part = float(np.einsum("i,i->", wts.ravel(), terms.ravel()))
+        if not math.isfinite(part):
+            _check_finite(vals, axes)
+        total += part
     return total
 
 

@@ -116,16 +116,21 @@ def test_kernel_verify_rejects_bad_kernels(tmp_path, capsys):
 
 
 def test_kernel_verify_moment_overflow_exits_2(tmp_path):
-    # finite coefficients whose moments overflow; a subprocess, because the
-    # test suite turns numpy's overflow warnings into errors
+    # finite coefficients whose moments overflow, alone and as a product
+    # kernel's first factor; a subprocess, because the test suite turns
+    # numpy's overflow warnings into errors.  stderr holds the error line
+    # alone: no warning with a source path, no traceback.
+    univariate = {"order": 2, "strict": False, "poly_coeffs": [1e308, 1e308]}
     cfg = tmp_path / "kernel.json"
-    cfg.write_text(json.dumps({"order": 2, "strict": False, "poly_coeffs": [1e308, 1e308]}))
-    proc = subprocess.run([sys.executable, "-m", "mixedkde.cli", "kernel-verify",
-                           "--config", str(cfg)], env={**os.environ, "PYTHONPATH": str(SRC)},
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 2
-    assert "error: integrand returned non-finite value" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    for doc in (univariate, {**json.loads(PRODUCT_S21_D11_STRICT), "kappa1": univariate}):
+        cfg.write_text(json.dumps(doc))
+        proc = subprocess.run([sys.executable, "-m", "mixedkde.cli", "kernel-verify",
+                               "--config", str(cfg)], env={**os.environ, "PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: integrand returned non-finite value inf "
+                               "at node [0.8204008876948148]\n")
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])

@@ -68,13 +68,17 @@ def test_vg_code_rejects_short_words():
 
 # sha256 of the codes as uint8 bytes; m = 27 and 40 come from the
 # lexicographic phase alone, m = 64 adds the random fill, m = 81 is
-# mostly random fill.
+# mostly random fill, and the random fills of m = 96 (4,096 words) and
+# m = 100 (5,793 words) span many batches of candidates.  Each digest is
+# that of the search that draws and checks one candidate at a time.
 _PINNED_CODES = {
     (27, 0): "68930429b79097f75993b9bbc5f47db7869e1a2b32aadd8d8aec384ba7c3557b",
     (40, 0): "544e337ab574df88f04363ee85ba8df93e85f348e283adfc6c2a5a284b74048e",
     (64, 0): "7328a41ef6e075c95e9d81df2766af91f0146f8e3ca3e8adc76ac7000f61313c",
     (81, 0): "8ce673e0fe2b24b6b03b434a313207a855346b543dbce2baf34a9992752eb093",
     (81, 7): "a0099a7b0b9c45453b51655b40af8af13efaf8da5537e24d840d3b4e2929bd19",
+    (96, 0): "900ce2d402fa0afd9e62c6f48c7024611b1dfbbb16c35d4c5187eca2fbe841c7",
+    (100, 2): "e6576d9dc3f477a71896516effd8a5d75011c947ff3c91da2b5d1c7f3f15f0c2",
 }
 
 
@@ -82,6 +86,35 @@ _PINNED_CODES = {
 def test_vg_code_matches_pinned_digests(m, seed):
     code = np.ascontiguousarray(vg_code(m, seed), np.uint8)
     assert hashlib.sha256(code).hexdigest() == _PINNED_CODES[m, seed]
+
+
+class _ZeroWords:
+    """Generator stub whose every random word is all zeros."""
+
+    def integers(self, low, high, size=None, dtype=np.int64):
+        return np.zeros(size, dtype=dtype)
+
+
+def test_vg_code_stalls_after_ten_thousand_misses(monkeypatch):
+    # every candidate repeats the all-zeros word, so the random fill accepts
+    # nothing after the 4 words of the lexicographic phase
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _ZeroWords())
+    with pytest.raises(RuntimeError,
+                       match=r"^randomized code search stalled at 4/1117 words$"):
+        vg_code(81)
+
+
+def test_family_code_is_a_read_only_copy(monkeypatch):
+    code = vg_code(9)
+    fam = LowerBoundFamily(small_params(3), code)
+    with pytest.raises(ValueError, match="read-only"):
+        fam.code[1, 0] = 1 - fam.code[1, 0]
+    code[1, 0] = 1 - code[1, 0]
+    assert not np.array_equal(fam.code, code)
+    rho = fam.min_pairwise_hamming()
+    # the value is kept: a second call computes no distance
+    monkeypatch.setattr(lower_bound, "_distances", None)
+    assert fam.min_pairwise_hamming() == rho
 
 
 @pytest.mark.parametrize("block", [1, 7, 1 << 20])
@@ -267,6 +300,34 @@ def test_family_grid_path_equals_point_path(request, fixture):
                 point = field(pts)
                 np.testing.assert_array_equal(field.on_grid(axes), point.reshape(shape))
                 np.testing.assert_allclose(point, expected, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("fixture", ["small_family", "family_3d"])
+def test_family_grid_bytes_equal_point_bytes(request, fixture):
+    # byte equality also tells +0.0 from -0.0; random axes are unsorted and
+    # put nodes inside, between and outside the blocks
+    fam = request.getfixturevalue(fixture)
+    lo, hi = fam.f0.support.lower[0], fam.f0.support.upper[0]
+    rng = np.random.default_rng(11)
+    axes = [rng.uniform(lo, hi, 60 + 7 * j) for j in range(fam.params.dim)]
+    shape = [len(a) for a in axes]
+    for word in fam.code[:4]:
+        for alpha in multi_indices(fam.params.dim, 2):
+            field = fam.perturbation_field(word, alpha)
+            point = field(grid_points(axes)).reshape(shape)
+            assert field.on_grid(axes).tobytes() == point.tobytes()
+
+
+# sha256 of family_report's JSON for the README family at 2 nodes per
+# panel: a drift in any bit of the grid path shows here
+_README_REPORT_SHA256 = "b3941f838892a555b6c8d21d2be71f38c3d48d529bdc8d5c73e8fe2f80851725"
+
+
+def test_readme_family_report_bytes():
+    fam = build_family(choose_parameters(10_000, 240.0, 1.5, 1, 1, 1, 1, big_n=8.4), code_seed=0)
+    report = family_report(fam, pdf_rule=family_rule(fam, nodes_per_panel=2))
+    text = json.dumps(report, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == _README_REPORT_SHA256
 
 
 @pytest.mark.parametrize("fixture", ["small_family", "family_3d"])

@@ -110,6 +110,45 @@ def test_grid_field_non_finite_value_names_node(monkeypatch, chunk):
         quadrature._tensor_reduce(point, nodes, [np.ones(4), np.ones(5)], power=None)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("power", [None, 1.5])
+@pytest.mark.parametrize("grid", [True, False])
+def test_non_finite_value_on_a_later_slab_names_first_node(monkeypatch, bad, power, grid):
+    # 120 nodes in 20 slabs of 6: the first non-finite value lies in the
+    # sixth slab, a second in the same slab after it and a third in the 13th
+    monkeypatch.setattr(quadrature, "_CHUNK", 6)
+    marked = [((1.0, 0.0, 3.0), bad), ((1.0, 0.0, 5.0), np.nan), ((2.0, 2.0, 0.0), np.inf)]
+
+    def point(pts):
+        out = np.ones(len(pts))
+        for node, value in marked:
+            out[np.all(pts == node, axis=1)] = value
+        return out
+
+    if grid:
+        point.on_grid = lambda axes: point(grid_points(axes)).reshape([len(a) for a in axes])
+    nodes = [np.arange(4.0), np.arange(5.0), np.arange(6.0)]
+    weights = [np.linspace(0.5, 1.5, len(x)) for x in nodes]
+    with pytest.raises(FloatingPointError) as err:
+        quadrature._tensor_reduce(point, nodes, weights, power=power)
+    assert str(err.value) == f"integrand returned non-finite value {bad} at node [1.0, 0.0, 3.0]"
+
+
+@pytest.mark.parametrize("grid", [True, False])
+def test_lp_norm_overflowing_power_is_inf(monkeypatch, grid):
+    # finite values whose p-th power overflows: inf, with numpy's overflow
+    # warning on every slab, and no FloatingPointError
+    monkeypatch.setattr(quadrature, "_CHUNK", 16)
+
+    def point(pts):
+        return np.full(len(pts), 1e200)
+
+    if grid:
+        point.on_grid = lambda axes: np.full([len(a) for a in axes], 1e200)
+    with pytest.warns(RuntimeWarning, match="overflow encountered in power"):
+        assert lp_norm(point, Box((0, 0), (1, 1)), 2.0, QuadRule(2, (4, 4))) == np.inf
+
+
 def test_grid_field_wrong_shape_rejected():
     def point(pts):
         return np.ones(len(pts))
