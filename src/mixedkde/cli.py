@@ -25,6 +25,7 @@ from .risk import (config_from_dict, mc_risk, rate_exponent, report_summary, rep
 
 USAGE_ERROR = 2
 VERIFY_FAIL = 1
+VERIFY_TOL = 1e-8  # kernel-verify's default, which every product kernel-build writes meets
 
 
 def _split_pair(text: str) -> tuple[int, int]:
@@ -63,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("kernel-verify", help="verify a kernel JSON file")
     pv.add_argument("--config", required=True, help="kernel JSON path")
     pv.add_argument("--order", type=int, help="claimed order for univariate kernels")
-    pv.add_argument("--tol", type=float, default=1e-8)
+    pv.add_argument("--tol", type=float, default=VERIFY_TOL)
     pv.add_argument("--out")
 
     pr = sub.add_parser("rate", help="print an exact rate exponent")
@@ -113,6 +114,11 @@ def _cmd_kernel_build(args) -> int:
         d1, d2 = args.d
         kernel = tensor_kernel(build_order_kernel(s1, args.strict), d1,
                                build_order_kernel(s2, args.strict), d2, s1, s2)
+        if not (report := verify_class(kernel, tol=VERIFY_TOL)).passed:
+            print(f"kernel-build: this product kernel fails kernel-verify (worst_moment "
+                  f"{report.worst_moment:.6g} > {VERIFY_TOL:g}); --strict builds a kernel "
+                  f"of the order-({s1}, {s2}) class", file=sys.stderr)
+            return USAGE_ERROR
         _write_json(product_kernel_to_dict(kernel), args.out)
         return 0
     if args.order is None:

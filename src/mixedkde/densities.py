@@ -135,12 +135,16 @@ class Density:
         and multiplied out)."""
         return self.field.eval.on_grid(axes)
 
+    def min_grid_value(self) -> float:
+        """The smallest value on the uniform grid where ``verify_pdf`` looks for negative values."""
+        axes = [np.linspace(lo, hi, _PDF_CHECK_GRID)
+                for lo, hi in zip(self.support.lower, self.support.upper)]
+        return float(np.min(self.on_grid(axes)))
+
     def verify_pdf(self, rule: QuadRule) -> dict:
         """Measure the unit-mass defect and the most negative value on a uniform grid."""
         total = integrate(self.field.eval, self.support, rule)
-        axes = [np.linspace(lo, hi, _PDF_CHECK_GRID)
-                for lo, hi in zip(self.support.lower, self.support.upper)]
-        min_val = float(np.min(self.on_grid(axes)))
+        min_val = self.min_grid_value()
         return {
             "integral": total,
             "integral_defect": abs(total - 1.0),

@@ -16,6 +16,8 @@ two closed-form identities exact:
 
 ``choose_parameters`` reproduces the construction's parameter choices,
 including the non-compact variant where the plateau width N grows with n.
+``family_report`` checks both identities and four members' mass by
+quadrature in one pass over the slabs, off f_0 only on the blocks' sub-grid.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import partial, reduce, wraps
+from functools import reduce, wraps
 from typing import Callable, get_type_hints
 
 import numpy as np
@@ -31,7 +33,7 @@ import numpy as np
 from .bumps import g_deriv, g_function, g_norm, g_sobolev_norm, bump_sobolev_norm, bump_l1
 from .densities import Density, plateau_density
 from .kernels import config_scalar, config_values
-from .quadrature import QuadRule, integrate
+from .quadrature import QuadRule, integrate, integrate_many  # noqa: F401  (perfbench wraps it)
 from .sobolev import DifferentiableField
 
 __all__ = [
@@ -412,13 +414,32 @@ def vg_code(m: int, seed: int = 0) -> np.ndarray:
 
 # ----------------------------- the family -----------------------------
 
-def _pointwise(op: Callable, *fields: Callable) -> Callable:
-    """Field ``op(f_1, ..., f_k)`` of fields that all carry ``on_grid``; it carries one too."""
-    def field(pts: np.ndarray) -> np.ndarray:
-        return op(*(f(pts) for f in fields))
+def _on_blocks(axes, sub, values: np.ndarray) -> np.ndarray:
+    """Zeros on the grid spanned by ``axes``, ``values`` on its block sub-grid
+    ``sub`` (an ``np.ix_`` index), where perturbations can be nonzero."""
+    out = np.zeros(tuple(len(a) for a in axes))
+    out[sub] = values
+    return out
 
-    field.on_grid = lambda axes: op(*(f.on_grid(axes) for f in fields))
-    return field
+
+def _member_values(out: np.ndarray, f0_blocks: np.ndarray, sub, values: np.ndarray) -> np.ndarray:
+    """``f_0 + F`` written into ``out``, which holds ``f_0 + 0.0`` (an f_0
+    partial's -0.0 turned into +0.0, as the pointwise sum does) off the blocks."""
+    out[sub] = f0_blocks + values
+    return out
+
+
+def _distance_values(axes, sub, va: np.ndarray, vb: np.ndarray, p: float) -> np.ndarray:
+    """``|F_a - F_b|^p``, the power taken only where the members differ (0^p = 0)."""
+    diff = np.abs(va - vb)
+    differ = diff != 0.0
+    diff[differ] = diff[differ] ** p
+    return _on_blocks(axes, sub, diff)
+
+
+def _chi2_values(axes, sub, f0_blocks: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``F^2 / f_0`` from f_0's values on ``sub``, where it is positive (the plateau)."""
+    return _on_blocks(axes, sub, values ** 2 / f0_blocks)
 
 
 class LowerBoundFamily:
@@ -450,18 +471,34 @@ class LowerBoundFamily:
                 f"bump blocks [{lo_block}, {hi_block}] leave the plateau "
                 f"[-{halfwidth}, {halfwidth}]; parameters are inconsistent")
 
-    def _axis_wiggle(self, coords: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-        """Block index of each coordinate on one axis (``M`` outside every
-        block) and its wiggle factor ``g^(order)((x - xi) / sigma)`` (0 outside)."""
+    def _wiggles(self, axes, orders: tuple[int, ...]):
+        """Per axis, each coordinate's block index (``M`` outside every block)
+        and wiggle factor ``g^(order)((x - xi) / sigma)`` (0 outside); and
+        ``A sigma^-|alpha|``, the scale of the partial ``alpha = orders``."""
         sigma, m_axis = self.params.sigma, self.params.m_per_axis
-        idx = np.rint((coords - self.xi[0]) / (8.0 * sigma)).astype(int)
-        inside = (idx >= 0) & (idx < m_axis)
-        idx = np.clip(idx, 0, m_axis - 1)
-        inside &= np.abs(coords - self.xi[idx]) <= 3.0 * sigma
-        u = (coords[inside] - self.xi[idx[inside]]) / sigma
-        vals = np.zeros(coords.shape)
-        vals[inside] = g_deriv(order, u) if order else g_function(u)
-        return np.where(inside, idx, m_axis), vals
+        if len(axes) != self.params.dim:
+            raise ValueError(f"expected dimension {self.params.dim}, got {len(axes)}")
+        indices, factors = [], []
+        for coords, order in zip(axes, orders):
+            coords = np.asarray(coords, dtype=float)
+            idx = np.rint((coords - self.xi[0]) / (8.0 * sigma)).astype(int)
+            inside = (idx >= 0) & (idx < m_axis)
+            idx = np.clip(idx, 0, m_axis - 1)
+            inside &= np.abs(coords - self.xi[idx]) <= 3.0 * sigma
+            u = (coords[inside] - self.xi[idx[inside]]) / sigma
+            vals = np.zeros(coords.shape)
+            vals[inside] = g_deriv(order, u) if order else g_function(u)
+            indices.append(np.where(inside, idx, m_axis))
+            factors.append(vals)
+        return tuple(indices), factors, self.params.amplitude / sigma ** sum(orders)
+
+    def _block_grid(self, axes, orders: tuple[int, ...]):
+        """The block sub-grid of ``axes``, its block indices and scaled wiggle
+        products (multiplied left to right): the partial's values, bar the word."""
+        idx, vals, scale = self._wiggles(axes, orders)
+        sub = np.ix_(*(np.flatnonzero(ij < self.params.m_per_axis) for ij in idx))
+        return (sub, tuple(ij[k] for ij, k in zip(idx, sub)),
+                reduce(np.multiply, [v[k] for v, k in zip(vals, sub)], scale))
 
     def _word_bits(self, word: np.ndarray) -> np.ndarray:
         word = np.asarray(word, dtype=np.uint8)
@@ -472,7 +509,9 @@ class LowerBoundFamily:
 
     def perturbation_field(self, word: np.ndarray,
                            alpha: tuple[int, ...] | None = None) -> Callable:
-        """Field of ``F_omega`` (or its partial derivative ``alpha``), with ``on_grid``.
+        """Field of ``F_omega`` (or its partial derivative ``alpha``), with
+        ``on_grid`` and ``blocks(axes, grid=None)``: the block sub-grid of
+        ``axes`` and the values there, from ``grid = _block_grid(axes, alpha)``.
 
         Each axis gives a coordinate its block index and wiggle factor; a
         value is ``A sigma^-|alpha|`` times the factors, multiplied left to
@@ -481,34 +520,25 @@ class LowerBoundFamily:
         bits = self._word_bits(word)
         dim, m_axis = self.params.dim, self.params.m_per_axis
         orders = tuple(alpha) if alpha is not None else (0,) * dim
-        scale = self.params.amplitude / self.params.sigma ** sum(orders)
         # the word's bits on the block grid, padded with a zero block that
         # every coordinate outside the blocks of its axis points to
         padded = np.zeros((m_axis + 1,) * dim, dtype=bool)
         padded[(slice(-1),) * dim] = bits.reshape((m_axis,) * dim) != 0
 
-        def per_axis(axes):
-            if len(axes) != dim:
-                raise ValueError(f"expected dimension {dim}, got {len(axes)}")
-            return tuple(zip(*(self._axis_wiggle(np.asarray(a, dtype=float), k)
-                               for a, k in zip(axes, orders))))
-
-        def value(idx, vals) -> np.ndarray:
-            return np.where(padded[idx], reduce(np.multiply, vals, scale), 0.0)
+        def value(idx, wiggle: np.ndarray) -> np.ndarray:
+            return np.where(padded[idx], wiggle, 0.0)
 
         def field(pts: np.ndarray) -> np.ndarray:
-            return value(*per_axis(np.atleast_2d(np.asarray(pts, dtype=float)).T))
+            idx, vals, scale = self._wiggles(np.atleast_2d(np.asarray(pts, dtype=float)).T,
+                                             orders)
+            return value(idx, reduce(np.multiply, vals, scale))
 
-        def on_grid(axes) -> np.ndarray:
-            idx, vals = per_axis(axes)
-            out = np.zeros(tuple(len(a) for a in axes))
-            # only the sub-grid inside a block on every axis can be nonzero
-            sub = np.ix_(*(np.flatnonzero(ij < m_axis) for ij in idx))
-            out[sub] = value(tuple(ij[k] for ij, k in zip(idx, sub)),
-                             [v[k] for v, k in zip(vals, sub)])
-            return out
+        def blocks(axes, grid=None):
+            sub, idx, wiggle = self._block_grid(axes, orders) if grid is None else grid
+            return sub, value(idx, wiggle)
 
-        field.on_grid = on_grid
+        field.on_grid = lambda axes: _on_blocks(axes, *blocks(axes))
+        field.blocks = blocks
         return field
 
     def member(self, word: np.ndarray) -> Density:
@@ -516,15 +546,22 @@ class LowerBoundFamily:
         so it is evaluated and integrated, never sampled."""
         bits = self._word_bits(word)
         f0_field = self.f0.field
-        evaluate = _pointwise(np.add, f0_field.eval, self.perturbation_field(bits))
 
         def partial_factory(alpha: tuple[int, ...]) -> Callable:
-            return _pointwise(np.add, f0_field.partial_factory(alpha),
-                              self.perturbation_field(bits, alpha))
+            f0, pert = f0_field.partial_field(alpha), self.perturbation_field(bits, alpha)
 
-        field = DifferentiableField(eval=evaluate, support=f0_field.support,
-                                    partial_factory=partial_factory)
-        return Density(field=field)
+            def field(pts: np.ndarray) -> np.ndarray:
+                return np.add(f0(pts), pert(pts))
+
+            def on_grid(axes) -> np.ndarray:
+                f0_values, (sub, values) = f0.on_grid(axes), pert.blocks(axes)
+                return _member_values(f0_values + 0.0, f0_values[sub], sub, values)
+
+            field.on_grid = on_grid
+            return field
+
+        return Density(field=DifferentiableField(partial_factory((0,) * self.params.dim),
+                                                 f0_field.support, partial_factory))
 
     def min_pairwise_hamming(self) -> int:
         """Smallest Hamming distance between two code words (the word length for a
@@ -566,20 +603,14 @@ def family_distance(fam: LowerBoundFamily, word_a: np.ndarray, word_b: np.ndarra
     b = fam._word_bits(word_b)
     p = fam.params.p
     if via_quadrature:
-        fa = fam.perturbation_field(a)
-        fb = fam.perturbation_field(b)
-        rule = rule or family_rule(fam)
-        val = integrate(_pointwise(partial(_abs_diff_power, p=p), fa, fb), fam.f0.support, rule)
+        fa, fb = fam.perturbation_field(a), fam.perturbation_field(b)
+
+        def arrays(axes):
+            yield _distance_values(axes, *fa.blocks(axes), fb.blocks(axes)[1], p)
+
+        (val,) = integrate_many(arrays, fam.f0.support, rule or family_rule(fam))
         return val ** (1.0 / p)
     return _member_distance(fam.params, hamming_distance(a, b))
-
-
-def _abs_diff_power(va: np.ndarray, vb: np.ndarray, p: float) -> np.ndarray:
-    """``|va - vb|^p``, the power taken only where the members differ (0^p = 0)."""
-    diff = np.abs(va - vb)
-    differ = diff != 0.0
-    diff[differ] = diff[differ] ** p
-    return diff
 
 
 def _member_distance(params: FamilyParams, rho: int) -> float:
@@ -601,16 +632,15 @@ def chi2_affinity(fam: LowerBoundFamily, word: np.ndarray, n: int,
     """
     bits = fam._word_bits(word)
     if via_quadrature:
-        rule = rule or family_rule(fam)
+        pert = fam.perturbation_field(bits)
 
-        def ratio(f0v: np.ndarray, fv: np.ndarray) -> np.ndarray:
-            out = np.zeros(fv.shape)
-            mask = fv != 0.0
-            out[mask] = fv[mask] ** 2 / f0v[mask]
-            return out
+        def arrays(axes):
+            sub, values = pert.blocks(axes)
+            # f_0's factors are elementwise: the bits it has there on the whole grid
+            f0_blocks = fam.f0.on_grid([a[k.ravel()] for a, k in zip(axes, sub)])
+            yield _chi2_values(axes, sub, f0_blocks, values)
 
-        integrand = _pointwise(ratio, fam.f0.field.eval, fam.perturbation_field(bits))
-        integral = integrate(integrand, fam.f0.support, rule)
+        (integral,) = integrate_many(arrays, fam.f0.support, rule or family_rule(fam))
         return float((1.0 + integral) ** n)
     return float(_chi2_closed_form(fam.params, int(np.sum(bits != 0)), n))
 
@@ -625,27 +655,41 @@ def _chi2_closed_form(params: FamilyParams, ones, n: int):
 
 
 def family_report(fam: LowerBoundFamily, pdf_rule: QuadRule | None = None) -> dict:
-    """Parameters plus measured identity defects, JSON-ready."""
+    """Parameters plus measured identity defects, JSON-ready.  Each slab
+    evaluates f_0 and the block geometry once for all six integrals."""
     params = fam.params
     rule = pdf_rule or family_rule(fam)
     consts = family_constants(params)
     rho_min = fam.min_pairwise_hamming() if fam.code.shape[0] > 1 else 0
     checked = fam.code[:_PDF_CHECKED_WORDS]
-    worst_pdf_defect = 0.0
-    worst_negative = 0.0
-    for word in checked:
-        member = fam.member(word)
-        res = member.verify_pdf(rule)
-        worst_pdf_defect = max(worst_pdf_defect, res["integral_defect"])
-        worst_negative = min(worst_negative, res["min_grid_value"])
+    perts = [fam.perturbation_field(word) for word in checked]
+    pair = fam.code.shape[0] >= 2
+
+    def arrays(axes):
+        members, grid = fam.f0.on_grid(axes), fam._block_grid(axes, (0,) * params.dim)
+        sub = grid[0]
+        f0_blocks, values = members[sub], [pert.blocks(axes, grid)[1] for pert in perts]
+        # f_0's own buffer serves every member: off the sub-grid each is f_0 + 0.0
+        members += 0.0
+        yield from (_member_values(members, f0_blocks, sub, v) for v in values)
+        del members  # with the weights, at most two slab-sized arrays stay alive
+        if pair:
+            yield _distance_values(axes, sub, values[0], values[1], params.p)
+            yield _chi2_values(axes, sub, f0_blocks, values[1])
+
+    integrals = integrate_many(arrays, fam.f0.support, rule)
+    worst_pdf_defect = worst_negative = 0.0
+    for word, mass in zip(checked, integrals):
+        worst_pdf_defect = max(worst_pdf_defect, abs(mass - 1.0))
+        worst_negative = min(worst_negative, fam.member(word).min_grid_value())
     dist_rel_err = aff_rel_err = 0.0
-    if fam.code.shape[0] >= 2:
+    if pair:
+        distance_p, chi2_integral = integrals[len(checked):]
         closed = family_distance(fam, fam.code[0], fam.code[1])
-        quad = family_distance(fam, fam.code[0], fam.code[1], via_quadrature=True,
-                               rule=rule)
+        quad = distance_p ** (1.0 / params.p)
         dist_rel_err = abs(closed - quad) / max(abs(closed), 1e-300)
         closed = chi2_affinity(fam, fam.code[1], 1)
-        quad = chi2_affinity(fam, fam.code[1], 1, via_quadrature=True, rule=rule)
+        quad = 1.0 + chi2_integral
         aff_rel_err = abs(closed - quad) / max(abs(closed), 1e-300)
     return {
         "params": params_to_report(params),

@@ -12,9 +12,10 @@ that knows its tensor structure also carries ``f.on_grid(axes)``: given
 per-axis node vectors it returns the field's values on the tensor grid they
 span, shape ``(len(axes[0]), ..., len(axes[-1]))``, bit for bit the values
 ``f(grid_points(axes))`` gives.  ``integrate`` and ``lp_norm`` walk the grid
-in tensor slabs and call ``on_grid`` on each slab when the field has it.
-Only a slab whose weighted sum is not finite, as any NaN or inf value makes
-it, is searched for the first such node to name in a ``FloatingPointError``;
+in tensor slabs and call ``on_grid`` on each slab when the field has it;
+``integrate_many`` sums several arrays per slab in one such walk.  Only a
+slab sum that is not finite, as any NaN or inf value makes it, has its
+array searched for the first such node to name in a ``FloatingPointError``;
 a finite ``|f|^p`` that overflows gives inf with numpy's warning, no error.
 Univariate helpers (``integrate_1d`` and friends) take plain 1-d arrays.
 """
@@ -38,6 +39,7 @@ __all__ = [
     "multi_indices",
     "mixed_multi_indices",
     "integrate",
+    "integrate_many",
     "integrate_1d",
     "lp_norm",
     "lp_norm_1d",
@@ -213,6 +215,13 @@ def integrate(f: Callable, box: Box, rule: QuadRule) -> float:
     return _tensor_reduce(f, *grid_nodes(box, rule), power=None)
 
 
+def integrate_many(arrays: Callable, box: Box, rule: QuadRule) -> list[float]:
+    """Integrals of the arrays ``arrays(axes)`` yields on each slab, in one pass;
+    the k-th has the bits of ``integrate`` on a field whose ``on_grid`` gives it.
+    Each array is summed before the next is drawn, so they may share a buffer."""
+    return _slab_sums(arrays, *grid_nodes(box, rule), power=None)
+
+
 def lp_norm(f: Callable, box: Box, p: float, rule: QuadRule) -> float:
     """``(integral of |f|^p over box)^(1/p)``."""
     if p < 1:
@@ -242,35 +251,43 @@ def _slabs(shape: tuple[int, ...]):
 
 def _tensor_reduce(f, nodes: Sequence[np.ndarray], weights: Sequence[np.ndarray],
                    power: float | None) -> float:
-    """Sum ``w * f`` (or ``w * |f|^p``) over the tensor grid, slab by slab.
-
-    Each slab's values come from ``f.on_grid`` on the slab's per-axis nodes
-    when the field has it, otherwise from ``f`` at the slab's points; the
-    weight of a node is the left-to-right product of its axis weights
-    (``tensor_product``).
-    """
-    on_grid = getattr(f, "on_grid", None)
-    total = 0.0
-    for slab in _slabs(tuple(len(x) for x in nodes)):
-        axes = [x[s] for x, s in zip(nodes, slab)]
+    """``_slab_sums`` of one field: ``f.on_grid`` on a slab's per-axis nodes
+    when the field has it, otherwise ``f`` at the slab's points."""
+    def values(axes):
         shape = tuple(len(a) for a in axes)
-        if on_grid is not None:
-            vals, expected = on_grid(axes), shape
+        if hasattr(f, "on_grid"):
+            vals, expected = f.on_grid(axes), shape
         else:
             vals, expected = f(grid_points(axes)), (math.prod(shape),)
         vals = np.asarray(vals, dtype=float)
         if vals.shape != expected:
             raise ValueError(f"field returned shape {vals.shape}, expected {expected}")
-        terms = vals if power is None else np.abs(vals) ** power
-        wts = tensor_product([w[s] for w, s in zip(weights, slab)])
-        # einsum's own loop, not BLAS: a threaded BLAS splits a dot this long,
-        # leaves its threads spinning between slabs, and its partial sums
-        # depend on the thread count
-        part = float(np.einsum("i,i->", wts.ravel(), terms.ravel()))
-        if not math.isfinite(part):
-            _check_finite(vals, axes)
-        total += part
-    return total
+        yield vals
+
+    return _slab_sums(values, nodes, weights, power)[0]
+
+
+def _slab_sums(arrays: Callable, nodes: Sequence[np.ndarray], weights: Sequence[np.ndarray],
+               power: float | None) -> list[float]:
+    """Sum ``w * v`` (or ``w * |v|^p``) over the tensor grid for each array ``v``
+    that ``arrays(axes)`` yields on a slab's nodes; the weight of a node is the
+    left-to-right product of its axis weights, built once per slab."""
+    sums: list[float] = []
+    for slab in _slabs(tuple(len(x) for x in nodes)):
+        axes = [x[s] for x, s in zip(nodes, slab)]
+        wts = tensor_product([w[s] for w, s in zip(weights, slab)]).ravel()
+        parts = []
+        for vals in arrays(axes):
+            terms = vals if power is None else np.abs(vals) ** power
+            # einsum's own loop, not BLAS: a threaded BLAS splits a dot this long,
+            # leaves its threads spinning between slabs, and its partial sums
+            # depend on the thread count
+            part = float(np.einsum("i,i->", wts, terms.ravel()))
+            if not math.isfinite(part):
+                _check_finite(vals, axes)
+            parts.append(part)
+        sums = [total + part for total, part in itertools.zip_longest(sums, parts, fillvalue=0.0)]
+    return sums
 
 
 def integrate_1d(f: Callable, lo: float, hi: float, panels: int = 32,

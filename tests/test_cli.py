@@ -52,6 +52,25 @@ def test_product_kernel_build_and_verify(tmp_path):
     assert doc["s1"] == 2 and doc["d2"] == 1
 
 
+def test_product_kernel_build_writes_only_a_kernel_that_verifies(tmp_path, capsys):
+    # without --strict the (1,1) and (3,1) products are of their class
+    for s in ("1,1", "3,1"):
+        path = tmp_path / f"product{s}.json"
+        assert run(["kernel-build", "--s", s, "--d", "1,1", "--out", str(path)]) == 0
+        assert run(["kernel-verify", "--config", str(path)]) == 0
+    # the (2,1), (2,2), (3,2) and (4,3) products are not: nothing is written
+    capsys.readouterr()
+    for s, worst in (("2,1", "0.333333"), ("2,2", "0.333333"), ("3,2", "0.333333"),
+                     ("4,3", "0.0857143")):
+        path = tmp_path / f"product{s}.json"
+        assert run(["kernel-build", "--s", s, "--d", "1,1", "--out", str(path)]) == 2
+        assert not path.exists()
+        s1, s2 = s.split(",")
+        assert capsys.readouterr().err == (
+            f"kernel-build: this product kernel fails kernel-verify (worst_moment {worst} "
+            f"> 1e-08); --strict builds a kernel of the order-({s1}, {s2}) class\n")
+
+
 KERNEL_ORDER4_STRICT = """\
 {
   "order": 4,

@@ -312,10 +312,14 @@ def test_family_grid_bytes_equal_point_bytes(request, fixture):
     axes = [rng.uniform(lo, hi, 60 + 7 * j) for j in range(fam.params.dim)]
     shape = [len(a) for a in axes]
     for word in fam.code[:4]:
+        member = fam.member(word)
         for alpha in multi_indices(fam.params.dim, 2):
-            field = fam.perturbation_field(word, alpha)
-            point = field(grid_points(axes)).reshape(shape)
-            assert field.on_grid(axes).tobytes() == point.tobytes()
+            # an f0 partial is -0.0 on the plateau where another factor is
+            # negative; off the blocks the member's sum turns it into +0.0
+            for field in (fam.perturbation_field(word, alpha),
+                          member.field.partial_field(alpha)):
+                point = field(grid_points(axes)).reshape(shape)
+                assert field.on_grid(axes).tobytes() == point.tobytes()
 
 
 # sha256 of family_report's JSON for the README family at 2 nodes per
@@ -357,6 +361,38 @@ def test_family_grid_integrals_match_point_integrals(monkeypatch, request, fixtu
     point = (1.0 + integrate(ratio, box, rule)) ** 3
     grid = chi2_affinity(fam, word, 3, via_quadrature=True, rule=rule)
     assert grid == pytest.approx(point, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("fixture", ["small_family", "family_3d"])
+def test_family_report_sweep_equals_single_integrals(monkeypatch, request, fixture):
+    fam = request.getfixturevalue(fixture)
+    dim = fam.params.dim
+    # slabs of at most 1,000 nodes, so the sweep spans many slabs
+    monkeypatch.setattr(quadrature, "_CHUNK", 1000)
+    rule = QuadRule(2, (40,) * dim)
+    slabs = len(list(quadrature._slabs((80,) * dim)))
+    checked = fam.code[:4]
+    f0_grid, calls = fam.f0.field.eval.on_grid, []
+
+    def counted(axes):
+        calls.append(len(axes[0]))
+        return f0_grid(axes)
+
+    monkeypatch.setattr(fam.f0.field.eval, "on_grid", counted)
+    rep = family_report(fam, pdf_rule=rule)
+    # f0 once per slab for every integral, once per member's minimum check
+    assert slabs > 1 and len(calls) == slabs + len(checked)
+
+    pdfs = [fam.member(word).verify_pdf(rule) for word in checked]
+    assert rep["worst_pdf_defect"] == max([0.0] + [r["integral_defect"] for r in pdfs])
+    assert rep["worst_negative_value"] == min([0.0] + [r["min_grid_value"] for r in pdfs])
+    a, b = fam.code[0], fam.code[1]
+    closed = family_distance(fam, a, b)
+    quad = family_distance(fam, a, b, via_quadrature=True, rule=rule)
+    assert rep["distance_identity_rel_error"] == abs(closed - quad) / closed
+    closed = chi2_affinity(fam, b, 1)
+    quad = chi2_affinity(fam, b, 1, via_quadrature=True, rule=rule)
+    assert rep["affinity_identity_rel_error"] == abs(closed - quad) / closed
 
 
 def test_word_length_validation(small_family):

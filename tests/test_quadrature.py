@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 
 from mixedkde import quadrature
 from mixedkde.quadrature import (Box, QuadRule, grid_points, integrate, integrate_1d,
-                                 lp_norm, lp_norm_1d, tensor_product)
+                                 integrate_many, lp_norm, lp_norm_1d, tensor_product)
 from oracles import adaptive_simpson, partial_fd_field
 
 RULE_2D = QuadRule(8, (8, 8))
@@ -93,6 +93,20 @@ def test_slabs_bounded_and_cover_grid(monkeypatch, shape, chunk, grid):
     assert total == pytest.approx(float(tensor_product(weights).ravel() @ values), rel=1e-14)
 
 
+@pytest.mark.parametrize("chunk", [10 ** 6, 16])   # one slab; many slabs
+def test_integrate_many_has_the_bits_of_integrate(monkeypatch, chunk):
+    monkeypatch.setattr(quadrature, "_CHUNK", chunk)
+    box, rule = Box((0, -1, 0.5), (1, 2, 1.5)), QuadRule(3, (2, 3, 2))
+    fields = [lambda pts: np.sin(pts @ [1.0, 2.0, 3.0]), lambda pts: np.exp(-pts[:, 1] ** 2),
+              lambda pts: pts[:, 0] * pts[:, 2]]
+
+    def arrays(axes):
+        for f in fields:
+            yield f(grid_points(axes)).reshape([len(a) for a in axes])
+
+    assert integrate_many(arrays, box, rule) == [integrate(f, box, rule) for f in fields]
+
+
 @pytest.mark.parametrize("chunk", [100, 5])   # one slab; a slab per row
 def test_grid_field_non_finite_value_names_node(monkeypatch, chunk):
     monkeypatch.setattr(quadrature, "_CHUNK", chunk)
@@ -132,6 +146,22 @@ def test_non_finite_value_on_a_later_slab_names_first_node(monkeypatch, bad, pow
     with pytest.raises(FloatingPointError) as err:
         quadrature._tensor_reduce(point, nodes, weights, power=power)
     assert str(err.value) == f"integrand returned non-finite value {bad} at node [1.0, 0.0, 3.0]"
+    # the same values as the k-th of three arrays of one sweep, the next
+    # array holding an inf only on the 13th slab: the same message
+    for k in range(3):
+        def arrays(axes):
+            shape = [len(a) for a in axes]
+            for j in range(3):
+                vals = np.ones(shape)
+                if j == k:
+                    vals = point(grid_points(axes)).reshape(shape)
+                elif j == (k + 1) % 3:
+                    vals[np.all(grid_points(axes) == (2.0, 2.0, 0.0), axis=1).reshape(shape)] = np.inf
+                yield vals
+
+        with pytest.raises(FloatingPointError) as several:
+            quadrature._slab_sums(arrays, nodes, weights, power=power)
+        assert str(several.value) == str(err.value)
 
 
 @pytest.mark.parametrize("grid", [True, False])
