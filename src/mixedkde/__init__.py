@@ -11,7 +11,7 @@ from .lower_bound import (FamilyParams, LowerBoundFamily, InfeasibleParameters,
                           family_distance, chi2_affinity, family_report)
 from .estimator import KdeModel, bandwidth_rule, kde_on_grid, bias_lp
 from .risk import (ExperimentConfig, RiskReport, rate_exponent, mc_risk,
-                   fit_rate, upper_bound_constant, verify_lower_hypotheses,
+                   fit_rate, verify_lower_hypotheses,
                    cell_seed)
 
 __version__ = "0.1.0"

@@ -155,6 +155,7 @@ def _sobolev_norm_1d(deriv, lo: float, hi: float, order: int, p: float) -> float
     return total
 
 
+@lru_cache(maxsize=None)
 def bump_sobolev_norm(order: int, p: float) -> float:
     """Classical Sobolev norm of the raw bump k up to the given order."""
     return _sobolev_norm_1d(bump_k_deriv, -1.0, 1.0, order, p)

@@ -18,14 +18,13 @@ from .densities import pdf_ok
 from .kernels import (build_order_kernel, check_tol, config_section, kernel_from_dict,
                       kernel_to_dict, verify_order)
 from .lower_bound import build_family, choose_parameters, family_report, params_from_report
-from .product import (product_kernel_from_dict, product_kernel_to_dict, tensor_kernel,
-                      verify_class)
+from .product import (VERIFY_TOL, check_class, product_kernel_from_dict,
+                      product_kernel_to_dict, tensor_kernel, verify_class)
 from .risk import (config_from_dict, mc_risk, rate_exponent, report_summary, report_to_csv,
                    verify_lower_hypotheses)
 
 USAGE_ERROR = 2
 VERIFY_FAIL = 1
-VERIFY_TOL = 1e-8  # kernel-verify's default, which every product kernel-build writes meets
 
 
 def _split_pair(text: str) -> tuple[int, int]:
@@ -114,10 +113,10 @@ def _cmd_kernel_build(args) -> int:
         d1, d2 = args.d
         kernel = tensor_kernel(build_order_kernel(s1, args.strict), d1,
                                build_order_kernel(s2, args.strict), d2, s1, s2)
-        if not (report := verify_class(kernel, tol=VERIFY_TOL)).passed:
-            print(f"kernel-build: this product kernel fails kernel-verify (worst_moment "
-                  f"{report.worst_moment:.6g} > {VERIFY_TOL:g}); --strict builds a kernel "
-                  f"of the order-({s1}, {s2}) class", file=sys.stderr)
+        try:
+            check_class(kernel, "--strict")
+        except ValueError as exc:
+            print(f"kernel-build: {exc}", file=sys.stderr)
             return USAGE_ERROR
         _write_json(product_kernel_to_dict(kernel), args.out)
         return 0

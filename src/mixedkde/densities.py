@@ -135,16 +135,15 @@ class Density:
         and multiplied out)."""
         return self.field.eval.on_grid(axes)
 
-    def min_grid_value(self) -> float:
-        """The smallest value on the uniform grid where ``verify_pdf`` looks for negative values."""
-        axes = [np.linspace(lo, hi, _PDF_CHECK_GRID)
+    def check_axes(self) -> list[np.ndarray]:
+        """Per-axis nodes of the uniform grid where ``verify_pdf`` looks for negative values."""
+        return [np.linspace(lo, hi, _PDF_CHECK_GRID)
                 for lo, hi in zip(self.support.lower, self.support.upper)]
-        return float(np.min(self.on_grid(axes)))
 
     def verify_pdf(self, rule: QuadRule) -> dict:
         """Measure the unit-mass defect and the most negative value on a uniform grid."""
         total = integrate(self.field.eval, self.support, rule)
-        min_val = self.min_grid_value()
+        min_val = float(np.min(self.on_grid(self.check_axes())))
         return {
             "integral": total,
             "integral_defect": abs(total - 1.0),

@@ -17,7 +17,9 @@ two closed-form identities exact:
 ``choose_parameters`` reproduces the construction's parameter choices,
 including the non-compact variant where the plateau width N grows with n.
 ``family_report`` checks both identities and four members' mass by
-quadrature in one pass over the slabs, off f_0 only on the blocks' sub-grid.
+quadrature in one pass over the slabs.  Each quantity is computed where it
+varies: f_0's factors and the wiggles once per axis (a slab slices them),
+block ids once per slab, a word's values only on the blocks' sub-grid.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ import numpy as np
 from .bumps import g_deriv, g_function, g_norm, g_sobolev_norm, bump_sobolev_norm, bump_l1
 from .densities import Density, plateau_density
 from .kernels import config_scalar, config_values
-from .quadrature import QuadRule, integrate, integrate_many  # noqa: F401  (perfbench wraps it)
+from .quadrature import (QuadRule, grid_nodes, integrate,  # noqa: F401  (perfbench wraps it)
+                         integrate_many, tensor_product)
 from .sobolev import DifferentiableField
 
 __all__ = [
@@ -56,7 +59,7 @@ __all__ = [
 
 MAX_CODE_WORDS = 1 << 16
 _LEX_SCAN_BUDGET = 200_000
-# word pairs per block of min_pairwise_hamming's all-pairs distances
+# min_pairwise_hamming takes blocks of rows of at most this many rows x words
 _HAMMING_BLOCK = 1 << 20
 # code words whose members family_report checks for unit mass and sign
 _PDF_CHECKED_WORDS = 4
@@ -396,6 +399,12 @@ def vg_code(m: int, seed: int = 0) -> np.ndarray:
         batch = _pack(rng.integers(0, 2, size=(64, 4 * -(-m // 4)), dtype=np.uint8)[:, :m])
         far = _distances(batch, packed[:count]).min(axis=1) >= dist
         apart = _distances(batch, batch) >= dist
+        np.fill_diagonal(apart, True)  # a candidate does not clash with itself
+        if far.all() and apart.all():  # no clash: the loop below would accept them all
+            accepted = min(len(batch), target - count)
+            packed[count:count + accepted] = batch[:accepted]
+            count, misses = count + accepted, 0
+            continue
         for i in range(len(batch)):
             misses += 1
             if far[i]:
@@ -414,32 +423,38 @@ def vg_code(m: int, seed: int = 0) -> np.ndarray:
 
 # ----------------------------- the family -----------------------------
 
-def _on_blocks(axes, sub, values: np.ndarray) -> np.ndarray:
-    """Zeros on the grid spanned by ``axes``, ``values`` on its block sub-grid
-    ``sub`` (an ``np.ix_`` index), where perturbations can be nonzero."""
-    out = np.zeros(tuple(len(a) for a in axes))
-    out[sub] = values
+def _row_major(indices, shape) -> np.ndarray:
+    """Row-major positions in a grid of ``shape`` of per-axis indices (broadcast together)."""
+    return reduce(lambda pos, j: pos * shape[j] + indices[j], range(1, len(shape)), indices[0])
+
+
+def _on_blocks(axes, pos, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``values`` at the row-major positions ``pos`` of the block sub-grid of
+    ``axes``, 0 elsewhere: in fresh zeros, or at the head of the zeros ``out``."""
+    shape = tuple(len(a) for a in axes)
+    out = np.zeros(math.prod(shape)) if out is None else out[:math.prod(shape)]
+    out[pos] = values
+    return out.reshape(shape)
+
+
+def _member_values(out: np.ndarray, f0_blocks: np.ndarray, pos, values: np.ndarray) -> np.ndarray:
+    """``f_0 + F`` written at ``pos`` into the contiguous ``out``, which holds ``f_0
+    + 0.0`` (an f_0 partial's -0.0 turned into +0.0, as the pointwise sum does)."""
+    out.reshape(-1)[pos] = f0_blocks + values
     return out
 
 
-def _member_values(out: np.ndarray, f0_blocks: np.ndarray, sub, values: np.ndarray) -> np.ndarray:
-    """``f_0 + F`` written into ``out``, which holds ``f_0 + 0.0`` (an f_0
-    partial's -0.0 turned into +0.0, as the pointwise sum does) off the blocks."""
-    out[sub] = f0_blocks + values
-    return out
-
-
-def _distance_values(axes, sub, va: np.ndarray, vb: np.ndarray, p: float) -> np.ndarray:
+def _distance_values(va: np.ndarray, vb: np.ndarray, p: float) -> np.ndarray:
     """``|F_a - F_b|^p``, the power taken only where the members differ (0^p = 0)."""
     diff = np.abs(va - vb)
     differ = diff != 0.0
     diff[differ] = diff[differ] ** p
-    return _on_blocks(axes, sub, diff)
+    return diff
 
 
-def _chi2_values(axes, sub, f0_blocks: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``F^2 / f_0`` from f_0's values on ``sub``, where it is positive (the plateau)."""
-    return _on_blocks(axes, sub, values ** 2 / f0_blocks)
+def _chi2_values(f0_blocks: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``F^2 / f_0`` from f_0's values on the blocks, where it is positive (the plateau)."""
+    return values ** 2 / f0_blocks
 
 
 class LowerBoundFamily:
@@ -462,6 +477,7 @@ class LowerBoundFamily:
         kappa, sigma = params.kappa, params.sigma
         self.xi = (-(params.big_n - 4.0) / (4.0 * kappa)
                    + 8.0 * sigma * np.arange(1, params.m_per_axis + 1))
+        self._padded_shape = (params.m_per_axis + 1,) * params.dim
         # f0 is the constant (kappa/N)^D on the cube of this half-width
         halfwidth = (params.big_n - 2.0) / (2.0 * kappa)
         lo_block = self.xi[0] - 3.0 * sigma
@@ -492,12 +508,13 @@ class LowerBoundFamily:
             factors.append(vals)
         return tuple(indices), factors, self.params.amplitude / sigma ** sum(orders)
 
-    def _block_grid(self, axes, orders: tuple[int, ...]):
-        """The block sub-grid of ``axes``, its block indices and scaled wiggle
-        products (multiplied left to right): the partial's values, bar the word."""
-        idx, vals, scale = self._wiggles(axes, orders)
+    def _block_grid(self, idx, vals, scale: float):
+        """From a grid's per-axis ``_wiggles``, per node of its block sub-grid: the
+        row-major position, the block's row-major id in the padded block grid and
+        the scaled wiggle product (multiplied left to right), the value bar the word."""
         sub = np.ix_(*(np.flatnonzero(ij < self.params.m_per_axis) for ij in idx))
-        return (sub, tuple(ij[k] for ij, k in zip(idx, sub)),
+        return (_row_major(sub, [len(ij) for ij in idx]),
+                _row_major([ij[k] for ij, k in zip(idx, sub)], self._padded_shape),
                 reduce(np.multiply, [v[k] for v, k in zip(vals, sub)], scale))
 
     def _word_bits(self, word: np.ndarray) -> np.ndarray:
@@ -510,8 +527,8 @@ class LowerBoundFamily:
     def perturbation_field(self, word: np.ndarray,
                            alpha: tuple[int, ...] | None = None) -> Callable:
         """Field of ``F_omega`` (or its partial derivative ``alpha``), with
-        ``on_grid`` and ``blocks(axes, grid=None)``: the block sub-grid of
-        ``axes`` and the values there, from ``grid = _block_grid(axes, alpha)``.
+        ``on_grid`` and ``blocks(axes, grid=None)``: the positions of the block
+        sub-grid of ``axes`` and the values there, from its ``_block_grid``.
 
         Each axis gives a coordinate its block index and wiggle factor; a
         value is ``A sigma^-|alpha|`` times the factors, multiplied left to
@@ -522,20 +539,20 @@ class LowerBoundFamily:
         orders = tuple(alpha) if alpha is not None else (0,) * dim
         # the word's bits on the block grid, padded with a zero block that
         # every coordinate outside the blocks of its axis points to
-        padded = np.zeros((m_axis + 1,) * dim, dtype=bool)
+        padded = np.zeros(self._padded_shape, dtype=bool)
         padded[(slice(-1),) * dim] = bits.reshape((m_axis,) * dim) != 0
 
-        def value(idx, wiggle: np.ndarray) -> np.ndarray:
-            return np.where(padded[idx], wiggle, 0.0)
+        def value(ids, wiggle: np.ndarray) -> np.ndarray:
+            return np.where(padded.take(ids), wiggle, 0.0)  # ids index the flat bits
 
         def field(pts: np.ndarray) -> np.ndarray:
             idx, vals, scale = self._wiggles(np.atleast_2d(np.asarray(pts, dtype=float)).T,
                                              orders)
-            return value(idx, reduce(np.multiply, vals, scale))
+            return value(_row_major(idx, self._padded_shape), reduce(np.multiply, vals, scale))
 
         def blocks(axes, grid=None):
-            sub, idx, wiggle = self._block_grid(axes, orders) if grid is None else grid
-            return sub, value(idx, wiggle)
+            pos, ids, wiggle = grid or self._block_grid(*self._wiggles(axes, orders))
+            return pos, value(ids, wiggle)
 
         field.on_grid = lambda axes: _on_blocks(axes, *blocks(axes))
         field.blocks = blocks
@@ -554,8 +571,8 @@ class LowerBoundFamily:
                 return np.add(f0(pts), pert(pts))
 
             def on_grid(axes) -> np.ndarray:
-                f0_values, (sub, values) = f0.on_grid(axes), pert.blocks(axes)
-                return _member_values(f0_values + 0.0, f0_values[sub], sub, values)
+                f0_values, (pos, values) = f0.on_grid(axes), pert.blocks(axes)
+                return _member_values(f0_values + 0.0, f0_values.ravel()[pos], pos, values)
 
             field.on_grid = on_grid
             return field
@@ -565,15 +582,16 @@ class LowerBoundFamily:
 
     def min_pairwise_hamming(self) -> int:
         """Smallest Hamming distance between two code words (the word length for a
-        one-word code), from all-pairs distances in blocks of rows; computed once."""
+        one-word code), from each pair's distance, in blocks of rows; computed once."""
         if self._min_hamming is None:
             packed, length = _pack(self.code), self.code.shape[1]
             rows = max(1, _HAMMING_BLOCK // len(packed))
             self._min_hamming = length
             for start in range(0, len(packed), rows):
-                dist = _distances(packed[start:start + rows], packed)
-                # a word's distance to itself does not count
-                np.fill_diagonal(dist[:, start:], length)
+                # the block's rows against the words from its first on, but
+                # for a word's distance to itself
+                dist = _distances(packed[start:start + rows], packed[start:])
+                np.fill_diagonal(dist, length)
                 self._min_hamming = min(self._min_hamming, int(dist.min()))
         return self._min_hamming
 
@@ -605,8 +623,9 @@ def family_distance(fam: LowerBoundFamily, word_a: np.ndarray, word_b: np.ndarra
     if via_quadrature:
         fa, fb = fam.perturbation_field(a), fam.perturbation_field(b)
 
-        def arrays(axes):
-            yield _distance_values(axes, *fa.blocks(axes), fb.blocks(axes)[1], p)
+        def arrays(axes, slab):
+            (pos, va), vb = fa.blocks(axes), fb.blocks(axes)[1]
+            yield _on_blocks(axes, pos, _distance_values(va, vb, p))
 
         (val,) = integrate_many(arrays, fam.f0.support, rule or family_rule(fam))
         return val ** (1.0 / p)
@@ -634,11 +653,10 @@ def chi2_affinity(fam: LowerBoundFamily, word: np.ndarray, n: int,
     if via_quadrature:
         pert = fam.perturbation_field(bits)
 
-        def arrays(axes):
-            sub, values = pert.blocks(axes)
-            # f_0's factors are elementwise: the bits it has there on the whole grid
-            f0_blocks = fam.f0.on_grid([a[k.ravel()] for a, k in zip(axes, sub)])
-            yield _chi2_values(axes, sub, f0_blocks, values)
+        def arrays(axes, slab):
+            pos, values = pert.blocks(axes)
+            f0_blocks = fam.f0.on_grid(axes).reshape(-1).take(pos)
+            yield _on_blocks(axes, pos, _chi2_values(f0_blocks, values))
 
         (integral,) = integrate_many(arrays, fam.f0.support, rule or family_rule(fam))
         return float((1.0 + integral) ** n)
@@ -655,8 +673,8 @@ def _chi2_closed_form(params: FamilyParams, ones, n: int):
 
 
 def family_report(fam: LowerBoundFamily, pdf_rule: QuadRule | None = None) -> dict:
-    """Parameters plus measured identity defects, JSON-ready.  Each slab
-    evaluates f_0 and the block geometry once for all six integrals."""
+    """Parameters plus measured identity defects, JSON-ready.  The six integrals
+    take one sweep, the four minimum checks share one grid."""
     params = fam.params
     rule = pdf_rule or family_rule(fam)
     consts = family_constants(params)
@@ -665,26 +683,44 @@ def family_report(fam: LowerBoundFamily, pdf_rule: QuadRule | None = None) -> di
     perts = [fam.perturbation_field(word) for word in checked]
     pair = fam.code.shape[0] >= 2
 
-    def arrays(axes):
-        members, grid = fam.f0.on_grid(axes), fam._block_grid(axes, (0,) * params.dim)
-        sub = grid[0]
-        f0_blocks, values = members[sub], [pert.blocks(axes, grid)[1] for pert in perts]
-        # f_0's own buffer serves every member: off the sub-grid each is f_0 + 0.0
-        members += 0.0
-        yield from (_member_values(members, f0_blocks, sub, v) for v in values)
-        del members  # with the weights, at most two slab-sized arrays stay alive
-        if pair:
-            yield _distance_values(axes, sub, values[0], values[1], params.p)
-            yield _chi2_values(axes, sub, f0_blocks, values[1])
+    def members(f0_factors, idx, wiggles, scale):
+        """f_0 + 0.0 on the grid of these per-axis factors, and f_0's values, the
+        positions and the four perturbations' values on its block sub-grid."""
+        f0, grid = tensor_product(f0_factors), fam._block_grid(idx, wiggles, scale)
+        f0_blocks = f0.reshape(-1).take(grid[0])
+        f0 += 0.0  # f_0's own buffer serves every member: off the sub-grid each is f_0 + 0.0
+        return f0, f0_blocks, grid[0], [pert.blocks(None, grid)[1] for pert in perts]
+
+    def factors(axes):
+        return ([f.pdf(x) for f, x in zip(fam.f0.axis_factors, axes)],
+                *fam._wiggles(axes, (0,) * params.dim))
+
+    # the factors are elementwise: a slab slices the bits they have on the whole axes
+    *per_axis, scale = factors(grid_nodes(fam.f0.support, rule)[0])
+    zeros = np.zeros(0)
+
+    def arrays(axes, slab):
+        nonlocal zeros
+        out, f0_blocks, pos, values = members(
+            *[[a[s] for a, s in zip(part, slab)] for part in per_axis], scale)
+        yield from (_member_values(out, f0_blocks, pos, v) for v in values)
+        # both vanish off the blocks, where a slab that yields neither adds 0.0 to them
+        if pair and pos.size:
+            # one zero buffer for both: the sweep sums each array before it draws the next
+            zeros = zeros if zeros.size >= out.size else np.zeros(out.size)
+            yield _on_blocks(axes, pos, _distance_values(values[0], values[1], params.p), zeros)
+            yield _on_blocks(axes, pos, _chi2_values(f0_blocks, values[1]), zeros)
+            zeros[pos] = 0.0
 
     integrals = integrate_many(arrays, fam.f0.support, rule)
-    worst_pdf_defect = worst_negative = 0.0
-    for word, mass in zip(checked, integrals):
-        worst_pdf_defect = max(worst_pdf_defect, abs(mass - 1.0))
-        worst_negative = min(worst_negative, fam.member(word).min_grid_value())
+    worst_pdf_defect = max([0.0] + [abs(mass - 1.0) for mass in integrals[:len(checked)]])
+    # each member's minimum on the grid where verify_pdf looks for negative values
+    out, f0_blocks, pos, values = members(*factors(fam.f0.check_axes()))
+    worst_negative = min([0.0] + [float(np.min(_member_values(out, f0_blocks, pos, v)))
+                                  for v in values])
     dist_rel_err = aff_rel_err = 0.0
     if pair:
-        distance_p, chi2_integral = integrals[len(checked):]
+        distance_p, chi2_integral = (integrals + [0.0, 0.0])[len(checked):len(checked) + 2]
         closed = family_distance(fam, fam.code[0], fam.code[1])
         quad = distance_p ** (1.0 / params.p)
         dist_rel_err = abs(closed - quad) / max(abs(closed), 1e-300)

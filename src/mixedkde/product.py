@@ -22,11 +22,14 @@ from .kernels import (UnivariateKernel, abs_moment, check_tol, config_scalar, co
                       config_values, kernel_from_dict, kernel_to_dict, moment, q_norm_1d)
 from .quadrature import mixed_multi_indices
 
+VERIFY_TOL = 1e-8  # kernel-verify's default tolerance
+
 __all__ = [
     "ProductKernel",
     "ClassReport",
     "tensor_kernel",
     "verify_class",
+    "check_class",
     "q_norm",
     "required_moment_indices",
     "product_kernel_to_dict",
@@ -129,6 +132,16 @@ def verify_class(kernel: ProductKernel, tol: float) -> ClassReport:
                   and np.isfinite(i_top) and np.isfinite(sup))
     return ClassReport(markov_defect=markov, worst_moment=worst,
                        i_s1_s2=i_top, sup_norm=sup, passed=passed)
+
+
+def check_class(kernel: ProductKernel, strict_setting: str) -> None:
+    """Raise a ``ValueError`` naming ``worst_moment`` unless ``verify_class`` passes
+    at ``VERIFY_TOL``; ``strict_setting`` spells the switch to strict factors."""
+    if not (report := verify_class(kernel, tol=VERIFY_TOL)).passed:
+        raise ValueError(
+            f"this product kernel fails kernel-verify (worst_moment {report.worst_moment:.6g} "
+            f"> {VERIFY_TOL:g}); {strict_setting} builds a kernel of the "
+            f"order-({kernel.s1}, {kernel.s2}) class")
 
 
 def q_norm(kernel: ProductKernel, q: float) -> float:

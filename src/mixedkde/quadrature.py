@@ -13,7 +13,9 @@ per-axis node vectors it returns the field's values on the tensor grid they
 span, shape ``(len(axes[0]), ..., len(axes[-1]))``, bit for bit the values
 ``f(grid_points(axes))`` gives.  ``integrate`` and ``lp_norm`` walk the grid
 in tensor slabs and call ``on_grid`` on each slab when the field has it;
-``integrate_many`` sums several arrays per slab in one such walk.  Only a
+``integrate_many`` sums several arrays per slab in one such walk, and
+passes the slab's index ranges too, so they may slice per-axis values; a
+slab whose axis weights repeat a recent slab's reuses its weights.  Only a
 slab sum that is not finite, as any NaN or inf value makes it, has its
 array searched for the first such node to name in a ``FloatingPointError``;
 a finite ``|f|^p`` that overflows gives inf with numpy's warning, no error.
@@ -216,9 +218,11 @@ def integrate(f: Callable, box: Box, rule: QuadRule) -> float:
 
 
 def integrate_many(arrays: Callable, box: Box, rule: QuadRule) -> list[float]:
-    """Integrals of the arrays ``arrays(axes)`` yields on each slab, in one pass;
-    the k-th has the bits of ``integrate`` on a field whose ``on_grid`` gives it.
-    Each array is summed before the next is drawn, so they may share a buffer."""
+    """Integrals of the arrays ``arrays(axes, slab)`` yields on each slab (its
+    nodes and their index ranges in ``grid_nodes``), in one pass; the k-th has
+    the bits of ``integrate`` on a field whose ``on_grid`` gives it, and an
+    array a slab does not yield (past its last) adds 0.0 there.  Each array is
+    summed before the next is drawn, so they may share a buffer."""
     return _slab_sums(arrays, *grid_nodes(box, rule), power=None)
 
 
@@ -253,7 +257,7 @@ def _tensor_reduce(f, nodes: Sequence[np.ndarray], weights: Sequence[np.ndarray]
                    power: float | None) -> float:
     """``_slab_sums`` of one field: ``f.on_grid`` on a slab's per-axis nodes
     when the field has it, otherwise ``f`` at the slab's points."""
-    def values(axes):
+    def values(axes, slab):
         shape = tuple(len(a) for a in axes)
         if hasattr(f, "on_grid"):
             vals, expected = f.on_grid(axes), shape
@@ -270,14 +274,20 @@ def _tensor_reduce(f, nodes: Sequence[np.ndarray], weights: Sequence[np.ndarray]
 def _slab_sums(arrays: Callable, nodes: Sequence[np.ndarray], weights: Sequence[np.ndarray],
                power: float | None) -> list[float]:
     """Sum ``w * v`` (or ``w * |v|^p``) over the tensor grid for each array ``v``
-    that ``arrays(axes)`` yields on a slab's nodes; the weight of a node is the
-    left-to-right product of its axis weights, built once per slab."""
+    that ``arrays(axes, slab)`` yields on a slab's nodes and index ranges.  The
+    weight of a node is the left-to-right product of its axis weights; a slab
+    whose axis weights have the bytes of one of the last two built reuses it."""
     sums: list[float] = []
+    recent: list = []  # (axis weight bytes, product), newest first
     for slab in _slabs(tuple(len(x) for x in nodes)):
         axes = [x[s] for x, s in zip(nodes, slab)]
-        wts = tensor_product([w[s] for w, s in zip(weights, slab)]).ravel()
+        key = [w[s].tobytes() for w, s in zip(weights, slab)]
+        wts = next((prod for seen, prod in recent if seen == key), None)
+        if wts is None:
+            wts = tensor_product([w[s] for w, s in zip(weights, slab)]).ravel()
+            recent = [(key, wts)] + recent[:1]
         parts = []
-        for vals in arrays(axes):
+        for vals in arrays(axes, slab):
             terms = vals if power is None else np.abs(vals) ** power
             # einsum's own loop, not BLAS: a threaded BLAS splits a dot this long,
             # leaves its threads spinning between slabs, and its partial sums

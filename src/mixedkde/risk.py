@@ -40,9 +40,8 @@ from .estimator import KdeModel, bandwidth_rule, kde_on_grid, mean_field_on_axes
 from .kernels import build_order_kernel, config_scalar, config_section, config_values
 from .lower_bound import (LowerBoundFamily, _chi2_closed_form, _member_distance,
                           family_constants)
-from .product import ProductKernel, q_norm, tensor_kernel, top_abs_moment
-from .quadrature import (Box, QuadRule, integrate, lp_norm, mixed_multi_indices,
-                         tensor_product, trapezoid_axes)
+from .product import ProductKernel, check_class, tensor_kernel
+from .quadrature import Box, QuadRule, tensor_product, trapezoid_axes
 
 __all__ = [
     "ExperimentConfig",
@@ -54,7 +53,6 @@ __all__ = [
     "fit_rate",
     "mc_risk",
     "config_from_dict",
-    "upper_bound_constant",
     "verify_lower_hypotheses",
     "report_to_csv",
     "report_summary",
@@ -193,6 +191,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         truth = _build_truth(config_section(doc, "truth"))
     with config_values("kernel"):
         kernel = _build_kernel(config_section(doc, "kernel"))
+    if not kernel.kappa1.strict:  # strict factors make a kernel of its class by construction
+        with _value_named("kernel"):
+            check_class(kernel, '"strict": true')
     _check_dim("truth", truth.dim, kernel.dim)
     with config_values("sample_sizes"):
         sizes = tuple(config_scalar(n, int, "sample_sizes") for n in doc["sample_sizes"])
@@ -357,34 +358,6 @@ def mc_risk(config: ExperimentConfig | dict, workers: int = 1) -> RiskReport:
 
 
 # ----------------------------- bound checks -----------------------------
-
-def upper_bound_constant(kernel: ProductKernel, truth: Density, p: float,
-                         c_p: float = 1.0, rule: QuadRule | None = None) -> float:
-    """Explicit risk-bound constant, up to the caller-supplied ``c(p)``.
-
-    ``2^{p-1} [ (I sum ||d^alpha f||_p)^p + c(p) 2^{p-2} ||K||_inf^{p-2}
-    ||K||_2^2 + c(p) ||K||_2^p ||f||_{p/2}^{p/2} ]`` where the derivative
-    sum runs over the top mixed orders ``|alpha_1| = s1, |alpha_2| = s2``.
-    """
-    if p < 2:
-        raise ValueError(f"the constant is defined for p >= 2, got {p}")
-    if rule is None:
-        rule = QuadRule.for_box(truth.support, feature_scale=truth.feature_scale)
-    deriv_sum = 0.0
-    for a1, a2 in mixed_multi_indices(kernel.d1, kernel.s1, kernel.d2, kernel.s2):
-        if sum(a1) == kernel.s1 and sum(a2) == kernel.s2:
-            field = truth.field.partial_field(a1 + a2)
-            deriv_sum += lp_norm(field, truth.support, p, rule)
-    k_inf = q_norm(kernel, np.inf)
-    k_2 = q_norm(kernel, 2.0)
-    f_half = integrate(lambda pts: truth.field.eval(pts) ** (p / 2.0),
-                       truth.support, rule)
-    return 2.0 ** (p - 1.0) * (
-        (top_abs_moment(kernel) * deriv_sum) ** p
-        + c_p * 2.0 ** (p - 2.0) * k_inf ** (p - 2.0) * k_2 ** 2
-        + c_p * k_2 ** p * f_half
-    )
-
 
 @dataclass(frozen=True)
 class LowerHypothesesReport:

@@ -4,9 +4,10 @@ Nothing here imports from the package's numerical paths: quadrature is
 adaptive-bisection Simpson, tensor integrals are dense midpoint/trapezoid
 sums, derivatives are nested central finite differences, inverse-CDF
 sampling bisects each uniform in draw order, the density-estimator risk
-is a naive double loop with its own Horner polynomial evaluation, and
-the lower-bound perturbation finds its blocks by scanning every block
-centre.  These are deliberately slow and simple.
+is a naive double loop with its own Horner polynomial evaluation, the
+lower-bound perturbation finds its blocks by scanning every block
+centre, and a code's minimum Hamming distance compares every ordered
+pair of words.  These are deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -164,6 +165,18 @@ def brute_force_perturbation(g, amplitude: float, sigma: float, centres: Sequenc
     out = np.zeros(count)
     out[hit] = vals
     return out
+
+
+def min_pairwise_hamming(code: np.ndarray) -> int:
+    """Smallest number of differing bits over every ordered pair of distinct
+    rows of ``code``, one pair at a time; the word length for one word."""
+    code = np.asarray(code)
+    best = code.shape[1]
+    for i in range(len(code)):
+        for j in range(len(code)):
+            if i != j:
+                best = min(best, int(np.count_nonzero(code[i] != code[j])))
+    return best
 
 
 def trapezoid_lp_power(values: np.ndarray, axes: list, p: float) -> float:

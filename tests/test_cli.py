@@ -297,6 +297,32 @@ def test_risk_run_rejects_threads_below_one(tmp_path, capsys):
         assert not out.with_suffix(".csv").exists()
 
 
+def test_risk_run_checks_the_class_of_a_non_strict_kernel(tmp_path, capsys):
+    # the (1,1) and (3,1) products are of their class without strict
+    # factors, and run exactly as their strict kernels do
+    for s1 in (1, 3):
+        outputs = []
+        for strict in (True, False):
+            cfg = tmp_path / f"exp{s1}{strict}.json"
+            cfg.write_text(json.dumps({**SMALL_RISK, "kernel": {**SMALL_RISK["kernel"],
+                                                                "s1": s1, "strict": strict}}))
+            out = tmp_path / f"run{s1}{strict}"
+            assert run(["risk-run", "--config", str(cfg), "--out", str(out)]) == 0
+            outputs.append([out.with_suffix(ext).read_bytes() for ext in (".csv", ".json")])
+        assert outputs[0] == outputs[1]
+    # the (2,1) product is not, and the run stops before its first cell
+    cfg = tmp_path / "exp21.json"
+    cfg.write_text(json.dumps({**SMALL_RISK, "kernel": {**SMALL_RISK["kernel"],
+                                                        "s1": 2, "strict": False}}))
+    capsys.readouterr()
+    out = tmp_path / "run21"
+    assert run(["risk-run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.with_suffix(".csv").exists()
+    assert capsys.readouterr().err == (
+        "error: config 'kernel': this product kernel fails kernel-verify (worst_moment "
+        '0.333333 > 1e-08); "strict": true builds a kernel of the order-(2, 1) class\n')
+
+
 def test_risk_run_replicate_and_seed_overrides(tmp_path):
     config = {
         "truth": {"name": "tensor_bump", "params": {"widths": [1.0, 1.0]}},

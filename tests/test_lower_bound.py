@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mixedkde.bumps import g_deriv, g_norm
-from mixedkde import lower_bound
+from mixedkde import densities, lower_bound
 from mixedkde.lower_bound import (ConstructionError, FamilyParams,
                                   InfeasibleParameters, LowerBoundFamily, build_family,
                                   chi2_affinity, choose_parameters, family_constants,
@@ -17,6 +17,7 @@ from mixedkde.lower_bound import (ConstructionError, FamilyParams,
 from mixedkde import quadrature
 from mixedkde.quadrature import QuadRule, grid_points, integrate, multi_indices
 from mixedkde.sobolev import SmoothnessSpec, sobolev_norm
+import oracles
 from oracles import brute_force_perturbation
 
 
@@ -104,6 +105,35 @@ def test_vg_code_stalls_after_ten_thousand_misses(monkeypatch):
         vg_code(81)
 
 
+class _ClashingWords:
+    """Generator stub: in the first batch, rows 45 and 46 hold the same word
+    W (bits 20-39, far from every lexicographic word of m = 81) and row 47
+    a word V (bits 40-59) far from W; every other row is all zeros."""
+
+    def __init__(self):
+        self.batches = 0
+
+    def integers(self, low, high, size=None, dtype=np.int64):
+        words = np.zeros(size, dtype=dtype)
+        if self.batches == 0:
+            words[45:47, 20:40] = 1
+            words[47, 40:60] = 1
+        self.batches += 1
+        return words
+
+
+def test_vg_code_rejects_a_repeat_inside_a_batch(monkeypatch):
+    stub = _ClashingWords()
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: stub)
+    # W is accepted, its copy rejected and V accepted, in batch order; the 16
+    # zeros after V and 156 all-zero batches make the 10,000 consecutive
+    # misses of the one-at-a-time search, the copy not among them
+    with pytest.raises(RuntimeError,
+                       match=r"^randomized code search stalled at 6/1117 words$"):
+        vg_code(81)
+    assert stub.batches == 157
+
+
 def test_family_code_is_a_read_only_copy(monkeypatch):
     code = vg_code(9)
     fam = LowerBoundFamily(small_params(3), code)
@@ -117,17 +147,21 @@ def test_family_code_is_a_read_only_copy(monkeypatch):
     assert fam.min_pairwise_hamming() == rho
 
 
-@pytest.mark.parametrize("block", [1, 7, 1 << 20])
+@pytest.mark.parametrize("block", [1, 7, 50, 1 << 20])
 def test_min_pairwise_hamming_matches_pairs(monkeypatch, block):
+    # below 1 << 20 the triangle of pairs spans several blocks of rows
     monkeypatch.setattr(lower_bound, "_HAMMING_BLOCK", block)
     rng = np.random.default_rng(5)
     # words of 9, 81 and 225 bits: one, two and four uint64 lanes
-    for words, m_per_axis in [(1, 3), (2, 3), (40, 9), (25, 15)]:
-        code = rng.integers(0, 2, size=(words, m_per_axis ** 2), dtype=np.uint8)
-        fam = LowerBoundFamily(small_params(m_per_axis), code)
-        expected = min((hamming_distance(a, b) for a, b in itertools.combinations(code, 2)),
-                       default=code.shape[1])
-        assert fam.min_pairwise_hamming() == expected
+    codes = [rng.integers(0, 2, size=(words, m_per_axis ** 2), dtype=np.uint8)
+             for words, m_per_axis in [(1, 3), (2, 3), (40, 9), (25, 15)]]
+    # and two equal words in different blocks of rows, but for 1 << 20
+    twin = rng.integers(0, 2, size=(20, 81), dtype=np.uint8)
+    twin[13] = twin[2]
+    for code in codes + [twin]:
+        fam = LowerBoundFamily(small_params(math.isqrt(code.shape[1])), code)
+        assert fam.min_pairwise_hamming() == oracles.min_pairwise_hamming(code)
+    assert fam.min_pairwise_hamming() == 0
 
 
 def test_hamming_distance_basics():
@@ -372,16 +406,24 @@ def test_family_report_sweep_equals_single_integrals(monkeypatch, request, fixtu
     rule = QuadRule(2, (40,) * dim)
     slabs = len(list(quadrature._slabs((80,) * dim)))
     checked = fam.code[:4]
-    f0_grid, calls = fam.f0.field.eval.on_grid, []
+    lambda_bar, wiggles, f0_sizes, wiggle_sizes = densities.lambda_bar, fam._wiggles, [], []
 
-    def counted(axes):
-        calls.append(len(axes[0]))
-        return f0_grid(axes)
+    def counted_lambda_bar(u):
+        f0_sizes.append(len(u))
+        return lambda_bar(u)
 
-    monkeypatch.setattr(fam.f0.field.eval, "on_grid", counted)
+    def counted_wiggles(axes, orders):
+        wiggle_sizes.append([len(a) for a in axes])
+        return wiggles(axes, orders)
+
+    monkeypatch.setattr(densities, "lambda_bar", counted_lambda_bar)
+    monkeypatch.setattr(fam, "_wiggles", counted_wiggles)
     rep = family_report(fam, pdf_rule=rule)
-    # f0 once per slab for every integral, once per member's minimum check
-    assert slabs > 1 and len(calls) == slabs + len(checked)
+    # f0's factors (two lambda_bar calls each) and the wiggles once per axis
+    # for the sweep, then once on the grid the four minimum checks share
+    assert slabs > 1
+    assert f0_sizes == [80] * (2 * dim) + [256] * (2 * dim)
+    assert wiggle_sizes == [[80] * dim, [256] * dim]
 
     pdfs = [fam.member(word).verify_pdf(rule) for word in checked]
     assert rep["worst_pdf_defect"] == max([0.0] + [r["integral_defect"] for r in pdfs])

@@ -100,11 +100,73 @@ def test_integrate_many_has_the_bits_of_integrate(monkeypatch, chunk):
     fields = [lambda pts: np.sin(pts @ [1.0, 2.0, 3.0]), lambda pts: np.exp(-pts[:, 1] ** 2),
               lambda pts: pts[:, 0] * pts[:, 2]]
 
-    def arrays(axes):
+    def arrays(axes, slab):
         for f in fields:
             yield f(grid_points(axes)).reshape([len(a) for a in axes])
 
     assert integrate_many(arrays, box, rule) == [integrate(f, box, rule) for f in fields]
+
+
+@pytest.mark.parametrize("chunk", [10 ** 6, 9])   # one slab; a slab per row
+def test_integrate_many_array_not_yielded_adds_zero(monkeypatch, chunk):
+    # the second field vanishes on rows with x_0 < 0.5, where slabs yield only
+    # the first: the first slabs make one sum, later ones two, then one again
+    monkeypatch.setattr(quadrature, "_CHUNK", chunk)
+    box, rule = Box((0, -1), (1, 2)), QuadRule(3, (4, 3))
+
+    def first(pts):
+        return np.cos(pts @ [1.0, 2.0])
+
+    def second(pts):
+        return np.where((pts[:, 0] < 0.5) | (pts[:, 0] > 0.8), 0.0, np.exp(pts[:, 1]))
+
+    def arrays(axes, slab):
+        pts, shape = grid_points(axes), [len(a) for a in axes]
+        yield first(pts).reshape(shape)
+        if np.any(second(pts)):
+            yield second(pts).reshape(shape)
+
+    assert integrate_many(arrays, box, rule) == [integrate(first, box, rule),
+                                                 integrate(second, box, rule)]
+
+
+def _fresh_weight_sums(arrays, nodes, weights):
+    """``_slab_sums`` without reuse: every slab builds its own weight product."""
+    sums = None
+    for slab in quadrature._slabs(tuple(len(x) for x in nodes)):
+        axes = [x[s] for x, s in zip(nodes, slab)]
+        wts = tensor_product([w[s] for w, s in zip(weights, slab)]).ravel()
+        parts = [float(np.einsum("i,i->", wts, vals.ravel())) for vals in arrays(axes, slab)]
+        sums = parts if sums is None else [total + part for total, part in zip(sums, parts)]
+    return sums
+
+
+@pytest.mark.parametrize("nodes_per_panel, rows, panels, products", [
+    (2, 3, 7, 2),     # every 2-node weight is equal: one product for all full slabs
+    (3, 4, 7, 6),     # weight phases 0, 1, 2, 0, 1: no product among the last two
+    (8, 12, 7, 3),    # phases 0, 4, 0, 4: two products alternate, as at 36 rows
+    (8, 20, 13, 3),   # on the README rule's 8 nodes per panel
+])
+def test_reused_weight_products_give_the_sums_of_fresh_ones(monkeypatch, nodes_per_panel, rows,
+                                                            panels, products):
+    box, rule = Box((-1.0, 0.0), (2.0, 1.5)), QuadRule(nodes_per_panel, (panels, 3))
+    nodes, weights = quadrature.grid_nodes(box, rule)
+    # slabs of `rows` leading rows, the last one short
+    monkeypatch.setattr(quadrature, "_CHUNK", rows * len(nodes[1]))
+    assert len(nodes[0]) % rows
+
+    def arrays(axes, slab):
+        x, y = np.meshgrid(*axes, indexing="ij")
+        yield np.sin(3.0 * x + y) + 2.0
+        yield np.exp(-x * y)
+
+    built = []
+    monkeypatch.setattr(quadrature, "tensor_product",
+                        lambda vectors: built.append(1) or tensor_product(vectors))
+    sums = quadrature._slab_sums(arrays, nodes, weights, power=None)
+    # the short slab builds its own product, and at most two are kept
+    assert len(built) == products
+    assert sums == _fresh_weight_sums(arrays, nodes, weights)
 
 
 @pytest.mark.parametrize("chunk", [100, 5])   # one slab; a slab per row
@@ -149,7 +211,7 @@ def test_non_finite_value_on_a_later_slab_names_first_node(monkeypatch, bad, pow
     # the same values as the k-th of three arrays of one sweep, the next
     # array holding an inf only on the 13th slab: the same message
     for k in range(3):
-        def arrays(axes):
+        def arrays(axes, slab):
             shape = [len(a) for a in axes]
             for j in range(3):
                 vals = np.ones(shape)

@@ -11,17 +11,13 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from mixedkde.densities import tensor_bump_density
 from mixedkde.estimator import bandwidth_rule
-from mixedkde.kernels import build_order_kernel
 from mixedkde.lower_bound import (FamilyParams, LowerBoundFamily, build_family, chi2_affinity,
                                   choose_parameters, family_distance)
 from mixedkde import risk
-from mixedkde.product import q_norm, tensor_kernel, verify_class
-from mixedkde.quadrature import QuadRule, lp_norm
 from mixedkde.risk import (cell_seed, config_from_dict, fit_rate, mc_risk,
                            rate_exponent, report_summary, report_to_csv,
-                           upper_bound_constant, verify_lower_hypotheses)
+                           verify_lower_hypotheses)
 from oracles import brute_force_risk
 
 TINY_DOC = {
@@ -307,33 +303,6 @@ def test_csv_format():
 
 
 # ------------------------------ bound checks ------------------------------
-
-def test_upper_bound_constant_terms():
-    kernel = tensor_kernel(build_order_kernel(2, True), 1,
-                           build_order_kernel(1, True), 1, 2, 1)
-    truth = tensor_bump_density([1.0, 1.0])
-    p = 2.0
-    rule = QuadRule.for_box(truth.support, feature_scale=0.25)
-    base = upper_bound_constant(kernel, truth, p, c_p=1.0, rule=rule)
-    doubled = upper_bound_constant(kernel, truth, p, c_p=2.0, rule=rule)
-    # the two c(p)-linear terms double, the derivative term stays
-    report = verify_class(kernel, tol=1e-8)
-    deriv = lp_norm(truth.field.partial_field((2, 1)), truth.support, p, rule)
-    first_term = 2.0 ** (p - 1.0) * (report.i_s1_s2 * deriv) ** p
-    assert base == pytest.approx(
-        first_term + 2.0 ** (p - 1.0) * (
-            2.0 ** (p - 2.0) * q_norm(kernel, np.inf) ** (p - 2.0) * q_norm(kernel, 2.0) ** 2
-            + q_norm(kernel, 2.0) ** p * 1.0), rel=1e-6)
-    assert doubled - base == pytest.approx(base - first_term, rel=1e-6)
-
-
-def test_upper_bound_constant_rejects_small_p():
-    kernel = tensor_kernel(build_order_kernel(1, True), 1,
-                           build_order_kernel(1, True), 1, 1, 1)
-    truth = tensor_bump_density([1.0, 1.0])
-    with pytest.raises(ValueError, match="p >= 2"):
-        upper_bound_constant(kernel, truth, 1.5)
-
 
 def test_verify_lower_hypotheses_single_word():
     params = FamilyParams(s1=1, s2=1, d1=1, d2=1, p=2.0, r=5.0, big_n=9.0,
