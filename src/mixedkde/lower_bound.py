@@ -63,6 +63,9 @@ _LEX_SCAN_BUDGET = 200_000
 _HAMMING_BLOCK = 1 << 20
 # code words whose members family_report checks for unit mass and sign
 _PDF_CHECKED_WORDS = 4
+# family_rule's panels per half block (width sigma / 4) and per skirt of f_0
+_HALF_BLOCK_PANELS = 8
+_SKIRT_PANELS = 20
 
 
 class InfeasibleParameters(ValueError):
@@ -479,7 +482,7 @@ class LowerBoundFamily:
                    + 8.0 * sigma * np.arange(1, params.m_per_axis + 1))
         self._padded_shape = (params.m_per_axis + 1,) * params.dim
         # f0 is the constant (kappa/N)^D on the cube of this half-width
-        halfwidth = (params.big_n - 2.0) / (2.0 * kappa)
+        self.plateau_halfwidth = halfwidth = (params.big_n - 2.0) / (2.0 * kappa)
         lo_block = self.xi[0] - 3.0 * sigma
         hi_block = self.xi[-1] + 3.0 * sigma
         if lo_block < -halfwidth - 1e-12 or hi_block > halfwidth + 1e-12:
@@ -604,9 +607,25 @@ def build_family(params: FamilyParams, code_seed: int = 0) -> LowerBoundFamily:
 
 
 def family_rule(fam: LowerBoundFamily, nodes_per_panel: int = 8) -> QuadRule:
-    """Quadrature rule resolving the family's sigma-scale features."""
-    return QuadRule.for_box(fam.f0.support, feature_scale=0.5 * fam.params.sigma,
-                            nodes_per_panel=nodes_per_panel)
+    """Composite Gauss-Legendre rule on the family's own geometry, the same on
+    every axis.  Its edges are f_0's support and plateau ends and, for each
+    block, ``xi_k - 2 sigma``, ``xi_k`` and ``xi_k + 2 sigma``: the wiggle's
+    support ends and its zero crossing, where ``|F_a - F_b|^p`` has its kink.
+    Each half block gets ``_HALF_BLOCK_PANELS`` equal panels and each of f_0's
+    skirts ``_SKIRT_PANELS``; a stretch of plateau without a block gets one,
+    since every integrand is constant there (f_0 is ``(kappa/N)^D`` and every
+    F is 0)."""
+    params, box, plateau = fam.params, fam.f0.support, fam.plateau_halfwidth
+    lo, hi = box.lower[0], box.upper[0]
+    knots, panels = [lo, -plateau], [_SKIRT_PANELS, 1]
+    for xi in fam.xi:
+        knots += [xi - 2.0 * params.sigma, xi, xi + 2.0 * params.sigma]
+        panels += [_HALF_BLOCK_PANELS, _HALF_BLOCK_PANELS, 1]
+    knots += [plateau, hi]
+    panels += [_SKIRT_PANELS]
+    edges = np.concatenate([np.linspace(a, b, n + 1)[:-1]
+                            for a, b, n in zip(knots, knots[1:], panels)] + [[hi]])
+    return QuadRule.on_edges(nodes_per_panel, [edges] * params.dim)
 
 
 def family_distance(fam: LowerBoundFamily, word_a: np.ndarray, word_b: np.ndarray,

@@ -53,6 +53,9 @@ __all__ = [
 # (about 37,000 minor faults per family_n1e4 operation); at 2^18 it keeps them.
 _CHUNK = 1 << 18
 
+# No rule or grid holds more nodes than this.
+_MAX_NODES = 1 << 27
+
 
 @dataclass(frozen=True)
 class Box:
@@ -84,15 +87,18 @@ class Box:
 
 @dataclass(frozen=True)
 class QuadRule:
-    """Composite Gauss-Legendre rule: per-axis panel counts, shared node count.
+    """Composite Gauss-Legendre rule: per-axis panels, shared node count.
 
     ``nodes_per_panel`` Gauss-Legendre nodes are placed inside each of
-    ``panels_per_axis[i]`` equal-width panels along axis ``i``.  The rule is
-    exact on polynomials of per-axis degree ``<= 2*nodes_per_panel - 1``.
+    ``panels_per_axis[i]`` panels along axis ``i``: equal-width panels across
+    the box, or, when the rule carries ``edges`` (``QuadRule.on_edges``), the
+    panels between consecutive edges of axis ``i``.  The rule is exact on
+    polynomials of per-axis degree ``<= 2*nodes_per_panel - 1`` on each panel.
     """
 
     nodes_per_panel: int = 8
     panels_per_axis: tuple[int, ...] = (1,)
+    edges: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self):
         if self.nodes_per_panel < 2:
@@ -101,14 +107,23 @@ class QuadRule:
         object.__setattr__(self, "panels_per_axis", panels)
         if any(p < 1 for p in panels):
             raise ValueError("panel counts must be positive")
+        if self.edges is not None and panels != tuple(len(e) - 1 for e in self.edges):
+            raise ValueError("panels_per_axis must count the panels between the edges")
         total = math.prod(panels) * self.nodes_per_panel ** len(panels)
-        if total > 1 << 27:
+        if total > _MAX_NODES:
             raise ValueError(f"rule would generate {total} nodes; refusing")
+
+    @staticmethod
+    def on_edges(nodes_per_panel: int, edges: Sequence[Sequence[float]]) -> "QuadRule":
+        """Rule with one panel between each pair of consecutive ``edges[i]`` on axis ``i``;
+        ``grid_nodes`` checks them against the box."""
+        edges = tuple(tuple(float(x) for x in axis) for axis in edges)
+        return QuadRule(nodes_per_panel, tuple(len(e) - 1 for e in edges), edges)
 
     def panels_for(self, dim: int) -> tuple[int, ...]:
         """Per-axis panel counts on a ``dim``-box; one count applies to every axis."""
         panels = self.panels_per_axis
-        if len(panels) == 1:
+        if len(panels) == 1 and self.edges is None:
             panels = panels * dim
         if len(panels) != dim:
             raise ValueError(f"rule has {len(panels)} axes but box has {dim}")
@@ -139,10 +154,35 @@ def _axis_nodes(lo: float, hi: float, panels: int, nodes: int) -> tuple[np.ndarr
     return pts, wts
 
 
+def _edge_nodes(edges: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite GL nodes and weights on the panels between consecutive ``edges``."""
+    x, w = _gauss_nodes(nodes)
+    half = 0.5 * np.diff(edges)[:, None]
+    return (edges[:-1, None] + half * (x[None, :] + 1.0)).ravel(), (half * w[None, :]).ravel()
+
+
 def grid_nodes(box: Box, rule: QuadRule) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-axis composite GL node and weight vectors for a box."""
-    axes = [_axis_nodes(lo, hi, p, rule.nodes_per_panel)
-            for lo, hi, p in zip(box.lower, box.upper, rule.panels_for(box.dim))]
+    """Per-axis composite GL node and weight vectors for a box.
+
+    Raises ``ValueError`` naming the axis whose edges do not ascend strictly
+    from the box's lower bound to its upper one, or at which the grid passes
+    the node cap.
+    """
+    panels, total = rule.panels_for(box.dim), 1
+    for i, p in enumerate(panels):
+        total *= p * rule.nodes_per_panel
+        if total > _MAX_NODES:
+            raise ValueError(f"axis {i}: grid would pass {_MAX_NODES} nodes; refusing")
+    if rule.edges is None:
+        axes = [_axis_nodes(lo, hi, p, rule.nodes_per_panel)
+                for lo, hi, p in zip(box.lower, box.upper, panels)]
+    else:
+        axes = []
+        for i, (lo, hi, edges) in enumerate(zip(box.lower, box.upper, rule.edges)):
+            edges = np.asarray(edges)
+            if not (edges[0] == lo and edges[-1] == hi and np.all(np.diff(edges) > 0)):
+                raise ValueError(f"axis {i}: edges must ascend strictly from {lo} to {hi}")
+            axes.append(_edge_nodes(edges, rule.nodes_per_panel))
     return [x for x, _ in axes], [w for _, w in axes]
 
 
@@ -152,6 +192,8 @@ def trapezoid_axes(box: Box, rule: QuadRule) -> tuple[list[np.ndarray], list[np.
     Each axis gets ``panels * nodes_per_panel`` equal intervals, so the grid
     has the resolution of the Gauss-Legendre rule but includes the box edges.
     """
+    if rule.edges is not None:
+        raise ValueError("trapezoid axes take a rule of equal panels, not explicit edges")
     axes, weights = [], []
     for lo, hi, p in zip(box.lower, box.upper, rule.panels_for(box.dim)):
         npts = p * rule.nodes_per_panel + 1

@@ -487,3 +487,15 @@ def test_family_build_reports_lemma_hypotheses(tmp_path):
     hyp = json.loads(out.read_text())["lemma_hypotheses"]
     assert hyp["condition_L11"] is True
     assert hyp["c0_estimate"] <= hyp["c0_exponential_bound"]
+
+
+def test_readme_family_verifies(tmp_path, capsys):
+    # the family's own panel edges resolve the kinks of |f_a - f_b|^p at the
+    # wiggles' zero crossings, so the distance identity meets the 1e-6 tolerance
+    out = tmp_path / "family.json"
+    assert run(["family-build", "--s", "1,1", "--d", "1,1", "--p", "1.5", "--r", "240",
+                "--n", "10000", "--big-n", "8.4", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["distance_identity_rel_error"] <= 1e-6
+    capsys.readouterr()
+    assert run(["family-verify", "--config", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["distance_identity_rel_error"] <= 1e-6

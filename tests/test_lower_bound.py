@@ -15,7 +15,7 @@ from mixedkde.lower_bound import (ConstructionError, FamilyParams,
                                   hamming_distance, params_from_report,
                                   params_to_report, validate_params, vg_code)
 from mixedkde import quadrature
-from mixedkde.quadrature import QuadRule, grid_points, integrate, multi_indices
+from mixedkde.quadrature import QuadRule, grid_nodes, grid_points, integrate, multi_indices
 from mixedkde.sobolev import SmoothnessSpec, sobolev_norm
 import oracles
 from oracles import brute_force_perturbation
@@ -358,7 +358,7 @@ def test_family_grid_bytes_equal_point_bytes(request, fixture):
 
 # sha256 of family_report's JSON for the README family at 2 nodes per
 # panel: a drift in any bit of the grid path shows here
-_README_REPORT_SHA256 = "b3941f838892a555b6c8d21d2be71f38c3d48d529bdc8d5c73e8fe2f80851725"
+_README_REPORT_SHA256 = "bb601d5b9dd7c8f9e6d2d3ad896ebf8538d01a7c51bd192761b737ad58a879d5"
 
 
 def test_readme_family_report_bytes():
@@ -461,13 +461,46 @@ def test_construction_error_on_bad_geometry():
         LowerBoundFamily(params, np.zeros((2, 36), dtype=np.uint8))
 
 
+@pytest.mark.parametrize("fixture", ["small_family", "family_3d", "diagnostic_family"])
+def test_family_rule_edges_follow_the_geometry(request, fixture):
+    if fixture == "diagnostic_family":  # criterion 6's M = 2 instance
+        fam = LowerBoundFamily(small_params(2), np.array([[0, 1, 1, 0], [1, 1, 0, 0]]))
+    else:
+        fam = request.getfixturevalue(fixture)
+    params, box = fam.params, fam.f0.support
+    sigma, plateau = params.sigma, (params.big_n - 2.0) / (2.0 * params.kappa)
+    rule = family_rule(fam, nodes_per_panel=2)
+    assert len(rule.edges) == params.dim
+    for lo, hi, edges in zip(box.lower, box.upper, rule.edges):
+        assert edges == rule.edges[0]
+        edges = list(edges)
+        assert edges[0] == lo and edges[-1] == hi
+        assert all(np.diff(edges) > 0)
+        # the plateau ends, and each block's support ends and zero crossing
+        starts = [edges.index(-plateau)]
+        for xi in fam.xi:
+            start, mid, end = (edges.index(x) for x in (xi - 2 * sigma, xi, xi + 2 * sigma))
+            assert mid - start == end - mid == 8
+            assert max(np.diff(edges[start:end + 1])) <= sigma / 4 * (1 + 1e-12)
+            starts.append(end)
+            # one panel from the stretch before the block
+            assert start - starts[-2] == 1
+        # one panel for the stretch after the last block
+        assert edges.index(plateau) - starts[-1] == 1
+        assert edges.index(-plateau) == 20 and len(edges) - 1 - edges.index(plateau) == 20
+    assert rule.panels_per_axis == (20 + 16 * params.m_per_axis + params.m_per_axis + 1
+                                    + 20,) * params.dim
+    # the rule's grid builds on the family's box
+    nodes, _ = grid_nodes(box, rule)
+    assert [len(x) for x in nodes] == [2 * p for p in rule.panels_per_axis]
+
+
 def test_sobolev_budget_on_feasible_instance():
     # the construction's norm budget: F_omega below r(1-eps), member below r
     params = choose_parameters(10_000, 240.0, 1.5, 1, 1, 1, 1, big_n=8.4)
     fam = build_family(params)
     word = fam.code[1]
-    rule = QuadRule.for_box(fam.f0.support, feature_scale=0.5 * params.sigma,
-                            nodes_per_panel=6)
+    rule = family_rule(fam, nodes_per_panel=6)
     spec = SmoothnessSpec(1, 1, 1, 1, params.p, "mixed")
     member = fam.member(word)
     norm_member = sobolev_norm(member.field, spec, rule)

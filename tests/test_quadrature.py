@@ -407,6 +407,44 @@ def test_quad_rule_validation():
         QuadRule(4, (0,))
 
 
+def test_edge_rule_matches_uniform_rule_and_is_exact_per_panel():
+    box = Box((-1.0, 0.0), (2.0, 1.5))
+    uniform = QuadRule(4, (6, 3))
+    on_edges = QuadRule.on_edges(4, [np.linspace(-1.0, 2.0, 7), np.linspace(0.0, 1.5, 4)])
+    assert on_edges.panels_per_axis == uniform.panels_per_axis
+    for a, b in zip(quadrature.grid_nodes(box, uniform), quadrature.grid_nodes(box, on_edges)):
+        for u, e in zip(a, b):
+            np.testing.assert_allclose(e, u, rtol=0, atol=1e-15)
+    # uneven panels, each exact for degree 2 * 4 - 1 on either side of a kink at x = 0.3
+    rule = QuadRule.on_edges(4, [[-1.0, -0.2, 0.3, 0.35, 2.0], [0.0, 0.1, 1.5]])
+    f = lambda pts: np.abs(pts[:, 0] - 0.3) ** 7 * pts[:, 1] ** 3
+    exact = (1.3 ** 8 + 1.7 ** 8) / 8.0 * 1.5 ** 4 / 4.0
+    assert integrate(f, box, rule) == pytest.approx(exact, rel=1e-13)
+
+
+def test_grid_nodes_rejects_bad_edges_naming_the_axis():
+    box = Box((0.0, 0.0), (1.0, 2.0))
+    good = [0.0, 0.5, 1.0]
+    for edges, axis in [([good, [0.0, 1.5, 1.0, 2.0]], 1),   # not ascending
+                        ([good, [0.0, 1.0, 1.0, 2.0]], 1),   # a repeated edge
+                        ([[0.1, 0.5, 1.0], [0.0, 2.0]], 0),  # starts inside the box
+                        ([good, [0.0, 1.0, 2.5]], 1),        # ends past the box
+                        ([[0.0, np.nan, 1.0], [0.0, 2.0]], 0)]:
+        with pytest.raises(ValueError, match=f"axis {axis}: edges must ascend strictly"):
+            quadrature.grid_nodes(box, QuadRule.on_edges(2, edges))
+    with pytest.raises(ValueError, match="rule has 1 axes but box has 2"):
+        quadrature.grid_nodes(box, QuadRule.on_edges(2, [good]))
+    # one count for every axis: 4,800 nodes per axis pass the cap on the third axis
+    with pytest.raises(ValueError, match="axis 2: grid would pass 134217728 nodes"):
+        quadrature.grid_nodes(Box((0, 0, 0), (1, 1, 1)), QuadRule(8, (600,)))
+    with pytest.raises(ValueError, match="refusing"):
+        QuadRule.on_edges(8, [np.linspace(0.0, 1.0, 5001)] * 2)
+    with pytest.raises(ValueError, match="count the panels"):
+        QuadRule(2, (3,), edges=((0.0, 1.0),))
+    with pytest.raises(ValueError, match="equal panels"):
+        quadrature.trapezoid_axes(box, QuadRule.on_edges(2, [good, [0.0, 2.0]]))
+
+
 def test_rule_for_box_panel_cap():
     box = Box((0, 0), (2, 4))
     rule = QuadRule.for_box(box, feature_scale=1.0)

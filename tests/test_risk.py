@@ -194,13 +194,26 @@ def test_mc_risk_starts_no_more_workers_than_jobs(monkeypatch):
     assert started == [6, 3]
 
 
+def _task_children() -> list[str]:
+    """Every thread's ``/proc/self/task/*/children`` text, from a snapshot in
+    which no listed thread ended before its file was read; a thread that ends
+    between the listing and the read (a pool's helper thread, say) makes the
+    snapshot incomplete, so it is retaken."""
+    for _ in range(100):
+        try:
+            return [path.read_text() for path in sorted(Path("/proc/self/task").glob("*/children"))]
+        except (FileNotFoundError, ProcessLookupError):
+            continue
+    raise AssertionError("threads kept ending during 100 snapshots of /proc/self/task")
+
+
 def test_mc_risk_pool_leaves_no_process():
     mc_risk(dict(TINY_DOC), workers=2)
     assert multiprocessing.active_children() == []
-    children = sorted(Path("/proc/self/task").glob("*/children"))
+    children = _task_children()
     if not children:
         pytest.skip("no /proc/self/task/*/children on this system")
-    assert [path.read_text() for path in children] == [""] * len(children)
+    assert children == [""] * len(children)
 
 
 _BLAS_GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
