@@ -2,7 +2,7 @@
 
 from .quadrature import Box, QuadRule, integrate, lp_norm
 from .kernels import UnivariateKernel, build_order_kernel, moment, verify_order
-from .product import ProductKernel, tensor_kernel, verify_class, q_norm
+from .product import ProductKernel, tensor_kernel, verify_class
 from .sobolev import SmoothnessSpec, DifferentiableField, index_set, sobolev_norm
 from .bumps import bump_k, g_function, lambda_value
 from .densities import Density, tensor_bump_density, plateau_density

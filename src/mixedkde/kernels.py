@@ -157,15 +157,6 @@ def abs_moment(kernel: UnivariateKernel, nu: float) -> float:
     return _split_at_roots(kernel, lambda u: np.abs(u) ** nu * np.abs(kernel(u)))
 
 
-def q_norm_1d(kernel: UnivariateKernel, q: float) -> float:
-    """``L^q`` norm of the kernel; ``q = inf`` gives the grid sup norm."""
-    if q == np.inf:
-        return kernel.sup_norm()
-    if q < 1:
-        raise ValueError(f"q must be >= 1 or inf, got {q}")
-    return _split_at_roots(kernel, lambda u: np.abs(kernel(u)) ** q) ** (1.0 / q)
-
-
 def check_tol(tol: float) -> None:
     """Raise a ``ValueError`` naming ``tol`` unless it is a finite number > 0."""
     if not (math.isfinite(tol) and tol > 0):

@@ -378,12 +378,14 @@ def vg_code(m: int, seed: int = 0) -> np.ndarray:
     """
     if m < 8:
         raise ValueError(f"code length must be >= 8, got {m}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     dist = math.ceil(m / 8.0)
     target = max(2, math.ceil(2.0 ** (m / 8.0)))
     if target > MAX_CODE_WORDS:
         raise ValueError(
-            f"code of length {m} needs {target} words; "
-            f"cap is {MAX_CODE_WORDS}, reduce the block count")
+            f"code of length {m} needs {target} words; cap is {MAX_CODE_WORDS}. The block "
+            f"count M^D grows with n, so a smaller n (--n) gives fewer blocks")
 
     packed = np.zeros((target, -(-m // 64)), dtype="<u8")  # row 0: all-zeros word
     count = 1
@@ -431,11 +433,11 @@ def _row_major(indices, shape) -> np.ndarray:
     return reduce(lambda pos, j: pos * shape[j] + indices[j], range(1, len(shape)), indices[0])
 
 
-def _on_blocks(axes, pos, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _on_blocks(axes, pos, values: np.ndarray) -> np.ndarray:
     """``values`` at the row-major positions ``pos`` of the block sub-grid of
-    ``axes``, 0 elsewhere: in fresh zeros, or at the head of the zeros ``out``."""
+    ``axes``, 0 elsewhere."""
     shape = tuple(len(a) for a in axes)
-    out = np.zeros(math.prod(shape)) if out is None else out[:math.prod(shape)]
+    out = np.zeros(math.prod(shape))
     out[pos] = values
     return out.reshape(shape)
 
@@ -716,20 +718,14 @@ def family_report(fam: LowerBoundFamily, pdf_rule: QuadRule | None = None) -> di
 
     # the factors are elementwise: a slab slices the bits they have on the whole axes
     *per_axis, scale = factors(grid_nodes(fam.f0.support, rule)[0])
-    zeros = np.zeros(0)
 
     def arrays(axes, slab):
-        nonlocal zeros
         out, f0_blocks, pos, values = members(
             *[[a[s] for a, s in zip(part, slab)] for part in per_axis], scale)
         yield from (_member_values(out, f0_blocks, pos, v) for v in values)
-        # both vanish off the blocks, where a slab that yields neither adds 0.0 to them
-        if pair and pos.size:
-            # one zero buffer for both: the sweep sums each array before it draws the next
-            zeros = zeros if zeros.size >= out.size else np.zeros(out.size)
-            yield _on_blocks(axes, pos, _distance_values(values[0], values[1], params.p), zeros)
-            yield _on_blocks(axes, pos, _chi2_values(f0_blocks, values[1]), zeros)
-            zeros[pos] = 0.0
+        if pair:
+            yield _on_blocks(axes, pos, _distance_values(values[0], values[1], params.p))
+            yield _on_blocks(axes, pos, _chi2_values(f0_blocks, values[1]))
 
     integrals = integrate_many(arrays, fam.f0.support, rule)
     worst_pdf_defect = max([0.0] + [abs(mass - 1.0) for mass in integrals[:len(checked)]])
@@ -739,7 +735,7 @@ def family_report(fam: LowerBoundFamily, pdf_rule: QuadRule | None = None) -> di
                                   for v in values])
     dist_rel_err = aff_rel_err = 0.0
     if pair:
-        distance_p, chi2_integral = (integrals + [0.0, 0.0])[len(checked):len(checked) + 2]
+        distance_p, chi2_integral = integrals[len(checked):]
         closed = family_distance(fam, fam.code[0], fam.code[1])
         quad = distance_p ** (1.0 / params.p)
         dist_rel_err = abs(closed - quad) / max(abs(closed), 1e-300)

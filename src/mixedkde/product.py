@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import (UnivariateKernel, abs_moment, check_tol, config_scalar, config_section,
-                      config_values, kernel_from_dict, kernel_to_dict, moment, q_norm_1d)
+                      config_values, kernel_from_dict, kernel_to_dict, moment)
 from .quadrature import mixed_multi_indices
 
 VERIFY_TOL = 1e-8  # kernel-verify's default tolerance
@@ -30,7 +30,6 @@ __all__ = [
     "tensor_kernel",
     "verify_class",
     "check_class",
-    "q_norm",
     "required_moment_indices",
     "product_kernel_to_dict",
     "product_kernel_from_dict",
@@ -142,15 +141,6 @@ def check_class(kernel: ProductKernel, strict_setting: str) -> None:
             f"this product kernel fails kernel-verify (worst_moment {report.worst_moment:.6g} "
             f"> {VERIFY_TOL:g}); {strict_setting} builds a kernel of the "
             f"order-({kernel.s1}, {kernel.s2}) class")
-
-
-def q_norm(kernel: ProductKernel, q: float) -> float:
-    """``L^q`` norm of the product kernel via per-factor factorization."""
-    if q != np.inf and q < 1:
-        raise ValueError(f"q must be >= 1 or inf, got {q}")
-    n1 = q_norm_1d(kernel.kappa1, q)
-    n2 = q_norm_1d(kernel.kappa2, q)
-    return n1 ** kernel.d1 * n2 ** kernel.d2
 
 
 def product_kernel_to_dict(kernel: ProductKernel) -> dict:

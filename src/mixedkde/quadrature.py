@@ -1,24 +1,24 @@
 """Deterministic numerical integration on boxes.
 
-The package's one tensor-grid layer (axes, weights, outer products,
-row-major points, tensor slabs), composite Gauss-Legendre quadrature and
-grid L^p norms; every other module builds on these.
+The package's one tensor-grid layer (axes, weights, outer products, tensor
+slabs), composite Gauss-Legendre quadrature and grid L^p norms; every other
+module builds on these.
 
 Conventions
 -----------
 Multivariate fields are callables ``f(pts)`` where ``pts`` has shape
 ``(npoints, dim)`` and the return value has shape ``(npoints,)``.  A field
-that knows its tensor structure also carries ``f.on_grid(axes)``: given
-per-axis node vectors it returns the field's values on the tensor grid they
-span, shape ``(len(axes[0]), ..., len(axes[-1]))``, bit for bit the values
-``f(grid_points(axes))`` gives.  ``integrate`` and ``lp_norm`` walk the grid
-in tensor slabs and call ``on_grid`` on each slab when the field has it;
-``integrate_many`` sums several arrays per slab in one such walk, and
-passes the slab's index ranges too, so they may slice per-axis values; a
-slab whose axis weights repeat a recent slab's reuses its weights.  Only a
-slab sum that is not finite, as any NaN or inf value makes it, has its
-array searched for the first such node to name in a ``FloatingPointError``;
-a finite ``|f|^p`` that overflows gives inf with numpy's warning, no error.
+that ``integrate`` or ``lp_norm`` takes also carries ``f.on_grid(axes)``:
+given per-axis node vectors it returns the field's values on the tensor grid
+they span, shape ``(len(axes[0]), ..., len(axes[-1]))``, bit for bit the
+values ``f`` gives at the grid's points in row-major order.  Both walk the
+grid in tensor slabs and call ``on_grid`` on each slab; ``integrate_many``
+sums several arrays per slab in one such walk, and passes the slab's index
+ranges too, so they may slice per-axis values.  Each slab builds its own
+weight product.  Only a slab sum that is not finite, as any NaN or inf value
+makes it, has its array searched for the first such node to name in a
+``FloatingPointError``; a finite ``|f|^p`` that overflows gives inf with
+numpy's warning, no error.
 Univariate helpers (``integrate_1d`` and friends) take plain 1-d arrays.
 """
 
@@ -37,7 +37,6 @@ __all__ = [
     "QuadRule",
     "trapezoid_axes",
     "tensor_product",
-    "grid_points",
     "multi_indices",
     "mixed_multi_indices",
     "integrate",
@@ -210,15 +209,6 @@ def tensor_product(vectors: Sequence[np.ndarray]) -> np.ndarray:
     return reduce(np.multiply.outer, vectors)
 
 
-def grid_points(axes: Sequence[np.ndarray]) -> np.ndarray:
-    """Points of the tensor grid spanned by ``axes``, shape ``(npoints, dim)``.
-
-    Rows are in row-major (last axis fastest) order.
-    """
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
 def multi_indices(dim: int, max_total: int) -> list[tuple[int, ...]]:
     """All ``dim``-component multi-indices with entry sum ``<= max_total``.
 
@@ -251,7 +241,8 @@ def _check_finite(vals: np.ndarray, axes: Sequence[np.ndarray]) -> None:
 
 
 def integrate(f: Callable, box: Box, rule: QuadRule) -> float:
-    """Composite tensor Gauss-Legendre integral of ``f`` over ``box``.
+    """Composite tensor Gauss-Legendre integral of ``f`` over ``box``, taken
+    through ``f.on_grid`` slab by slab.
 
     Raises ``FloatingPointError`` naming the offending node if ``f``
     returns a non-finite value anywhere.
@@ -297,15 +288,9 @@ def _slabs(shape: tuple[int, ...]):
 
 def _tensor_reduce(f, nodes: Sequence[np.ndarray], weights: Sequence[np.ndarray],
                    power: float | None) -> float:
-    """``_slab_sums`` of one field: ``f.on_grid`` on a slab's per-axis nodes
-    when the field has it, otherwise ``f`` at the slab's points."""
+    """``_slab_sums`` of one field: ``f.on_grid`` on a slab's per-axis nodes."""
     def values(axes, slab):
-        shape = tuple(len(a) for a in axes)
-        if hasattr(f, "on_grid"):
-            vals, expected = f.on_grid(axes), shape
-        else:
-            vals, expected = f(grid_points(axes)), (math.prod(shape),)
-        vals = np.asarray(vals, dtype=float)
+        vals, expected = np.asarray(f.on_grid(axes), dtype=float), tuple(len(a) for a in axes)
         if vals.shape != expected:
             raise ValueError(f"field returned shape {vals.shape}, expected {expected}")
         yield vals
@@ -317,17 +302,11 @@ def _slab_sums(arrays: Callable, nodes: Sequence[np.ndarray], weights: Sequence[
                power: float | None) -> list[float]:
     """Sum ``w * v`` (or ``w * |v|^p``) over the tensor grid for each array ``v``
     that ``arrays(axes, slab)`` yields on a slab's nodes and index ranges.  The
-    weight of a node is the left-to-right product of its axis weights; a slab
-    whose axis weights have the bytes of one of the last two built reuses it."""
+    weight of a node is the left-to-right product of its axis weights."""
     sums: list[float] = []
-    recent: list = []  # (axis weight bytes, product), newest first
     for slab in _slabs(tuple(len(x) for x in nodes)):
         axes = [x[s] for x, s in zip(nodes, slab)]
-        key = [w[s].tobytes() for w, s in zip(weights, slab)]
-        wts = next((prod for seen, prod in recent if seen == key), None)
-        if wts is None:
-            wts = tensor_product([w[s] for w, s in zip(weights, slab)]).ravel()
-            recent = [(key, wts)] + recent[:1]
+        wts = tensor_product([w[s] for w, s in zip(weights, slab)]).ravel()
         parts = []
         for vals in arrays(axes, slab):
             terms = vals if power is None else np.abs(vals) ** power

@@ -52,6 +52,23 @@ def tensor_trapezoid(f, lower, upper, pts_per_axis: int = 801) -> float:
     return float(vals)
 
 
+def grid_points(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """Points of the tensor grid spanned by ``axes``, shape ``(npoints, dim)``,
+    rows in row-major (last axis fastest) order."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def grid_field(f: Callable) -> Callable:
+    """The point field ``f`` with the ``on_grid`` that tensor quadrature
+    needs: ``f`` at the grid's points, reshaped to the grid."""
+    def field(pts):
+        return f(pts)
+
+    field.on_grid = lambda axes: np.reshape(f(grid_points(axes)), [len(a) for a in axes])
+    return field
+
+
 def inverse_cdf_sample(tables: Sequence[tuple[np.ndarray, np.ndarray]], seed: int,
                        count: int) -> np.ndarray:
     """Inverse-CDF draws through per-axis ``(knots, cdf)`` tables: one

@@ -480,6 +480,32 @@ def test_family_verify_rejects_out_of_range_params(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+README_FAMILY = ["--s", "1,1", "--d", "1,1", "--p", "1.5", "--r", "240", "--big-n", "8.4"]
+
+
+def test_family_commands_reject_a_negative_seed(tmp_path, capsys):
+    # -1 once passed, because the code's random fill is seeded with seed + 1
+    cfg = tmp_path / "family.json"
+    params = params_to_report(choose_parameters(10_000, 240.0, 1.5, 1, 1, 1, 1, big_n=8.4))
+    cfg.write_text(json.dumps({"params": params}))
+    for argv in (["family-build", *README_FAMILY, "--n", "10000"],
+                 ["family-verify", "--config", str(cfg)]):
+        for seed in ("-1", "-2"):
+            assert run([*argv, "--seed", seed]) == 2
+            err = capsys.readouterr().err
+            assert f"seed must be >= 0, got {seed}" in err
+            assert "Traceback" not in err
+
+
+def test_family_build_code_cap_names_the_lever(capsys):
+    # at n = 4e4 the README family has 12^2 = 144 blocks: past the code-size cap
+    assert run(["family-build", *README_FAMILY, "--n", "40000"]) == 2
+    err = capsys.readouterr().err
+    assert "code of length 144 needs 262144 words; cap is 65536" in err
+    assert "block count M^D grows with n, so a smaller n (--n) gives fewer blocks" in err
+    assert "Traceback" not in err
+
+
 def test_family_build_reports_lemma_hypotheses(tmp_path):
     out = tmp_path / "family.json"
     assert run(["family-build", "--s", "1,1", "--d", "1,1", "--p", "1.5", "--r", "240",

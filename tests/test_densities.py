@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from mixedkde.densities import plateau_density, tensor_bump_density
-from mixedkde.quadrature import QuadRule, grid_points, integrate, multi_indices
-from oracles import inverse_cdf_sample, tensor_trapezoid
+from mixedkde.quadrature import QuadRule, integrate, multi_indices
+from oracles import grid_field, grid_points, inverse_cdf_sample, tensor_trapezoid
 
 
 def test_plateau_point_values():
@@ -125,5 +125,5 @@ def test_product_field_grid_path_equals_point_path(density):
     np.testing.assert_array_equal(density.on_grid(axes), density.field.eval.on_grid(axes))
     rule = QuadRule(4, (6,) * density.dim)
     grid = integrate(density.field.eval, box, rule)
-    point = integrate(lambda pts: density.field.eval(pts), box, rule)
+    point = integrate(grid_field(density.field.eval), box, rule)
     assert grid == pytest.approx(point, rel=1e-13, abs=0.0)

@@ -11,7 +11,7 @@ from mixedkde.estimator import (_CHUNK, KdeModel, _AxisPlan, _kernel_nodes, band
 from mixedkde.kernels import UnivariateKernel, build_order_kernel
 from mixedkde.product import ProductKernel, tensor_kernel, verify_class, top_abs_moment
 from mixedkde.quadrature import Box, QuadRule, grid_nodes, lp_norm, tensor_product
-from oracles import brute_force_kde_grid, kde_mass, kernel_variable_mean_field
+from oracles import brute_force_kde_grid, grid_field, kde_mass, kernel_variable_mean_field
 from test_lower_bound import small_family
 
 UNIFORM2 = tensor_kernel(build_order_kernel(1, True), 1,
@@ -356,7 +356,7 @@ def test_mean_field_matches_dense_data_quadrature():
         return tb.field.eval(z) * STRICT21((z - x0[None, :]) / h) / h ** 2
 
     window = QBox(tuple(x0 - h), tuple(x0 + h))
-    direct = integrate(integrand, window, QRule(12, (24, 24)))
+    direct = integrate(grid_field(integrand), window, QRule(12, (24, 24)))
     mean = mean_field_on_axes(STRICT21, h, tb, list(x0[:, None])).item()
     assert mean == pytest.approx(direct, abs=1e-8)
 

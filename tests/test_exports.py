@@ -48,3 +48,22 @@ def test_dependencies_match_imports():
     with open(ROOT / "pyproject.toml", "rb") as f:
         declared = tomllib.load(f)["project"]["dependencies"]
     assert third_party == {re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in declared}
+
+
+def test_a_failing_hypothesis_test_ends_only_itself(tmp_path):
+    # pyproject turns warnings into errors; Hypothesis's failure report must
+    # not raise one that ends the session before the next test runs
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "@settings(max_examples=5, deadline=None, database=None)\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n\n\n"
+        "def test_passes():\n"
+        "    pass\n")
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+                           "test_two.py"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout

@@ -7,12 +7,11 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from mixedkde.kernels import (MAX_ORDER, UnivariateKernel, abs_moment, build_order_kernel,
-                              kernel_from_dict, kernel_to_dict, moment, q_norm_1d,
-                              verify_order)
+                              kernel_from_dict, kernel_to_dict, moment, verify_order)
 from mixedkde.product import (mixed_moment, product_kernel_from_dict,
-                              product_kernel_to_dict, q_norm,
-                              required_moment_indices, tensor_kernel, verify_class)
-from oracles import polyval_kernel, tensor_trapezoid
+                              product_kernel_to_dict, required_moment_indices, tensor_kernel,
+                              verify_class)
+from oracles import grid_field, polyval_kernel, tensor_trapezoid
 
 UNIFORM = build_order_kernel(1, strict=True)  # 1/2 on [-1, 1]
 
@@ -126,12 +125,6 @@ def test_horner_matches_polyval_bit_for_bit(strict):
             assert np.array_equal(np.signbit(got), np.signbit(want)), order
 
 
-def test_q_norm_order4_l2():
-    # exact: int ((9 - 15 u^2)/8)^2 du over [-1, 1] = 9/8
-    k = build_order_kernel(4)
-    assert q_norm_1d(k, 2.0) ** 2 == pytest.approx(9.0 / 8.0, rel=1e-12)
-
-
 def test_abs_moment_uniform():
     assert abs_moment(UNIFORM, 2) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
@@ -210,16 +203,6 @@ def test_required_indices_exclude_top_pair():
     assert ((1,), (0,)) in idx and ((0,), (1,)) in idx and ((2,), (0,)) in idx
 
 
-def test_q_norm_uniform_product():
-    K = tensor_kernel(UNIFORM, 1, UNIFORM, 1, 1, 1)
-    # int K^2 = 4 * (1/4)^2 = 1/4 over [-1,1]^2, so the norm is 1/2
-    assert q_norm(K, 2.0) == pytest.approx(0.5, rel=1e-12)
-    assert q_norm(K, 1.0) == pytest.approx(1.0, rel=1e-12)
-    assert q_norm(K, np.inf) == pytest.approx(0.25, rel=1e-12)
-    with pytest.raises(ValueError, match="q"):
-        q_norm(K, 0.5)
-
-
 def test_moment_factorization_against_tensor_quadrature():
     # direct full tensor quadrature guards the univariate factorization
     from mixedkde.quadrature import Box, QuadRule, integrate
@@ -237,7 +220,7 @@ def test_moment_factorization_against_tensor_quadrature():
                 mono *= pts[:, j] ** a
             return mono * K(pts)
 
-        direct = integrate(integrand, box, rule)
+        direct = integrate(grid_field(integrand), box, rule)
         assert factored == pytest.approx(direct, abs=1e-10)
 
 
@@ -245,7 +228,7 @@ def test_integral_factorization_identity():
     from mixedkde.quadrature import Box, QuadRule, integrate
 
     K = tensor_kernel(build_order_kernel(3, True), 1, build_order_kernel(2, True), 1, 3, 2)
-    direct = integrate(lambda pts: K(pts), Box((-1, -1), (1, 1)), QuadRule(8, (2, 2)))
+    direct = integrate(grid_field(K), Box((-1, -1), (1, 1)), QuadRule(8, (2, 2)))
     factored = mixed_moment(K, (0,), (0,))
     assert factored == pytest.approx(direct, rel=1e-10)
     assert factored == pytest.approx(1.0, abs=1e-10)

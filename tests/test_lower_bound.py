@@ -15,10 +15,10 @@ from mixedkde.lower_bound import (ConstructionError, FamilyParams,
                                   hamming_distance, params_from_report,
                                   params_to_report, validate_params, vg_code)
 from mixedkde import quadrature
-from mixedkde.quadrature import QuadRule, grid_nodes, grid_points, integrate, multi_indices
+from mixedkde.quadrature import QuadRule, grid_nodes, integrate, multi_indices
 from mixedkde.sobolev import SmoothnessSpec, sobolev_norm
 import oracles
-from oracles import brute_force_perturbation
+from oracles import brute_force_perturbation, grid_field, grid_points
 
 
 def small_params(m_per_axis=3, p=2.0, amplitude_frac=0.5, d2=1):
@@ -368,6 +368,18 @@ def test_readme_family_report_bytes():
     assert hashlib.sha256(text.encode()).hexdigest() == _README_REPORT_SHA256
 
 
+# the same at the default 8 nodes per panel: 1,552 nodes per axis in 10
+# slabs, 2 of them without a block, which still add their two zero arrays
+_README_DEFAULT_RULE_REPORT_SHA256 = (
+    "f347f7e222197abb040410ada7bcb14077a0656ab2d8dcaae9bd64f872622194")
+
+
+def test_readme_family_report_bytes_at_default_rule():
+    fam = build_family(choose_parameters(10_000, 240.0, 1.5, 1, 1, 1, 1, big_n=8.4), code_seed=0)
+    text = json.dumps(family_report(fam), indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == _README_DEFAULT_RULE_REPORT_SHA256
+
+
 @pytest.mark.parametrize("fixture", ["small_family", "family_3d"])
 def test_family_grid_integrals_match_point_integrals(monkeypatch, request, fixture):
     fam = request.getfixturevalue(fixture)
@@ -380,11 +392,12 @@ def test_family_grid_integrals_match_point_integrals(monkeypatch, request, fixtu
     fields = [fam.member(word).field.eval, fam.perturbation_field(word, (1,) * dim)]
     for field in fields:
         grid = integrate(field, box, rule)
-        point = integrate(lambda pts: field(pts), box, rule)
+        point = integrate(grid_field(field), box, rule)
         assert grid == pytest.approx(point, rel=1e-13, abs=0.0)
     p = fam.params.p
     fa, fb = fam.perturbation_field(fam.code[0]), fam.perturbation_field(word)
-    point = integrate(lambda pts: np.abs(fa(pts) - fb(pts)) ** p, box, rule) ** (1.0 / p)
+    distance = grid_field(lambda pts: np.abs(fa(pts) - fb(pts)) ** p)
+    point = integrate(distance, box, rule) ** (1.0 / p)
     grid = family_distance(fam, fam.code[0], word, via_quadrature=True, rule=rule)
     assert grid == pytest.approx(point, rel=1e-13, abs=0.0)
     f0 = fam.f0.field.eval
@@ -392,7 +405,7 @@ def test_family_grid_integrals_match_point_integrals(monkeypatch, request, fixtu
     def ratio(pts):
         return np.where(fb(pts) != 0.0, fb(pts) ** 2 / f0(pts), 0.0)
 
-    point = (1.0 + integrate(ratio, box, rule)) ** 3
+    point = (1.0 + integrate(grid_field(ratio), box, rule)) ** 3
     grid = chi2_affinity(fam, word, 3, via_quadrature=True, rule=rule)
     assert grid == pytest.approx(point, rel=1e-13, abs=0.0)
 

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from mixedkde import quadrature
-from mixedkde.quadrature import (Box, QuadRule, grid_points, integrate, integrate_1d,
-                                 integrate_many, lp_norm, lp_norm_1d, tensor_product)
-from oracles import adaptive_simpson, partial_fd_field
+from mixedkde.quadrature import (Box, QuadRule, integrate, integrate_1d, integrate_many, lp_norm,
+                                 lp_norm_1d, tensor_product)
+from oracles import adaptive_simpson, grid_field, grid_points, partial_fd_field
 
 RULE_2D = QuadRule(8, (8, 8))
 RULE_1D = QuadRule(8, (16,))
@@ -22,12 +22,12 @@ def bump_scalar(u):
 
 
 def test_constant_on_unit_square():
-    val = integrate(lambda pts: np.ones(pts.shape[0]), Box((0, 0), (1, 1)), RULE_2D)
+    val = integrate(grid_field(lambda pts: np.ones(pts.shape[0])), Box((0, 0), (1, 1)), RULE_2D)
     assert val == pytest.approx(1.0, abs=1e-14)
 
 
 def test_odd_integrand_vanishes():
-    val = integrate(lambda pts: pts[:, 0], Box((-1,), (1,)), RULE_1D)
+    val = integrate(grid_field(lambda pts: pts[:, 0]), Box((-1,), (1,)), RULE_1D)
     assert abs(val) < 1e-14
 
 
@@ -43,7 +43,7 @@ def test_bump_against_adaptive_oracle():
         out[m] = np.exp(-1.0 / eps[m])
         return out
 
-    val = integrate(bump, Box((-1,), (1,)), QuadRule(10, (64,)))
+    val = integrate(grid_field(bump), Box((-1,), (1,)), QuadRule(10, (64,)))
     assert val == pytest.approx(BUMP_INTEGRAL, rel=1e-10)
 
 
@@ -54,7 +54,7 @@ def test_non_finite_value_names_node():
         return out
 
     with pytest.raises(FloatingPointError, match="node"):
-        integrate(bad, Box((0,), (1,)), RULE_1D)
+        integrate(grid_field(bad), Box((0,), (1,)), RULE_1D)
 
 
 class RecordingField:
@@ -83,7 +83,7 @@ class RecordingField:
 def test_slabs_bounded_and_cover_grid(monkeypatch, shape, chunk, grid):
     monkeypatch.setattr(quadrature, "_CHUNK", chunk)
     rec = RecordingField(shape)
-    field = rec if grid else rec._record
+    field = rec if grid else grid_field(rec._record)
     nodes = [np.arange(n, dtype=float) for n in shape]
     weights = [np.linspace(0.5, 1.5, n) for n in shape]
     total = quadrature._tensor_reduce(field, nodes, weights, power=None)
@@ -104,7 +104,8 @@ def test_integrate_many_has_the_bits_of_integrate(monkeypatch, chunk):
         for f in fields:
             yield f(grid_points(axes)).reshape([len(a) for a in axes])
 
-    assert integrate_many(arrays, box, rule) == [integrate(f, box, rule) for f in fields]
+    assert integrate_many(arrays, box, rule) == [integrate(grid_field(f), box, rule)
+                                                 for f in fields]
 
 
 @pytest.mark.parametrize("chunk", [10 ** 6, 9])   # one slab; a slab per row
@@ -126,47 +127,8 @@ def test_integrate_many_array_not_yielded_adds_zero(monkeypatch, chunk):
         if np.any(second(pts)):
             yield second(pts).reshape(shape)
 
-    assert integrate_many(arrays, box, rule) == [integrate(first, box, rule),
-                                                 integrate(second, box, rule)]
-
-
-def _fresh_weight_sums(arrays, nodes, weights):
-    """``_slab_sums`` without reuse: every slab builds its own weight product."""
-    sums = None
-    for slab in quadrature._slabs(tuple(len(x) for x in nodes)):
-        axes = [x[s] for x, s in zip(nodes, slab)]
-        wts = tensor_product([w[s] for w, s in zip(weights, slab)]).ravel()
-        parts = [float(np.einsum("i,i->", wts, vals.ravel())) for vals in arrays(axes, slab)]
-        sums = parts if sums is None else [total + part for total, part in zip(sums, parts)]
-    return sums
-
-
-@pytest.mark.parametrize("nodes_per_panel, rows, panels, products", [
-    (2, 3, 7, 2),     # every 2-node weight is equal: one product for all full slabs
-    (3, 4, 7, 6),     # weight phases 0, 1, 2, 0, 1: no product among the last two
-    (8, 12, 7, 3),    # phases 0, 4, 0, 4: two products alternate, as at 36 rows
-    (8, 20, 13, 3),   # on the README rule's 8 nodes per panel
-])
-def test_reused_weight_products_give_the_sums_of_fresh_ones(monkeypatch, nodes_per_panel, rows,
-                                                            panels, products):
-    box, rule = Box((-1.0, 0.0), (2.0, 1.5)), QuadRule(nodes_per_panel, (panels, 3))
-    nodes, weights = quadrature.grid_nodes(box, rule)
-    # slabs of `rows` leading rows, the last one short
-    monkeypatch.setattr(quadrature, "_CHUNK", rows * len(nodes[1]))
-    assert len(nodes[0]) % rows
-
-    def arrays(axes, slab):
-        x, y = np.meshgrid(*axes, indexing="ij")
-        yield np.sin(3.0 * x + y) + 2.0
-        yield np.exp(-x * y)
-
-    built = []
-    monkeypatch.setattr(quadrature, "tensor_product",
-                        lambda vectors: built.append(1) or tensor_product(vectors))
-    sums = quadrature._slab_sums(arrays, nodes, weights, power=None)
-    # the short slab builds its own product, and at most two are kept
-    assert len(built) == products
-    assert sums == _fresh_weight_sums(arrays, nodes, weights)
+    assert integrate_many(arrays, box, rule) == [integrate(grid_field(first), box, rule),
+                                                 integrate(grid_field(second), box, rule)]
 
 
 @pytest.mark.parametrize("chunk", [100, 5])   # one slab; a slab per row
@@ -206,7 +168,7 @@ def test_non_finite_value_on_a_later_slab_names_first_node(monkeypatch, bad, pow
     nodes = [np.arange(4.0), np.arange(5.0), np.arange(6.0)]
     weights = [np.linspace(0.5, 1.5, len(x)) for x in nodes]
     with pytest.raises(FloatingPointError) as err:
-        quadrature._tensor_reduce(point, nodes, weights, power=power)
+        quadrature._tensor_reduce(point if grid else grid_field(point), nodes, weights, power=power)
     assert str(err.value) == f"integrand returned non-finite value {bad} at node [1.0, 0.0, 3.0]"
     # the same values as the k-th of three arrays of one sweep, the next
     # array holding an inf only on the 13th slab: the same message
@@ -238,7 +200,8 @@ def test_lp_norm_overflowing_power_is_inf(monkeypatch, grid):
     if grid:
         point.on_grid = lambda axes: np.full([len(a) for a in axes], 1e200)
     with pytest.warns(RuntimeWarning, match="overflow encountered in power"):
-        assert lp_norm(point, Box((0, 0), (1, 1)), 2.0, QuadRule(2, (4, 4))) == np.inf
+        field = point if grid else grid_field(point)
+        assert lp_norm(field, Box((0, 0), (1, 1)), 2.0, QuadRule(2, (4, 4))) == np.inf
 
 
 def test_grid_field_wrong_shape_rejected():
@@ -251,17 +214,18 @@ def test_grid_field_wrong_shape_rejected():
 
 
 def test_lp_norm_constant():
-    val = lp_norm(lambda pts: 2.0 * np.ones(pts.shape[0]), Box((0,), (1,)), 3.0, RULE_1D)
+    field = grid_field(lambda pts: 2.0 * np.ones(pts.shape[0]))
+    val = lp_norm(field, Box((0,), (1,)), 3.0, RULE_1D)
     assert val == pytest.approx(2.0, rel=1e-14)
 
 
 def test_lp_norm_zero():
-    val = lp_norm(lambda pts: np.zeros(pts.shape[0]), Box((0,), (1,)), 2.0, RULE_1D)
+    val = lp_norm(grid_field(lambda pts: np.zeros(pts.shape[0])), Box((0,), (1,)), 2.0, RULE_1D)
     assert val == 0.0
 
 
 def test_lp_norm_linear_function():
-    val = lp_norm(lambda pts: pts[:, 0], Box((0,), (1,)), 2.0, RULE_1D)
+    val = lp_norm(grid_field(lambda pts: pts[:, 0]), Box((0,), (1,)), 2.0, RULE_1D)
     assert val == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-13)
 
 
@@ -289,7 +253,7 @@ def test_polynomial_exactness(deg_x, deg_y):
                 * np.polynomial.polynomial.polyval(pts[:, 1], cy))
 
     box = Box((-1, -0.5), (0.7, 1.2))
-    val = integrate(f, box, QuadRule(8, (3, 3)))
+    val = integrate(grid_field(f), box, QuadRule(8, (3, 3)))
     ix = np.polynomial.polynomial.polyint(cx)
     iy = np.polynomial.polynomial.polyint(cy)
     pv = np.polynomial.polynomial.polyval
@@ -302,9 +266,9 @@ def test_polynomial_exactness(deg_x, deg_y):
 @settings(max_examples=25, deadline=None)
 def test_linearity(a, b):
     box = Box((-1,), (1,))
-    f = lambda pts: np.sin(pts[:, 0])
-    g = lambda pts: pts[:, 0] ** 2
-    lhs = integrate(lambda pts: a * f(pts) + b * g(pts), box, RULE_1D)
+    f = grid_field(lambda pts: np.sin(pts[:, 0]))
+    g = grid_field(lambda pts: pts[:, 0] ** 2)
+    lhs = integrate(grid_field(lambda pts: a * f(pts) + b * g(pts)), box, RULE_1D)
     rhs = a * integrate(f, box, RULE_1D) + b * integrate(g, box, RULE_1D)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
@@ -313,10 +277,10 @@ def test_linearity(a, b):
 @settings(max_examples=25, deadline=None)
 def test_lp_norm_homogeneity_and_abs(c):
     box = Box((-1,), (1,))
-    f = lambda pts: np.cos(3 * pts[:, 0]) - 0.2
-    scaled = lp_norm(lambda pts: c * f(pts), box, 2.5, RULE_1D)
+    f = grid_field(lambda pts: np.cos(3 * pts[:, 0]) - 0.2)
+    scaled = lp_norm(grid_field(lambda pts: c * f(pts)), box, 2.5, RULE_1D)
     assert scaled == pytest.approx(abs(c) * lp_norm(f, box, 2.5, RULE_1D), rel=1e-12)
-    negated = lp_norm(lambda pts: -f(pts), box, 2.5, RULE_1D)
+    negated = lp_norm(grid_field(lambda pts: -f(pts)), box, 2.5, RULE_1D)
     assert negated == pytest.approx(lp_norm(f, box, 2.5, RULE_1D), rel=1e-14)
 
 
@@ -419,7 +383,7 @@ def test_edge_rule_matches_uniform_rule_and_is_exact_per_panel():
     rule = QuadRule.on_edges(4, [[-1.0, -0.2, 0.3, 0.35, 2.0], [0.0, 0.1, 1.5]])
     f = lambda pts: np.abs(pts[:, 0] - 0.3) ** 7 * pts[:, 1] ** 3
     exact = (1.3 ** 8 + 1.7 ** 8) / 8.0 * 1.5 ** 4 / 4.0
-    assert integrate(f, box, rule) == pytest.approx(exact, rel=1e-13)
+    assert integrate(grid_field(f), box, rule) == pytest.approx(exact, rel=1e-13)
 
 
 def test_grid_nodes_rejects_bad_edges_naming_the_axis():
@@ -453,7 +417,7 @@ def test_rule_for_box_panel_cap():
 
 def test_integrate_1d_matches_integrate():
     f1 = lambda u: np.exp(-u ** 2)
-    f2 = lambda pts: np.exp(-pts[:, 0] ** 2)
+    f2 = grid_field(lambda pts: np.exp(-pts[:, 0] ** 2))
     a = integrate_1d(f1, -1.0, 2.0, panels=16, nodes=8)
     b = integrate(f2, Box((-1,), (2,)), QuadRule(8, (16,)))
     assert a == pytest.approx(b, rel=1e-14)

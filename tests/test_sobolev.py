@@ -7,6 +7,7 @@ from mixedkde.bumps import lambda_deriv, lambda_value
 from mixedkde.densities import plateau_density, tensor_bump_density
 from mixedkde.quadrature import Box, QuadRule, integrate_1d, lp_norm_1d
 from mixedkde.sobolev import DifferentiableField, SmoothnessSpec, index_set, sobolev_norm
+from oracles import grid_field
 
 RULE = QuadRule(8, (24, 24))
 
@@ -41,9 +42,9 @@ def test_aniso_subset_of_mixed():
 
 def test_zero_field_has_zero_norm():
     field = DifferentiableField(
-        eval=lambda pts: np.zeros(pts.shape[0]),
+        eval=grid_field(lambda pts: np.zeros(pts.shape[0])),
         support=Box((-1, -1), (1, 1)),
-        partial_factory=lambda alpha: (lambda pts: np.zeros(pts.shape[0])))
+        partial_factory=lambda alpha: grid_field(lambda pts: np.zeros(pts.shape[0])))
     for variant in ("mixed", "classical", "aniso"):
         spec = SmoothnessSpec(2, 1, 1, 1, 2.0, variant)
         assert sobolev_norm(field, spec, RULE) == 0.0
@@ -76,9 +77,9 @@ def test_classical_norm_two_terms():
     field = bump_field((width, width))
     # s = 1 on a 1-d slice is easier to pin: use a univariate field instead
     uni = DifferentiableField(
-        eval=lambda pts: lambda_value(pts[:, 0]),
+        eval=grid_field(lambda pts: lambda_value(pts[:, 0])),
         support=Box((-1,), (1,)),
-        partial_factory=lambda alpha: (lambda pts: lambda_deriv(alpha[0], pts[:, 0])))
+        partial_factory=lambda alpha: grid_field(lambda pts: lambda_deriv(alpha[0], pts[:, 0])))
     spec = SmoothnessSpec(s1=1, s2=1, d1=1, d2=1, p=2.0, variant="classical")
     # classical variant uses s1 over all axes; build a 1-axis spec by hand
     norm = sum(lp_norm_1d(lambda u, m=m: lambda_deriv(m, u) if m else lambda_value(u),
@@ -112,9 +113,9 @@ def test_aniso_below_mixed():
 def test_homogeneity(c):
     base = bump_field((1.0, 1.0))
     scaled = DifferentiableField(
-        eval=lambda pts: c * base.eval(pts),
+        eval=grid_field(lambda pts: c * base.eval(pts)),
         support=base.support,
-        partial_factory=lambda alpha: (lambda pts: c * base.partial_factory(alpha)(pts)))
+        partial_factory=lambda alpha: grid_field(lambda pts: c * base.partial_factory(alpha)(pts)))
     spec = SmoothnessSpec(1, 1, 1, 1, 2.0, "mixed")
     rule = QuadRule(8, (12, 12))
     assert sobolev_norm(scaled, spec, rule) == pytest.approx(
@@ -130,9 +131,9 @@ def test_triangle_inequality():
         return g.eval(pts)
 
     both = DifferentiableField(
-        eval=lambda pts: f.eval(pts) + g_eval(pts),
+        eval=grid_field(lambda pts: f.eval(pts) + g_eval(pts)),
         support=support,
-        partial_factory=lambda alpha: (
+        partial_factory=lambda alpha: grid_field(
             lambda pts: f.partial_factory(alpha)(pts) + g.partial_factory(alpha)(pts)))
     f_clip = DifferentiableField(eval=f.eval, support=support,
                                  partial_factory=f.partial_factory)
