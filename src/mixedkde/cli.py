@@ -89,8 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for family_parser in (fb, fv):
         family_parser.add_argument("--seed", type=int, default=0, help=(
-            "packing-code seed: lexicographic words stop at 200,000 candidates, so for "
-            "M^D >= 54 blocks seeded random words fill the code and only there the seed matters"))
+            "packing-code seed: the code is the span of ceil(M^D / 8) random rows drawn "
+            "from this seed, so the seed matters at every M^D"))
 
     rr = sub.add_parser("risk-run", help="run a Monte Carlo risk experiment")
     rr.add_argument("--config", required=True, help="experiment JSON path")

@@ -58,9 +58,7 @@ __all__ = [
 ]
 
 MAX_CODE_WORDS = 1 << 16
-_LEX_SCAN_BUDGET = 200_000
-# min_pairwise_hamming takes blocks of rows of at most this many rows x words
-_HAMMING_BLOCK = 1 << 20
+_CODE_DRAWS = 100  # vg_code's draws of k rows before it gives up
 # code words whose members family_report checks for unit mass and sign
 _PDF_CHECKED_WORDS = 4
 # family_rule's panels per half block (width sigma / 4) and per skirt of f_0
@@ -347,83 +345,37 @@ def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:
     return int(np.sum(a != b))
 
 
-def _pack(words: np.ndarray) -> np.ndarray:
-    """Rows of bits as little-endian uint64 lanes; lane 0 of a word is its integer value."""
-    m = words.shape[1]
-    packed = np.zeros((words.shape[0], 8 * -(-m // 64)), dtype=np.uint8)
-    packed[:, :-(-m // 8)] = np.packbits(words, axis=1, bitorder="little")
-    return packed.view("<u8")
-
-
-def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamming distances of packed words, ``a`` by ``b``, in the narrowest type that holds them."""
-    dist = np.zeros((len(a), len(b)), dtype=np.min_scalar_type(64 * a.shape[1]))
-    for k in range(a.shape[1]):
-        dist += np.bitwise_count(a[:, k, None] ^ b[:, k])
-    return dist
+def _span(rows: np.ndarray) -> np.ndarray:
+    """Every XOR of a subset of ``rows``: word i XORs the rows whose bit is set in i."""
+    words = np.zeros((1, rows.shape[1]), dtype=np.uint8)
+    for row in rows:
+        words = np.concatenate([words, words ^ row])
+    return words
 
 
 def vg_code(m: int, seed: int = 0) -> np.ndarray:
-    """Binary code of length ``m`` with the packing-lemma guarantees.
-
-    Returns an array of shape ``(n_words, m)`` with ``n_words >=
-    ceil(2^(m/8))`` and pairwise Hamming distance ``>= ceil(m/8)``.  The
-    all-zeros word comes first, so the code indexes a family containing
-    ``f_0`` itself.  Greedy lexicode search: the smallest surviving word is
-    accepted and removes its Hamming ball of radius ``ceil(m/8) - 1``.
-    Lexicographic candidates stop at 200,000, so this phase fills the whole
-    code only for m <= 53; for m >= 54 seeded random words supply the rest
-    (the README family, m = 81, gets 3 lexicographic words and 1,113 random
-    ones), so ``seed`` matters only for m >= 54.
-    """
+    """Binary code of length ``m`` with the packing-lemma guarantees: ``2^k``
+    words, k = ``ceil(m/8)``, so at least ``ceil(2^(m/8))``, at pairwise Hamming
+    distance ``>= ceil(m/8)``.  Varshamov's linear code: word i XORs the k rows
+    drawn from ``default_rng(seed + 1)`` whose bit is set in i, so the all-zeros
+    word comes first, as a family containing ``f_0`` needs.  The distance is the
+    smallest weight of a nonzero word, checked exactly; rows that miss it are
+    redrawn, at most ``_CODE_DRAWS`` times."""
     if m < 8:
         raise ValueError(f"code length must be >= 8, got {m}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    dist = math.ceil(m / 8.0)
-    target = max(2, math.ceil(2.0 ** (m / 8.0)))
-    if target > MAX_CODE_WORDS:
+    k = math.ceil(m / 8.0)
+    if 2 ** k > MAX_CODE_WORDS:
         raise ValueError(
-            f"code of length {m} needs {target} words; cap is {MAX_CODE_WORDS}. The block "
+            f"code of length {m} needs {2 ** k} words; cap is {MAX_CODE_WORDS}. The block "
             f"count M^D grows with n, so a smaller n (--n) gives fewer blocks")
-
-    packed = np.zeros((target, -(-m // 64)), dtype="<u8")  # row 0: all-zeros word
-    count = 1
-    survivors = np.arange(1, min(2 ** m, _LEX_SCAN_BUDGET + 1), dtype="<u8")
-    survivors = survivors[np.bitwise_count(survivors) >= dist]
-    while count < target and survivors.size:
-        packed[count, 0] = survivors[0]
-        survivors = survivors[np.bitwise_count(survivors ^ survivors[0]) >= dist]
-        count += 1
-
     rng = np.random.default_rng(seed + 1)
-    misses = 0
-    while count < target:
-        # 64 candidates: a draw of m bits takes one byte of a uint32 per bit and
-        # starts a fresh uint32, so each row holds the bits of one such draw
-        batch = _pack(rng.integers(0, 2, size=(64, 4 * -(-m // 4)), dtype=np.uint8)[:, :m])
-        far = _distances(batch, packed[:count]).min(axis=1) >= dist
-        apart = _distances(batch, batch) >= dist
-        np.fill_diagonal(apart, True)  # a candidate does not clash with itself
-        if far.all() and apart.all():  # no clash: the loop below would accept them all
-            accepted = min(len(batch), target - count)
-            packed[count:count + accepted] = batch[:accepted]
-            count, misses = count + accepted, 0
-            continue
-        for i in range(len(batch)):
-            misses += 1
-            if far[i]:
-                packed[count] = batch[i]
-                count, misses = count + 1, 0
-                if count == target:
-                    break
-                # later candidates of the batch must keep their distance from it
-                far &= apart[i]
-            elif misses == 10_000:
-                raise RuntimeError(
-                    f"randomized code search stalled at {count}/{target} words")
-    return np.unpackbits(packed[:count].view(np.uint8), axis=1, count=m,
-                         bitorder="little")
+    for _ in range(_CODE_DRAWS):
+        code = _span(rng.integers(0, 2, size=(k, m), dtype=np.uint8))
+        if code[1:].sum(axis=1).min() >= k:
+            return code
+    raise RuntimeError(f"no linear code of length {m} at distance >= {k} in {_CODE_DRAWS} draws")
 
 
 # ----------------------------- the family -----------------------------
@@ -464,7 +416,8 @@ def _chi2_values(f0_blocks: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 class LowerBoundFamily:
     """The plateau density ``f0`` plus the perturbations coded by the rows of
-    ``code`` (``n_words x M^D`` bits).  Only the block geometry is checked
+    ``code`` (``n_words x M^D`` bits), a linear code in ``vg_code``'s word
+    order.  Only the code's linearity and the block geometry are checked
     here, so small diagnostic instances (``M <= N``) build too;
     ``build_family`` also checks every construction invariant."""
 
@@ -475,6 +428,10 @@ class LowerBoundFamily:
         if code.ndim != 2 or code.shape[1] != params.n_blocks:
             raise ValueError(
                 f"code must have shape (n_words, {params.n_blocks}), got {code.shape}")
+        rows = code[[1 << j for j in range(len(code).bit_length() - 1)]]
+        if not np.array_equal(code, _span(rows)):
+            raise ValueError("code must be linear in word order: word i is the XOR of "
+                             "the words 2^j whose bit j is set in i")
         self.params = params
         self.f0 = plateau_density(params.big_n, params.kappa, params.dim)
         self.code = code
@@ -587,17 +544,10 @@ class LowerBoundFamily:
 
     def min_pairwise_hamming(self) -> int:
         """Smallest Hamming distance between two code words (the word length for a
-        one-word code), from each pair's distance, in blocks of rows; computed once."""
+        one-word code): in a linear code, the smallest weight of a nonzero word;
+        computed once."""
         if self._min_hamming is None:
-            packed, length = _pack(self.code), self.code.shape[1]
-            rows = max(1, _HAMMING_BLOCK // len(packed))
-            self._min_hamming = length
-            for start in range(0, len(packed), rows):
-                # the block's rows against the words from its first on, but
-                # for a word's distance to itself
-                dist = _distances(packed[start:start + rows], packed[start:])
-                np.fill_diagonal(dist, length)
-                self._min_hamming = min(self._min_hamming, int(dist.min()))
+            self._min_hamming = int(self.code[1:].sum(axis=1).min(initial=self.code.shape[1]))
         return self._min_hamming
 
 

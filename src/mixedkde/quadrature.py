@@ -253,9 +253,9 @@ def integrate(f: Callable, box: Box, rule: QuadRule) -> float:
 def integrate_many(arrays: Callable, box: Box, rule: QuadRule) -> list[float]:
     """Integrals of the arrays ``arrays(axes, slab)`` yields on each slab (its
     nodes and their index ranges in ``grid_nodes``), in one pass; the k-th has
-    the bits of ``integrate`` on a field whose ``on_grid`` gives it, and an
-    array a slab does not yield (past its last) adds 0.0 there.  Each array is
-    summed before the next is drawn, so they may share a buffer."""
+    the bits of ``integrate`` on a field whose ``on_grid`` gives it.  Every
+    slab must yield the same number of arrays.  Each array is summed before
+    the next is drawn, so they may share a buffer."""
     return _slab_sums(arrays, *grid_nodes(box, rule), power=None)
 
 
@@ -303,7 +303,7 @@ def _slab_sums(arrays: Callable, nodes: Sequence[np.ndarray], weights: Sequence[
     """Sum ``w * v`` (or ``w * |v|^p``) over the tensor grid for each array ``v``
     that ``arrays(axes, slab)`` yields on a slab's nodes and index ranges.  The
     weight of a node is the left-to-right product of its axis weights."""
-    sums: list[float] = []
+    sums: list[float] | None = None
     for slab in _slabs(tuple(len(x) for x in nodes)):
         axes = [x[s] for x, s in zip(nodes, slab)]
         wts = tensor_product([w[s] for w, s in zip(weights, slab)]).ravel()
@@ -317,7 +317,12 @@ def _slab_sums(arrays: Callable, nodes: Sequence[np.ndarray], weights: Sequence[
             if not math.isfinite(part):
                 _check_finite(vals, axes)
             parts.append(part)
-        sums = [total + part for total, part in itertools.zip_longest(sums, parts, fillvalue=0.0)]
+        if sums is None:
+            sums = [0.0] * len(parts)  # totals start at 0.0, so a -0.0 part sums to 0.0
+        elif len(parts) != len(sums):
+            raise ValueError("every slab must yield the same number of arrays: the first "
+                             f"yielded {len(sums)}, a later one {len(parts)}")
+        sums = [total + part for total, part in zip(sums, parts)]
     return sums
 
 

@@ -184,6 +184,18 @@ def brute_force_perturbation(g, amplitude: float, sigma: float, centres: Sequenc
     return out
 
 
+def linear_code(rows: np.ndarray) -> np.ndarray:
+    """The span of ``rows`` in ``vg_code``'s word order, one word at a time:
+    word i is the XOR of the rows whose bit j is set in i."""
+    rows = np.asarray(rows, dtype=np.uint8)
+    words = np.zeros((2 ** len(rows), rows.shape[1]), dtype=np.uint8)
+    for i in range(len(words)):
+        for j, row in enumerate(rows):
+            if i >> j & 1:
+                words[i] ^= row
+    return words
+
+
 def min_pairwise_hamming(code: np.ndarray) -> int:
     """Smallest number of differing bits over every ordered pair of distinct
     rows of ``code``, one pair at a time; the word length for one word."""

@@ -44,12 +44,17 @@ def family_3d():
 
 # ------------------------------ codes ------------------------------
 
-@pytest.mark.parametrize("m", [8, 16, 27, 64])
+@pytest.mark.parametrize("m", [8, 9, 16, 27, 40, 64])
 def test_vg_code_bounds(m):
     code = vg_code(m)
+    k = math.ceil(m / 8.0)
+    assert code.shape == (2 ** k, m) and code.dtype == np.uint8
     assert code.shape[0] >= 2.0 ** (m / 8.0)
-    dmin = min(hamming_distance(a, b) for a, b in itertools.combinations(code, 2))
-    assert dmin >= math.ceil(m / 8.0)
+    # every word is the XOR of the words 2^j whose bit j is set in its index
+    assert np.array_equal(code, oracles.linear_code(code[[1 << j for j in range(k)]]))
+    # a one-axis family of m blocks: the smallest weight is the distance of a closest pair
+    fam = LowerBoundFamily(small_params(m, d2=0), code)
+    assert fam.min_pairwise_hamming() == oracles.min_pairwise_hamming(code) >= k
 
 
 def test_vg_code_contains_zero_word():
@@ -67,19 +72,17 @@ def test_vg_code_rejects_short_words():
             vg_code(m)
 
 
-# sha256 of the codes as uint8 bytes; m = 27 and 40 come from the
-# lexicographic phase alone, m = 64 adds the random fill, m = 81 is
-# mostly random fill, and the random fills of m = 96 (4,096 words) and
-# m = 100 (5,793 words) span many batches of candidates.  Each digest is
-# that of the search that draws and checks one candidate at a time.
+# sha256 of the codes as uint8 bytes: 2^k words of k = ceil(m/8) rows drawn
+# from default_rng(seed + 1); m = 121 is the longest code under the cap
 _PINNED_CODES = {
-    (27, 0): "68930429b79097f75993b9bbc5f47db7869e1a2b32aadd8d8aec384ba7c3557b",
-    (40, 0): "544e337ab574df88f04363ee85ba8df93e85f348e283adfc6c2a5a284b74048e",
-    (64, 0): "7328a41ef6e075c95e9d81df2766af91f0146f8e3ca3e8adc76ac7000f61313c",
-    (81, 0): "8ce673e0fe2b24b6b03b434a313207a855346b543dbce2baf34a9992752eb093",
-    (81, 7): "a0099a7b0b9c45453b51655b40af8af13efaf8da5537e24d840d3b4e2929bd19",
-    (96, 0): "900ce2d402fa0afd9e62c6f48c7024611b1dfbbb16c35d4c5187eca2fbe841c7",
-    (100, 2): "e6576d9dc3f477a71896516effd8a5d75011c947ff3c91da2b5d1c7f3f15f0c2",
+    (27, 0): "7c2248b044e5580ff3332bc2386080b54ce38570e268866935f79f7a9aa6b736",
+    (40, 0): "86d8d3a0ef0de315cf22b557d802f53872ac36f8dc68cd3b6ec7dcc29c034aad",
+    (64, 0): "cedc4c471fccd1086b36e5a11b78bcf07f52ced4c5f8623b417a50a687b18483",
+    (81, 0): "01639b6b5b63907680433f9063ff70cd383d2e004caa2a10af10344482035858",
+    (81, 7): "7629b49c32c0d72443760278a40c95f4475528ca783c7c45f11c9ae60a4207d6",
+    (96, 0): "b035cac6e3489c9ecdbad30ab1e92ac30e04aec5ac80f890dcda8e7da8b35e3b",
+    (100, 2): "1926f6ad9bec9321f81e34308fd42e6fdbd2745c5213fc9cfc95a49d2715252f",
+    (121, 0): "7dbb5c83a543d46f41520bfc8bbe6ffdaaaf51b5bc661b18e3ea166b256e7de0",
 }
 
 
@@ -89,49 +92,50 @@ def test_vg_code_matches_pinned_digests(m, seed):
     assert hashlib.sha256(code).hexdigest() == _PINNED_CODES[m, seed]
 
 
-class _ZeroWords:
-    """Generator stub whose every random word is all zeros."""
+class _Draws:
+    """Generator stub that hands out the given draws of rows in turn and
+    counts them; past the last it repeats the last."""
+
+    def __init__(self, *draws):
+        self.draws, self.calls = draws, 0
 
     def integers(self, low, high, size=None, dtype=np.int64):
-        return np.zeros(size, dtype=dtype)
+        rows = self.draws[min(self.calls, len(self.draws) - 1)]
+        assert (low, high, size, dtype) == (0, 2, rows.shape, np.uint8)
+        self.calls += 1
+        return rows.astype(dtype)
 
 
-def test_vg_code_stalls_after_ten_thousand_misses(monkeypatch):
-    # every candidate repeats the all-zeros word, so the random fill accepts
-    # nothing after the 4 words of the lexicographic phase
-    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _ZeroWords())
-    with pytest.raises(RuntimeError,
-                       match=r"^randomized code search stalled at 4/1117 words$"):
-        vg_code(81)
-
-
-class _ClashingWords:
-    """Generator stub: in the first batch, rows 45 and 46 hold the same word
-    W (bits 20-39, far from every lexicographic word of m = 81) and row 47
-    a word V (bits 40-59) far from W; every other row is all zeros."""
-
-    def __init__(self):
-        self.batches = 0
-
-    def integers(self, low, high, size=None, dtype=np.int64):
-        words = np.zeros(size, dtype=dtype)
-        if self.batches == 0:
-            words[45:47, 20:40] = 1
-            words[47, 40:60] = 1
-        self.batches += 1
-        return words
-
-
-def test_vg_code_rejects_a_repeat_inside_a_batch(monkeypatch):
-    stub = _ClashingWords()
+def test_vg_code_redraws_rows_that_miss_the_distance(monkeypatch):
+    rng = np.random.default_rng(3)
+    first, second = rng.integers(0, 2, size=(2, 4, 27), dtype=np.uint8)
+    first[2] = 0  # word 4 is all zeros: weight 0 < 4
+    stub = _Draws(first, second)
     monkeypatch.setattr(np.random, "default_rng", lambda seed=None: stub)
-    # W is accepted, its copy rejected and V accepted, in batch order; the 16
-    # zeros after V and 156 all-zero batches make the 10,000 consecutive
-    # misses of the one-at-a-time search, the copy not among them
+    code = vg_code(27)
+    assert stub.calls == 2
+    assert np.array_equal(code, oracles.linear_code(second))
+
+
+def test_vg_code_gives_up_after_a_fixed_number_of_draws(monkeypatch):
+    stub = _Draws(np.zeros((11, 81), dtype=np.uint8))
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: stub)
     with pytest.raises(RuntimeError,
-                       match=r"^randomized code search stalled at 6/1117 words$"):
+                       match=r"^no linear code of length 81 at distance >= 11 in 100 draws$"):
         vg_code(81)
-    assert stub.batches == 157
+    assert stub.calls == lower_bound._CODE_DRAWS == 100
+
+
+def test_family_rejects_a_non_linear_code():
+    code = vg_code(9)
+    flipped = code.copy()
+    flipped[3, 0] ^= 1  # word 3 is no longer word 1 XOR word 2
+    nonzero_first = code[[1, 0, 3, 2]]  # word 0 must be all zeros
+    for bad in (flipped, nonzero_first, code[:3], code[:0]):
+        with pytest.raises(ValueError, match=r"^code must be linear in word order: word i "
+                                             r"is the XOR of the words 2\^j whose bit j is set in i$"):
+            LowerBoundFamily(small_params(3), bad)
+    assert LowerBoundFamily(small_params(3), code[:1]).min_pairwise_hamming() == 9
 
 
 def test_family_code_is_a_read_only_copy(monkeypatch):
@@ -142,23 +146,20 @@ def test_family_code_is_a_read_only_copy(monkeypatch):
     code[1, 0] = 1 - code[1, 0]
     assert not np.array_equal(fam.code, code)
     rho = fam.min_pairwise_hamming()
-    # the value is kept: a second call computes no distance
-    monkeypatch.setattr(lower_bound, "_distances", None)
+    # the value is kept: a second call does not read the code
+    monkeypatch.setattr(fam, "code", None)
     assert fam.min_pairwise_hamming() == rho
 
 
-@pytest.mark.parametrize("block", [1, 7, 50, 1 << 20])
-def test_min_pairwise_hamming_matches_pairs(monkeypatch, block):
-    # below 1 << 20 the triangle of pairs spans several blocks of rows
-    monkeypatch.setattr(lower_bound, "_HAMMING_BLOCK", block)
+def test_min_pairwise_hamming_matches_pairs():
     rng = np.random.default_rng(5)
-    # words of 9, 81 and 225 bits: one, two and four uint64 lanes
-    codes = [rng.integers(0, 2, size=(words, m_per_axis ** 2), dtype=np.uint8)
-             for words, m_per_axis in [(1, 3), (2, 3), (40, 9), (25, 15)]]
-    # and two equal words in different blocks of rows, but for 1 << 20
-    twin = rng.integers(0, 2, size=(20, 81), dtype=np.uint8)
-    twin[13] = twin[2]
-    for code in codes + [twin]:
+    # words of 9, 81 and 225 bits spanned by 0 to 5 random rows
+    codes = [oracles.linear_code(rng.integers(0, 2, size=(rows, m_per_axis ** 2)))
+             for rows, m_per_axis in [(0, 3), (1, 3), (2, 3), (5, 9), (4, 15)]]
+    # and dependent rows: words 3 and 4 are equal, word 7 is all zeros
+    rows = rng.integers(0, 2, size=(4, 81), dtype=np.uint8)
+    rows[2] = rows[0] ^ rows[1]
+    for code in codes + [oracles.linear_code(rows)]:
         fam = LowerBoundFamily(small_params(math.isqrt(code.shape[1])), code)
         assert fam.min_pairwise_hamming() == oracles.min_pairwise_hamming(code)
     assert fam.min_pairwise_hamming() == 0
@@ -358,7 +359,7 @@ def test_family_grid_bytes_equal_point_bytes(request, fixture):
 
 # sha256 of family_report's JSON for the README family at 2 nodes per
 # panel: a drift in any bit of the grid path shows here
-_README_REPORT_SHA256 = "bb601d5b9dd7c8f9e6d2d3ad896ebf8538d01a7c51bd192761b737ad58a879d5"
+_README_REPORT_SHA256 = "380ffb6bcc26e120a73495cbd1b2dd72619aba2b5a5dd452cfd94e19ccb35809"
 
 
 def test_readme_family_report_bytes():
@@ -371,7 +372,7 @@ def test_readme_family_report_bytes():
 # the same at the default 8 nodes per panel: 1,552 nodes per axis in 10
 # slabs, 2 of them without a block, which still add their two zero arrays
 _README_DEFAULT_RULE_REPORT_SHA256 = (
-    "f347f7e222197abb040410ada7bcb14077a0656ab2d8dcaae9bd64f872622194")
+    "425937250cfe87bef34e91a11404b63070f0aef1418cf5b876927fbb2b7b0244")
 
 
 def test_readme_family_report_bytes_at_default_rule():
@@ -477,7 +478,8 @@ def test_construction_error_on_bad_geometry():
 @pytest.mark.parametrize("fixture", ["small_family", "family_3d", "diagnostic_family"])
 def test_family_rule_edges_follow_the_geometry(request, fixture):
     if fixture == "diagnostic_family":  # criterion 6's M = 2 instance
-        fam = LowerBoundFamily(small_params(2), np.array([[0, 1, 1, 0], [1, 1, 0, 0]]))
+        code = np.array(list(itertools.product((0, 1), repeat=4)), dtype=np.uint8)
+        fam = LowerBoundFamily(small_params(2), code)
     else:
         fam = request.getfixturevalue(fixture)
     params, box = fam.params, fam.f0.support

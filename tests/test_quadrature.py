@@ -79,14 +79,12 @@ class RecordingField:
     ((50,), 16),       # a 1-d axis longer than the chunk
     ((7, 3), 10),      # 21 nodes in slabs of 9
 ])
-@pytest.mark.parametrize("grid", [True, False])
-def test_slabs_bounded_and_cover_grid(monkeypatch, shape, chunk, grid):
+def test_slabs_bounded_and_cover_grid(monkeypatch, shape, chunk):
     monkeypatch.setattr(quadrature, "_CHUNK", chunk)
     rec = RecordingField(shape)
-    field = rec if grid else grid_field(rec._record)
     nodes = [np.arange(n, dtype=float) for n in shape]
     weights = [np.linspace(0.5, 1.5, n) for n in shape]
-    total = quadrature._tensor_reduce(field, nodes, weights, power=None)
+    total = quadrature._tensor_reduce(rec, nodes, weights, power=None)
     assert max(rec.sizes) <= chunk
     assert np.all(rec.visits == 1)
     values = grid_points(nodes) @ (10.0 ** np.arange(len(shape)))
@@ -108,27 +106,22 @@ def test_integrate_many_has_the_bits_of_integrate(monkeypatch, chunk):
                                                  for f in fields]
 
 
-@pytest.mark.parametrize("chunk", [10 ** 6, 9])   # one slab; a slab per row
-def test_integrate_many_array_not_yielded_adds_zero(monkeypatch, chunk):
-    # the second field vanishes on rows with x_0 < 0.5, where slabs yield only
-    # the first: the first slabs make one sum, later ones two, then one again
-    monkeypatch.setattr(quadrature, "_CHUNK", chunk)
+@pytest.mark.parametrize("extra", [-1, 1])   # one array fewer; one more
+def test_integrate_many_rejects_a_slab_yielding_another_count(monkeypatch, extra):
+    # a slab per row: the sixth slab yields 2 + extra arrays, the others 2
+    monkeypatch.setattr(quadrature, "_CHUNK", 9)
     box, rule = Box((0, -1), (1, 2)), QuadRule(3, (4, 3))
-
-    def first(pts):
-        return np.cos(pts @ [1.0, 2.0])
-
-    def second(pts):
-        return np.where((pts[:, 0] < 0.5) | (pts[:, 0] > 0.8), 0.0, np.exp(pts[:, 1]))
+    rows = []
 
     def arrays(axes, slab):
-        pts, shape = grid_points(axes), [len(a) for a in axes]
-        yield first(pts).reshape(shape)
-        if np.any(second(pts)):
-            yield second(pts).reshape(shape)
+        rows.append(slab[0].start)
+        count = 2 + extra if len(rows) == 6 else 2
+        yield from (np.ones([len(a) for a in axes]) for _ in range(count))
 
-    assert integrate_many(arrays, box, rule) == [integrate(grid_field(first), box, rule),
-                                                 integrate(grid_field(second), box, rule)]
+    with pytest.raises(ValueError, match="^every slab must yield the same number of arrays: "
+                                         f"the first yielded 2, a later one {2 + extra}$"):
+        integrate_many(arrays, box, rule)
+    assert rows == list(range(6))
 
 
 @pytest.mark.parametrize("chunk", [100, 5])   # one slab; a slab per row
@@ -150,8 +143,7 @@ def test_grid_field_non_finite_value_names_node(monkeypatch, chunk):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("power", [None, 1.5])
-@pytest.mark.parametrize("grid", [True, False])
-def test_non_finite_value_on_a_later_slab_names_first_node(monkeypatch, bad, power, grid):
+def test_non_finite_value_on_a_later_slab_names_first_node(monkeypatch, bad, power):
     # 120 nodes in 20 slabs of 6: the first non-finite value lies in the
     # sixth slab, a second in the same slab after it and a third in the 13th
     monkeypatch.setattr(quadrature, "_CHUNK", 6)
@@ -163,12 +155,11 @@ def test_non_finite_value_on_a_later_slab_names_first_node(monkeypatch, bad, pow
             out[np.all(pts == node, axis=1)] = value
         return out
 
-    if grid:
-        point.on_grid = lambda axes: point(grid_points(axes)).reshape([len(a) for a in axes])
+    point.on_grid = lambda axes: point(grid_points(axes)).reshape([len(a) for a in axes])
     nodes = [np.arange(4.0), np.arange(5.0), np.arange(6.0)]
     weights = [np.linspace(0.5, 1.5, len(x)) for x in nodes]
     with pytest.raises(FloatingPointError) as err:
-        quadrature._tensor_reduce(point if grid else grid_field(point), nodes, weights, power=power)
+        quadrature._tensor_reduce(point, nodes, weights, power=power)
     assert str(err.value) == f"integrand returned non-finite value {bad} at node [1.0, 0.0, 3.0]"
     # the same values as the k-th of three arrays of one sweep, the next
     # array holding an inf only on the 13th slab: the same message
@@ -188,8 +179,7 @@ def test_non_finite_value_on_a_later_slab_names_first_node(monkeypatch, bad, pow
         assert str(several.value) == str(err.value)
 
 
-@pytest.mark.parametrize("grid", [True, False])
-def test_lp_norm_overflowing_power_is_inf(monkeypatch, grid):
+def test_lp_norm_overflowing_power_is_inf(monkeypatch):
     # finite values whose p-th power overflows: inf, with numpy's overflow
     # warning on every slab, and no FloatingPointError
     monkeypatch.setattr(quadrature, "_CHUNK", 16)
@@ -197,11 +187,9 @@ def test_lp_norm_overflowing_power_is_inf(monkeypatch, grid):
     def point(pts):
         return np.full(len(pts), 1e200)
 
-    if grid:
-        point.on_grid = lambda axes: np.full([len(a) for a in axes], 1e200)
+    point.on_grid = lambda axes: np.full([len(a) for a in axes], 1e200)
     with pytest.warns(RuntimeWarning, match="overflow encountered in power"):
-        field = point if grid else grid_field(point)
-        assert lp_norm(field, Box((0, 0), (1, 1)), 2.0, QuadRule(2, (4, 4))) == np.inf
+        assert lp_norm(point, Box((0, 0), (1, 1)), 2.0, QuadRule(2, (4, 4))) == np.inf
 
 
 def test_grid_field_wrong_shape_rejected():

@@ -18,6 +18,7 @@ from mixedkde import risk
 from mixedkde.risk import (cell_seed, config_from_dict, fit_rate, mc_risk,
                            rate_exponent, report_summary, report_to_csv,
                            verify_lower_hypotheses)
+import oracles
 from oracles import brute_force_risk
 
 TINY_DOC = {
@@ -322,19 +323,21 @@ def test_verify_lower_hypotheses_single_word():
                           kappa=1.0, sigma=9.0 / 60.0, amplitude=0.5 / 81.0,
                           m_per_axis=3, epsilon=0.5, r_star=5.0,
                           compact_regime=True)
-    word = np.zeros((1, 9), dtype=np.uint8)
-    word[0, 4] = 1
-    fam = LowerBoundFamily(params, word)
+    # a single nonzero word, in a linear code with the zero word first
+    code = np.zeros((2, 9), dtype=np.uint8)
+    code[1, 4] = 1
+    fam = LowerBoundFamily(params, code)
     rep = verify_lower_hypotheses(fam, 10)
-    assert rep.c0_estimate == pytest.approx(chi2_affinity(fam, word[0], 10), rel=1e-14)
+    mean = (chi2_affinity(fam, code[0], 10) + chi2_affinity(fam, code[1], 10)) / 2.0
+    assert rep.c0_estimate == pytest.approx(mean, rel=1e-14)
 
 
 def test_verify_lower_hypotheses_averages_every_word_of_a_large_code():
     # more than 4,096 words: every word enters the average, none is sampled out
     n = 10_000
     params = choose_parameters(n, 240.0, 1.5, 1, 1, 1, 1, big_n=8.4)
-    code = np.random.default_rng(5).integers(0, 2, size=(5_000, params.n_blocks),
-                                             dtype=np.uint8)
+    # the span of 13 random rows: 8,192 words
+    code = oracles.linear_code(np.random.default_rng(5).integers(0, 2, size=(13, params.n_blocks)))
     fam = LowerBoundFamily(params, code)
     rep = verify_lower_hypotheses(fam, n)
     mean = np.mean([chi2_affinity(fam, word, n) for word in code])
