@@ -151,8 +151,9 @@ def test_family_code_is_a_read_only_copy(monkeypatch):
     assert fam.min_pairwise_hamming() == rho
 
 
-def test_min_pairwise_hamming_matches_pairs():
-    rng = np.random.default_rng(5)
+@pytest.mark.parametrize("seed", [1, 7, 50, 1 << 20])
+def test_min_pairwise_hamming_matches_pairs(seed):
+    rng = np.random.default_rng(seed)
     # words of 9, 81 and 225 bits spanned by 0 to 5 random rows
     codes = [oracles.linear_code(rng.integers(0, 2, size=(rows, m_per_axis ** 2)))
              for rows, m_per_axis in [(0, 3), (1, 3), (2, 3), (5, 9), (4, 15)]]

@@ -79,12 +79,14 @@ class RecordingField:
     ((50,), 16),       # a 1-d axis longer than the chunk
     ((7, 3), 10),      # 21 nodes in slabs of 9
 ])
-def test_slabs_bounded_and_cover_grid(monkeypatch, shape, chunk):
+@pytest.mark.parametrize("grid", [True, False])   # its own on_grid; grid_field's
+def test_slabs_bounded_and_cover_grid(monkeypatch, shape, chunk, grid):
     monkeypatch.setattr(quadrature, "_CHUNK", chunk)
     rec = RecordingField(shape)
+    field = rec if grid else grid_field(rec._record)
     nodes = [np.arange(n, dtype=float) for n in shape]
     weights = [np.linspace(0.5, 1.5, n) for n in shape]
-    total = quadrature._tensor_reduce(rec, nodes, weights, power=None)
+    total = quadrature._tensor_reduce(field, nodes, weights, power=None)
     assert max(rec.sizes) <= chunk
     assert np.all(rec.visits == 1)
     values = grid_points(nodes) @ (10.0 ** np.arange(len(shape)))
@@ -143,7 +145,8 @@ def test_grid_field_non_finite_value_names_node(monkeypatch, chunk):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("power", [None, 1.5])
-def test_non_finite_value_on_a_later_slab_names_first_node(monkeypatch, bad, power):
+@pytest.mark.parametrize("grid", [True, False])   # its own on_grid; grid_field's
+def test_non_finite_value_on_a_later_slab_names_first_node(monkeypatch, bad, power, grid):
     # 120 nodes in 20 slabs of 6: the first non-finite value lies in the
     # sixth slab, a second in the same slab after it and a third in the 13th
     monkeypatch.setattr(quadrature, "_CHUNK", 6)
@@ -155,11 +158,12 @@ def test_non_finite_value_on_a_later_slab_names_first_node(monkeypatch, bad, pow
             out[np.all(pts == node, axis=1)] = value
         return out
 
-    point.on_grid = lambda axes: point(grid_points(axes)).reshape([len(a) for a in axes])
+    if grid:
+        point.on_grid = lambda axes: point(grid_points(axes)).reshape([len(a) for a in axes])
     nodes = [np.arange(4.0), np.arange(5.0), np.arange(6.0)]
     weights = [np.linspace(0.5, 1.5, len(x)) for x in nodes]
     with pytest.raises(FloatingPointError) as err:
-        quadrature._tensor_reduce(point, nodes, weights, power=power)
+        quadrature._tensor_reduce(point if grid else grid_field(point), nodes, weights, power=power)
     assert str(err.value) == f"integrand returned non-finite value {bad} at node [1.0, 0.0, 3.0]"
     # the same values as the k-th of three arrays of one sweep, the next
     # array holding an inf only on the 13th slab: the same message
@@ -179,7 +183,8 @@ def test_non_finite_value_on_a_later_slab_names_first_node(monkeypatch, bad, pow
         assert str(several.value) == str(err.value)
 
 
-def test_lp_norm_overflowing_power_is_inf(monkeypatch):
+@pytest.mark.parametrize("grid", [True, False])   # its own on_grid; grid_field's
+def test_lp_norm_overflowing_power_is_inf(monkeypatch, grid):
     # finite values whose p-th power overflows: inf, with numpy's overflow
     # warning on every slab, and no FloatingPointError
     monkeypatch.setattr(quadrature, "_CHUNK", 16)
@@ -187,9 +192,11 @@ def test_lp_norm_overflowing_power_is_inf(monkeypatch):
     def point(pts):
         return np.full(len(pts), 1e200)
 
-    point.on_grid = lambda axes: np.full([len(a) for a in axes], 1e200)
+    if grid:
+        point.on_grid = lambda axes: np.full([len(a) for a in axes], 1e200)
     with pytest.warns(RuntimeWarning, match="overflow encountered in power"):
-        assert lp_norm(point, Box((0, 0), (1, 1)), 2.0, QuadRule(2, (4, 4))) == np.inf
+        field = point if grid else grid_field(point)
+        assert lp_norm(field, Box((0, 0), (1, 1)), 2.0, QuadRule(2, (4, 4))) == np.inf
 
 
 def test_grid_field_wrong_shape_rejected():
