@@ -1,34 +1,34 @@
-"""Test densities: products of univariate factors with exact derivatives.
+"""Test densities and the package's one field type.
 
-Two families are built here.  ``tensor_bump_density`` is the smooth
-compactly supported product of scaled bump pdfs used by the risk harness.
-``plateau_density`` is the product density that is exactly ``(kappa/N)^D``
-on the central cube of half-width ``(N - 2) / (2 kappa)``: each factor is ``(kappa/N) * LambdaTilde(kappa x)`` where
-``LambdaTilde(u) = LambdaBar(u + N/2) - LambdaBar(u - N/2)`` is the bump
-pdf convolved with the indicator of ``[-N/2, N/2]``.  The perturbation
-family of the lower-bound construction is layered on top of it in
-``lower_bound``.
+A ``TensorField`` is a sum of Tucker ``Term``s, each a bool core over one
+basis per axis whose functions have disjoint supports.  A product density
+is one term with a 1 x ... x 1 core over its factors; ``lower_bound`` adds
+a term per code word.  Points and grids share the arithmetic (a product
+left to right from the term's scale, +0.0 where the core is unset), so
+grid values are point values bit for bit; a partial acts on the bases.
 
-Product densities are sampled per axis through a tabulated cumulative
-trapezoid CDF inverted by bisection on the uniforms in sorted order, with
-the brackets scattered back so the draws keep their order.  A density
-without axis factors (a member of the lower-bound family) can be
-evaluated and integrated but not sampled: sampling, like the per-axis
-mean field, needs a product density.  ``pdf_ok`` holds the one pass rule
-for a measured pdf.
+``tensor_bump_density`` is the product of scaled bump pdfs the risk harness
+uses.  ``plateau_density`` is exactly ``(kappa/N)^D`` on the cube of
+half-width ``(N - 2) / (2 kappa)``: each factor is ``(kappa/N) *
+LambdaTilde(kappa x)``, where ``LambdaTilde(u) = LambdaBar(u + N/2) -
+LambdaBar(u - N/2)`` is the bump pdf convolved with the indicator of
+``[-N/2, N/2]``.  Product densities are sampled per axis by inverting a
+tabulated trapezoid CDF on the sorted uniforms, the brackets scattered
+back into draw order; a family member has no axis factors, so it is not
+sampled.  ``pdf_ok`` holds the one pass rule for a measured pdf.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .bumps import lambda_bar, lambda_deriv, lambda_value
-from .quadrature import Box, QuadRule, integrate, tensor_product
+from .quadrature import Box, QuadRule, integrate
 from .sobolev import DifferentiableField
 
 __all__ = [
@@ -130,9 +130,7 @@ class Density:
         return out
 
     def on_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
-        """Values on the tensor grid spanned by per-axis node vectors (the
-        field's ``on_grid``; a product density's is evaluated factor by factor
-        and multiplied out)."""
+        """Values on the tensor grid spanned by per-axis node vectors (the field's ``on_grid``)."""
         return self.field.eval.on_grid(axes)
 
     def check_axes(self) -> list[np.ndarray]:
@@ -152,30 +150,99 @@ class Density:
         }
 
 
-def _product_field(factors: Sequence[AxisFactor]) -> DifferentiableField:
+def _row_major(indices, shape) -> np.ndarray:
+    """Row-major positions in a grid of ``shape`` of per-axis indices (broadcast together)."""
+    return reduce(lambda pos, j: pos * shape[j] + indices[j], range(1, len(shape)), indices[0])
+
+
+@dataclass(frozen=True)
+class Term:
+    """A Tucker term: ``scale`` times per-axis basis values, multiplied left to
+    right, where the bool ``core`` is set at their basis indices, +0.0 elsewhere.
+    ``basis(axes, orders)`` gives each coordinate its index among its axis's
+    disjoint basis functions (``core.shape[j]`` outside all) and that function's
+    ``orders[j]``-th derivative there, and the scale of the partial ``orders``."""
+
+    core: np.ndarray
+    basis: Callable
+
+    def points(self, pts: np.ndarray, orders: tuple[int, ...]) -> np.ndarray:
+        index, values, scale = self.basis(pts.T, orders)
+        core = np.pad(self.core, [(0, 1)] * self.core.ndim)  # padded for the outside index
+        return np.where(core.take(_row_major(index, core.shape)),
+                        reduce(np.multiply, values, scale), 0.0)
+
+    def grid(self, basis) -> np.ndarray:
+        """Values on the grid of the axes ``basis`` was taken on."""
+        _, pos, (values,) = sub_grid([self], basis)
+        return on_grid_at(tuple(len(ij) for ij in basis[0]), pos, values)
+
+
+def sub_grid(terms: Sequence[Term], basis) -> tuple:
+    """For terms of one basis, taken on a grid's axes: per axis the nodes a basis
+    function reaches, the row-major positions of the sub-grid they span (None
+    for the whole grid) and each term's values there, from one basis product."""
+    index, values, scale = basis
+    shape, grid = terms[0].core.shape, tuple(len(ij) for ij in index)
+    nodes = [np.flatnonzero(ij < n) for ij, n in zip(index, shape)]
+    sub = np.ix_(*nodes)
+    product = reduce(np.multiply, [v[k] for v, k in zip(values, sub)], scale)
+    pos = None if product.shape == grid else _row_major(sub, grid)
+    if all(term.core.all() for term in terms):
+        return nodes, pos, [product] * len(terms)
+    ids = _row_major([ij[k] for ij, k in zip(index, sub)], shape)
+    return nodes, pos, [np.where(term.core.take(ids), product, 0.0) for term in terms]
+
+
+def on_grid_at(shape, pos, values: np.ndarray) -> np.ndarray:
+    """A grid of ``shape``: ``values`` at the positions ``pos`` (all for None), +0.0 elsewhere."""
+    if pos is None:
+        return values
+    out = np.zeros(shape)
+    out.reshape(-1)[pos] = values
+    return out
+
+
+@dataclass(frozen=True)
+class TensorField:
+    """The sum of ``terms``, left to right, on ``support``; off its sub-grid a
+    term's grid holds +0.0, as its point values do."""
+
+    terms: tuple[Term, ...]
+    support: Box
+
+    def points(self, pts, orders: tuple[int, ...]) -> np.ndarray:
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        return reduce(np.add, [term.points(pts, orders) for term in self.terms])
+
+    def on_grid(self, axes: Sequence[np.ndarray], orders: tuple[int, ...]) -> np.ndarray:
+        return reduce(np.add, [term.grid(term.basis(axes, orders)) for term in self.terms])
+
+    def partial_field(self, alpha: tuple[int, ...]) -> Callable:
+        """The partial ``alpha`` (it acts on the axis bases), with ``on_grid``."""
+        orders = tuple(int(a) for a in alpha)
+        field = partial(self.points, orders=orders)
+        field.on_grid = partial(self.on_grid, orders=orders)
+        return field
+
+    def differentiable(self) -> DifferentiableField:
+        return DifferentiableField(self.partial_field((0,) * self.support.dim), self.support,
+                                   self.partial_field)
+
+
+def product_term(factors: Sequence[AxisFactor]) -> Term:
+    """A product density's term: a 1 x ... x 1 core over its factors, which reach everywhere."""
     factors = tuple(factors)
-    box = Box(tuple(f.lo for f in factors), tuple(f.hi for f in factors))
-
-    def partial_factory(alpha: tuple[int, ...]) -> Callable:
-        funcs = [f.deriv(a) if a > 0 else f.pdf for f, a in zip(factors, alpha)]
-
-        def deriv_field(pts: np.ndarray) -> np.ndarray:
-            pts = np.atleast_2d(np.asarray(pts, dtype=float))
-            return reduce(np.multiply, [fn(x) for fn, x in zip(funcs, pts.T)])
-
-        def on_grid(axes: Sequence[np.ndarray]) -> np.ndarray:
-            return tensor_product([fn(a) for fn, a in zip(funcs, axes)])
-
-        deriv_field.on_grid = on_grid
-        return deriv_field
-
-    return DifferentiableField(eval=partial_factory((0,) * len(factors)), support=box,
-                               partial_factory=partial_factory)
+    return Term(np.ones((1,) * len(factors), dtype=bool), lambda axes, orders: (
+        tuple(np.zeros(np.shape(x), dtype=np.intp) for x in axes),
+        [f.deriv(a)(x) if a > 0 else f.pdf(x) for f, a, x in zip(factors, orders, axes)], 1.0))
 
 
 def product_density(factors: Sequence[AxisFactor]) -> Density:
     factors = tuple(factors)
-    return Density(field=_product_field(factors), axis_factors=factors)
+    box = Box(tuple(f.lo for f in factors), tuple(f.hi for f in factors))
+    return Density(field=TensorField((product_term(factors),), box).differentiable(),
+                   axis_factors=factors)
 
 
 def _bump_factor(center: float, width: float) -> AxisFactor:

@@ -16,10 +16,11 @@ two closed-form identities exact:
 
 ``choose_parameters`` reproduces the construction's parameter choices,
 including the non-compact variant where the plateau width N grows with n.
-``family_report`` checks both identities and four members' mass by
-quadrature in one pass over the slabs.  Each quantity is computed where it
-varies: f_0's factors and the wiggles once per axis (a slab slices them),
-block ids once per slab, a word's values only on the blocks' sub-grid.
+``F_omega`` is one ``densities.Term``: the word's bits on the block grid
+over the M wiggles per axis; a member adds it to f_0's product term.
+``family_report`` checks both identities and four members' mass in one
+quadrature sweep: f_0's factors and the wiggles once per axis (a slab
+slices them), the words' values only on the blocks' sub-grid.
 """
 
 from __future__ import annotations
@@ -27,17 +28,17 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import reduce, wraps
+from functools import wraps
 from typing import Callable, get_type_hints
 
 import numpy as np
 
 from .bumps import g_deriv, g_function, g_norm, g_sobolev_norm, bump_sobolev_norm, bump_l1
-from .densities import Density, plateau_density
+from .densities import (Density, TensorField, Term, on_grid_at, plateau_density, product_term,
+                        sub_grid)
 from .kernels import config_scalar, config_values
 from .quadrature import (QuadRule, grid_nodes, integrate,  # noqa: F401  (perfbench wraps it)
-                         integrate_many, tensor_product)
-from .sobolev import DifferentiableField
+                         integrate_many)
 
 __all__ = [
     "FamilyParams",
@@ -380,25 +381,22 @@ def vg_code(m: int, seed: int = 0) -> np.ndarray:
 
 # ----------------------------- the family -----------------------------
 
-def _row_major(indices, shape) -> np.ndarray:
-    """Row-major positions in a grid of ``shape`` of per-axis indices (broadcast together)."""
-    return reduce(lambda pos, j: pos * shape[j] + indices[j], range(1, len(shape)), indices[0])
+def _sliced(basis, slab):
+    """A basis taken on per-axis nodes, restricted to the index ranges ``slab``."""
+    index, values, scale = basis
+    return [ij[s] for ij, s in zip(index, slab)], [v[s] for v, s in zip(values, slab)], scale
 
 
-def _on_blocks(axes, pos, values: np.ndarray) -> np.ndarray:
-    """``values`` at the row-major positions ``pos`` of the block sub-grid of
-    ``axes``, 0 elsewhere."""
-    shape = tuple(len(a) for a in axes)
-    out = np.zeros(math.prod(shape))
-    out[pos] = values
-    return out.reshape(shape)
-
-
-def _member_values(out: np.ndarray, f0_blocks: np.ndarray, pos, values: np.ndarray) -> np.ndarray:
-    """``f_0 + F`` written at ``pos`` into the contiguous ``out``, which holds ``f_0
-    + 0.0`` (an f_0 partial's -0.0 turned into +0.0, as the pointwise sum does)."""
-    out.reshape(-1)[pos] = f0_blocks + values
-    return out
+def _members(f0_grid: np.ndarray, pos, f0_blocks: np.ndarray, values):
+    """``f_0 + F`` for each ``F`` of ``values`` (its values at the positions
+    ``pos``, +0.0 elsewhere) in turn, each written into ``f0_grid``'s buffer:
+    off ``pos`` it is ``f_0 + 0.0``, the pointwise sum, there ``f0_blocks + F``.
+    ``TensorField.on_grid`` per member made the report about 1.6 times slower."""
+    flat = f0_grid.reshape(-1)
+    flat += 0.0
+    for v in values:
+        flat[pos] = f0_blocks + v
+        yield f0_grid
 
 
 def _distance_values(va: np.ndarray, vb: np.ndarray, p: float) -> np.ndarray:
@@ -407,11 +405,6 @@ def _distance_values(va: np.ndarray, vb: np.ndarray, p: float) -> np.ndarray:
     differ = diff != 0.0
     diff[differ] = diff[differ] ** p
     return diff
-
-
-def _chi2_values(f0_blocks: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``F^2 / f_0`` from f_0's values on the blocks, where it is positive (the plateau)."""
-    return values ** 2 / f0_blocks
 
 
 class LowerBoundFamily:
@@ -439,7 +432,6 @@ class LowerBoundFamily:
         kappa, sigma = params.kappa, params.sigma
         self.xi = (-(params.big_n - 4.0) / (4.0 * kappa)
                    + 8.0 * sigma * np.arange(1, params.m_per_axis + 1))
-        self._padded_shape = (params.m_per_axis + 1,) * params.dim
         # f0 is the constant (kappa/N)^D on the cube of this half-width
         self.plateau_halfwidth = halfwidth = (params.big_n - 2.0) / (2.0 * kappa)
         lo_block = self.xi[0] - 3.0 * sigma
@@ -470,77 +462,26 @@ class LowerBoundFamily:
             factors.append(vals)
         return tuple(indices), factors, self.params.amplitude / sigma ** sum(orders)
 
-    def _block_grid(self, idx, vals, scale: float):
-        """From a grid's per-axis ``_wiggles``, per node of its block sub-grid: the
-        row-major position, the block's row-major id in the padded block grid and
-        the scaled wiggle product (multiplied left to right), the value bar the word."""
-        sub = np.ix_(*(np.flatnonzero(ij < self.params.m_per_axis) for ij in idx))
-        return (_row_major(sub, [len(ij) for ij in idx]),
-                _row_major([ij[k] for ij, k in zip(idx, sub)], self._padded_shape),
-                reduce(np.multiply, [v[k] for v, k in zip(vals, sub)], scale))
-
-    def _word_bits(self, word: np.ndarray) -> np.ndarray:
+    def _term(self, word: np.ndarray) -> Term:
+        """``F_omega``'s term: the word's bits on the block grid over the wiggles."""
         word = np.asarray(word, dtype=np.uint8)
         if word.shape != (self.params.n_blocks,):
             raise ValueError(
                 f"word must have length M^D = {self.params.n_blocks}, got {word.shape}")
-        return word
+        return Term(word.reshape((self.params.m_per_axis,) * self.params.dim) != 0, self._wiggles)
 
     def perturbation_field(self, word: np.ndarray,
                            alpha: tuple[int, ...] | None = None) -> Callable:
-        """Field of ``F_omega`` (or its partial derivative ``alpha``), with
-        ``on_grid`` and ``blocks(axes, grid=None)``: the positions of the block
-        sub-grid of ``axes`` and the values there, from its ``_block_grid``.
-
-        Each axis gives a coordinate its block index and wiggle factor; a
-        value is ``A sigma^-|alpha|`` times the factors, multiplied left to
-        right, where the word's bit of the block is one, and 0 elsewhere.
-        """
-        bits = self._word_bits(word)
-        dim, m_axis = self.params.dim, self.params.m_per_axis
-        orders = tuple(alpha) if alpha is not None else (0,) * dim
-        # the word's bits on the block grid, padded with a zero block that
-        # every coordinate outside the blocks of its axis points to
-        padded = np.zeros(self._padded_shape, dtype=bool)
-        padded[(slice(-1),) * dim] = bits.reshape((m_axis,) * dim) != 0
-
-        def value(ids, wiggle: np.ndarray) -> np.ndarray:
-            return np.where(padded.take(ids), wiggle, 0.0)  # ids index the flat bits
-
-        def field(pts: np.ndarray) -> np.ndarray:
-            idx, vals, scale = self._wiggles(np.atleast_2d(np.asarray(pts, dtype=float)).T,
-                                             orders)
-            return value(_row_major(idx, self._padded_shape), reduce(np.multiply, vals, scale))
-
-        def blocks(axes, grid=None):
-            pos, ids, wiggle = grid or self._block_grid(*self._wiggles(axes, orders))
-            return pos, value(ids, wiggle)
-
-        field.on_grid = lambda axes: _on_blocks(axes, *blocks(axes))
-        field.blocks = blocks
-        return field
+        """Field of ``F_omega`` (or its partial ``alpha``), with ``on_grid``: ``A
+        sigma^-|alpha|`` times the wiggle factors where the word's bit is one, else 0."""
+        field = TensorField((self._term(word),), self.f0.support)
+        return field.partial_field(alpha if alpha is not None else (0,) * self.params.dim)
 
     def member(self, word: np.ndarray) -> Density:
         """The density ``f_omega = f_0 + F_omega``.  It has no axis factors,
         so it is evaluated and integrated, never sampled."""
-        bits = self._word_bits(word)
-        f0_field = self.f0.field
-
-        def partial_factory(alpha: tuple[int, ...]) -> Callable:
-            f0, pert = f0_field.partial_field(alpha), self.perturbation_field(bits, alpha)
-
-            def field(pts: np.ndarray) -> np.ndarray:
-                return np.add(f0(pts), pert(pts))
-
-            def on_grid(axes) -> np.ndarray:
-                f0_values, (pos, values) = f0.on_grid(axes), pert.blocks(axes)
-                return _member_values(f0_values + 0.0, f0_values.ravel()[pos], pos, values)
-
-            field.on_grid = on_grid
-            return field
-
-        return Density(field=DifferentiableField(partial_factory((0,) * self.params.dim),
-                                                 f0_field.support, partial_factory))
+        terms = (product_term(self.f0.axis_factors), self._term(word))
+        return Density(field=TensorField(terms, self.f0.support).differentiable())
 
     def min_pairwise_hamming(self) -> int:
         """Smallest Hamming distance between two code words (the word length for a
@@ -588,19 +529,16 @@ def family_distance(fam: LowerBoundFamily, word_a: np.ndarray, word_b: np.ndarra
     The closed form follows from block disjointness; the quadrature path
     integrates ``|f_a - f_b|^p`` directly and exists to cross-check it.
     """
-    a = fam._word_bits(word_a)
-    b = fam._word_bits(word_b)
+    fa, fb = fam._term(word_a), fam._term(word_b)
     p = fam.params.p
     if via_quadrature:
-        fa, fb = fam.perturbation_field(a), fam.perturbation_field(b)
-
         def arrays(axes, slab):
-            (pos, va), vb = fa.blocks(axes), fb.blocks(axes)[1]
-            yield _on_blocks(axes, pos, _distance_values(va, vb, p))
+            _, pos, (va, vb) = sub_grid([fa, fb], fa.basis(axes, (0,) * fam.params.dim))
+            yield on_grid_at([len(x) for x in axes], pos, _distance_values(va, vb, p))
 
         (val,) = integrate_many(arrays, fam.f0.support, rule or family_rule(fam))
         return val ** (1.0 / p)
-    return _member_distance(fam.params, hamming_distance(a, b))
+    return _member_distance(fam.params, hamming_distance(word_a, word_b))
 
 
 def _member_distance(params: FamilyParams, rho: int) -> float:
@@ -620,18 +558,17 @@ def chi2_affinity(fam: LowerBoundFamily, word: np.ndarray, n: int,
     with ``k`` ones, because the perturbation lives entirely on the
     plateau where ``f_0`` is the constant ``(kappa/N)^D``.
     """
-    bits = fam._word_bits(word)
+    pert = fam._term(word)
     if via_quadrature:
-        pert = fam.perturbation_field(bits)
-
         def arrays(axes, slab):
-            pos, values = pert.blocks(axes)
-            f0_blocks = fam.f0.on_grid(axes).reshape(-1).take(pos)
-            yield _on_blocks(axes, pos, _chi2_values(f0_blocks, values))
+            # F^2 / f_0: f_0 is positive on the blocks (the plateau)
+            nodes, pos, (values,) = sub_grid([pert], pert.basis(axes, (0,) * fam.params.dim))
+            f0_blocks = fam.f0.on_grid([x[k] for x, k in zip(axes, nodes)])
+            yield on_grid_at([len(x) for x in axes], pos, values ** 2 / f0_blocks)
 
         (integral,) = integrate_many(arrays, fam.f0.support, rule or family_rule(fam))
         return float((1.0 + integral) ** n)
-    return float(_chi2_closed_form(fam.params, int(np.sum(bits != 0)), n))
+    return float(_chi2_closed_form(fam.params, int(pert.core.sum()), n))
 
 
 def _chi2_closed_form(params: FamilyParams, ones, n: int):
@@ -651,38 +588,33 @@ def family_report(fam: LowerBoundFamily, pdf_rule: QuadRule | None = None) -> di
     consts = family_constants(params)
     rho_min = fam.min_pairwise_hamming() if fam.code.shape[0] > 1 else 0
     checked = fam.code[:_PDF_CHECKED_WORDS]
-    perts = [fam.perturbation_field(word) for word in checked]
+    # f_0's term and the checked words' terms, which share the wiggles as their basis
+    f0, words = product_term(fam.f0.axis_factors), [fam._term(word) for word in checked]
     pair = fam.code.shape[0] >= 2
+    zeros = (0,) * params.dim
 
-    def members(f0_factors, idx, wiggles, scale):
-        """f_0 + 0.0 on the grid of these per-axis factors, and f_0's values, the
-        positions and the four perturbations' values on its block sub-grid."""
-        f0, grid = tensor_product(f0_factors), fam._block_grid(idx, wiggles, scale)
-        f0_blocks = f0.reshape(-1).take(grid[0])
-        f0 += 0.0  # f_0's own buffer serves every member: off the sub-grid each is f_0 + 0.0
-        return f0, f0_blocks, grid[0], [pert.blocks(None, grid)[1] for pert in perts]
-
-    def factors(axes):
-        return ([f.pdf(x) for f, x in zip(fam.f0.axis_factors, axes)],
-                *fam._wiggles(axes, (0,) * params.dim))
-
-    # the factors are elementwise: a slab slices the bits they have on the whole axes
-    *per_axis, scale = factors(grid_nodes(fam.f0.support, rule)[0])
-
-    def arrays(axes, slab):
-        out, f0_blocks, pos, values = members(
-            *[[a[s] for a, s in zip(part, slab)] for part in per_axis], scale)
-        yield from (_member_values(out, f0_blocks, pos, v) for v in values)
+    def arrays(f0_basis, wiggles):
+        """On the grid the bases were taken on: each checked member f_0 + F_w in
+        turn, in f_0's own buffer; then, for a code of two words or more,
+        |F_0 - F_1|^p and F_1^2 / f_0."""
+        f0_grid, (_, pos, values) = f0.grid(f0_basis), sub_grid(words, wiggles)
+        f0_blocks = f0_grid.reshape(-1).take(pos)
+        yield from _members(f0_grid, pos, f0_blocks, values)
         if pair:
-            yield _on_blocks(axes, pos, _distance_values(values[0], values[1], params.p))
-            yield _on_blocks(axes, pos, _chi2_values(f0_blocks, values[1]))
+            yield on_grid_at(f0_grid.shape, pos,
+                             _distance_values(values[0], values[1], params.p))
+            yield on_grid_at(f0_grid.shape, pos, values[1] ** 2 / f0_blocks)
 
-    integrals = integrate_many(arrays, fam.f0.support, rule)
+    # the bases are elementwise: a slab slices the values they have on the whole axes
+    nodes = grid_nodes(fam.f0.support, rule)[0]
+    whole = [term.basis(nodes, zeros) for term in (f0, words[0])]
+    integrals = integrate_many(lambda axes, slab: arrays(*(_sliced(b, slab) for b in whole)),
+                               fam.f0.support, rule)
     worst_pdf_defect = max([0.0] + [abs(mass - 1.0) for mass in integrals[:len(checked)]])
     # each member's minimum on the grid where verify_pdf looks for negative values
-    out, f0_blocks, pos, values = members(*factors(fam.f0.check_axes()))
-    worst_negative = min([0.0] + [float(np.min(_member_values(out, f0_blocks, pos, v)))
-                                  for v in values])
+    # (zip stops before the two maps)
+    check = [term.basis(fam.f0.check_axes(), zeros) for term in (f0, words[0])]
+    worst_negative = min([0.0] + [float(np.min(m)) for _, m in zip(words, arrays(*check))])
     dist_rel_err = aff_rel_err = 0.0
     if pair:
         distance_p, chi2_integral = integrals[len(checked):]

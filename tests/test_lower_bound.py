@@ -15,7 +15,8 @@ from mixedkde.lower_bound import (ConstructionError, FamilyParams,
                                   hamming_distance, params_from_report,
                                   params_to_report, validate_params, vg_code)
 from mixedkde import quadrature
-from mixedkde.quadrature import QuadRule, grid_nodes, integrate, multi_indices
+from mixedkde.quadrature import QuadRule, grid_nodes, integrate, multi_indices, trapezoid_axes
+from mixedkde.risk import config_from_dict
 from mixedkde.sobolev import SmoothnessSpec, sobolev_norm
 import oracles
 from oracles import brute_force_perturbation, grid_field, grid_points
@@ -356,6 +357,67 @@ def test_family_grid_bytes_equal_point_bytes(request, fixture):
                           member.field.partial_field(alpha)):
                 point = field(grid_points(axes)).reshape(shape)
                 assert field.on_grid(axes).tobytes() == point.tobytes()
+
+
+def _field_digest(partial, box, axes) -> str:
+    """sha256 over every partial with per-axis orders <= 2 (itertools.product
+    order) of its values at 1,000 seeded points in ``box``, then on ``axes``."""
+    pts = np.random.default_rng(2026).uniform(box.lower, box.upper, size=(1000, box.dim))
+    digest = hashlib.sha256()
+    for alpha in itertools.product(range(3), repeat=box.dim):
+        field = partial(alpha)
+        digest.update(np.ascontiguousarray(field(pts)).tobytes())
+        digest.update(np.ascontiguousarray(field.on_grid(axes)).tobytes())
+    return digest.hexdigest()
+
+
+# sha256 of the point and grid values of every field the package evaluates:
+# the criterion-4 truth on its risk grid, and for the README family and the
+# 3-d fixture f_0, the perturbations of words 1-3 and the members of words
+# 0-3 on the family_rule(fam, 2) nodes (every 4th node in 3-d)
+_FIELD_SHA256 = {
+    "truth": "c2c92c4f99ccba57ccdd9c865e00837b9fe70a75189cca16353960df634e9f1a",
+    "readme f0": "58ad8ee7858e9d13bc33b5b40b93cd724765dde0bc63073f94cf882e596a6f5e",
+    "readme member 0": "b061caa7b4a202f2d0eb33826068be9bd8bf8010d59f66dcda32b74e076406b9",
+    "readme F1": "95870adc54adda964d5266d56f597ef92b6c8a282b27557b4e926fd10d6b3c93",
+    "readme member 1": "16ffb7f01c0234d3ea48bc2eb6269a521ebefa3db068fe59dd52ee86fa98f92c",
+    "readme F2": "c15adea7aa8a3fa808f4654c8f813fad21b4f52b0bc3e9e35e9c6494a379e5e3",
+    "readme member 2": "f42e77bfcee28531a10ced02a5ead09a3f30c9a1bd06aa46a222cf7353e68614",
+    "readme F3": "a7005f81f10a88158b5d2f3f6c4177eb4463ef75ee24b0e4174176a931127699",
+    "readme member 3": "5aea033e1a22efc97593b2d8cb6de0dbe5aa3457b363030703cdb7080aa0a974",
+    "3d f0": "1987317501cc521a0f4f5ec5bc5b74a3ba6c09fd6ebc0adaf329d2a7234e2fe9",
+    "3d member 0": "af02eff2a529845b15d05450652c1842b10619324eeb5533483ff9f890358f0b",
+    "3d F1": "2683caf5f2862558f93f591e431746766c1346fe4261ff52feaf4bb0f634eca3",
+    "3d member 1": "b6740b9356e2dbcb84f709b2b1723d6b459a686fa3947ac002e4307013969a81",
+    "3d F2": "fffaa19f2106d1798b6aeffec7ce666918c48c398b6ad1b14aab25d343ccb4b0",
+    "3d member 2": "67aa176c4a6c51a5d8a784cc1dfe4acd95d0fb0137c2a3223eaa811fb626a649",
+    "3d F3": "191f2c02b34c0cef479b2e8dab604a8f4acb6d1d826bf0fee48172033c5a1d9a",
+    "3d member 3": "4698ceb28de279c10b1403833ed4f4028da4a42f588ac0c02d2026f714fc33e3",
+}
+
+
+def test_field_values_keep_their_bytes(family_3d):
+    config = config_from_dict({
+        "truth": {"name": "tensor_bump", "params": {"widths": [1.0, 3.0]}},
+        "kernel": {"s1": 2, "s2": 1, "d1": 1, "d2": 1, "strict": True},
+        "p": 2.0, "sample_sizes": [2 ** k for k in range(8, 15)], "replicates": 100,
+        "master_seed": 20260810})
+    truth = config.truth
+    got = {"truth": _field_digest(truth.field.partial_field, truth.support,
+                                  trapezoid_axes(config.eval_box, config.eval_rule)[0])}
+    readme = build_family(choose_parameters(10_000, 240.0, 1.5, 1, 1, 1, 1, big_n=8.4), code_seed=0)
+    for name, fam, stride in (("readme", readme, 1), ("3d", family_3d, 4)):
+        box = fam.f0.support
+        axes = [x[::stride] for x in grid_nodes(box, family_rule(fam, 2))[0]]
+        got[f"{name} f0"] = _field_digest(fam.f0.field.partial_field, box, axes)
+        for i in range(4):
+            word = fam.code[i]
+            if i:
+                got[f"{name} F{i}"] = _field_digest(
+                    lambda alpha: fam.perturbation_field(word, alpha), box, axes)
+            got[f"{name} member {i}"] = _field_digest(fam.member(word).field.partial_field,
+                                                      box, axes)
+    assert got == _FIELD_SHA256
 
 
 # sha256 of family_report's JSON for the README family at 2 nodes per
