@@ -17,11 +17,11 @@ import numpy as np
 from .densities import pdf_ok
 from .kernels import (build_order_kernel, check_tol, config_section, kernel_from_dict,
                       kernel_to_dict, verify_order)
-from .lower_bound import build_family, choose_parameters, family_report, params_from_report
+from .lower_bound import (build_family, choose_parameters, family_report, params_from_report,
+                          verify_lower_hypotheses)
 from .product import (VERIFY_TOL, check_class, product_kernel_from_dict,
                       product_kernel_to_dict, tensor_kernel, verify_class)
-from .risk import (config_from_dict, mc_risk, rate_exponent, report_summary, report_to_csv,
-                   verify_lower_hypotheses)
+from .risk import config_from_dict, mc_risk, rate_exponent, report_summary, report_to_csv
 
 USAGE_ERROR = 2
 VERIFY_FAIL = 1

@@ -13,23 +13,25 @@ half-width ``(N - 2) / (2 kappa)``: each factor is ``(kappa/N) *
 LambdaTilde(kappa x)``, where ``LambdaTilde(u) = LambdaBar(u + N/2) -
 LambdaBar(u - N/2)`` is the bump pdf convolved with the indicator of
 ``[-N/2, N/2]``.  Product densities are sampled per axis by inverting a
-tabulated trapezoid CDF on the sorted uniforms, the brackets scattered
-back into draw order; a family member has no axis factors, so it is not
-sampled.  ``pdf_ok`` holds the one pass rule for a measured pdf.
+tabulated trapezoid CDF, built on the first ``sample`` call, on the sorted
+uniforms, the brackets scattered back into draw order; a family member
+has no axis factors, so it is not sampled.  A ``Density`` holds its
+``TensorField`` as ``field``: ``field.eval`` is the density with
+``on_grid``, ``field.partial_field(alpha)`` its partials, so
+``sobolev.sobolev_norm`` takes the field itself.  ``pdf_ok`` holds the one
+pass rule for a measured pdf.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .bumps import lambda_bar, lambda_deriv, lambda_value
-from .quadrature import Box, QuadRule, integrate
-from .sobolev import DifferentiableField
+from .quadrature import Box, integrate  # noqa: F401  (perfbench wraps it)
 
 __all__ = [
     "AxisFactor",
@@ -40,7 +42,7 @@ __all__ = [
 ]
 
 _CDF_KNOTS = 4096
-# points per axis of the grid on which verify_pdf looks for negative values
+# points per axis of the grid on which family_report looks for negative values
 _PDF_CHECK_GRID = 256
 
 
@@ -73,17 +75,15 @@ class Density:
 
     ``axis_factors`` is set for product densities and unlocks the
     factorized paths (per-axis convolutions, inverse-CDF sampling); their
-    CDF tables are built with the density.
+    CDF tables are built on the first ``sample`` call.
     """
 
-    field: DifferentiableField
+    field: TensorField
     axis_factors: tuple[AxisFactor, ...] | None = None
-    _cdf_tables: tuple | None = dataclasses.field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        tables = (None if self.axis_factors is None
-                  else tuple(f.cdf_table() for f in self.axis_factors))
-        object.__setattr__(self, "_cdf_tables", tables)
+    @cached_property
+    def _cdf_tables(self) -> tuple:
+        return tuple(f.cdf_table() for f in self.axis_factors)
 
     @property
     def dim(self) -> int:
@@ -109,7 +109,7 @@ class Density:
         Each axis's uniforms are searched in ascending order (the search
         then narrows from the previous key) and the brackets scattered back,
         so every draw keeps its value and its place in draw order."""
-        if self._cdf_tables is None:
+        if self.axis_factors is None:
             raise ValueError("sampling needs a product density (one with axis_factors)")
         if count < 0:
             raise ValueError("count must be non-negative")
@@ -134,20 +134,9 @@ class Density:
         return self.field.eval.on_grid(axes)
 
     def check_axes(self) -> list[np.ndarray]:
-        """Per-axis nodes of the uniform grid where ``verify_pdf`` looks for negative values."""
+        """Per-axis nodes of the uniform grid where ``family_report`` looks for negative values."""
         return [np.linspace(lo, hi, _PDF_CHECK_GRID)
                 for lo, hi in zip(self.support.lower, self.support.upper)]
-
-    def verify_pdf(self, rule: QuadRule) -> dict:
-        """Measure the unit-mass defect and the most negative value on a uniform grid."""
-        total = integrate(self.field.eval, self.support, rule)
-        min_val = float(np.min(self.on_grid(self.check_axes())))
-        return {
-            "integral": total,
-            "integral_defect": abs(total - 1.0),
-            "min_grid_value": min_val,
-            "ok": pdf_ok(abs(total - 1.0), min_val),
-        }
 
 
 def _row_major(indices, shape) -> np.ndarray:
@@ -225,9 +214,10 @@ class TensorField:
         field.on_grid = partial(self.on_grid, orders=orders)
         return field
 
-    def differentiable(self) -> DifferentiableField:
-        return DifferentiableField(self.partial_field((0,) * self.support.dim), self.support,
-                                   self.partial_field)
+    @property
+    def eval(self) -> Callable:
+        """The field itself, the partial of order 0, with ``on_grid``."""
+        return self.partial_field((0,) * self.support.dim)
 
 
 def product_term(factors: Sequence[AxisFactor]) -> Term:
@@ -241,8 +231,7 @@ def product_term(factors: Sequence[AxisFactor]) -> Term:
 def product_density(factors: Sequence[AxisFactor]) -> Density:
     factors = tuple(factors)
     box = Box(tuple(f.lo for f in factors), tuple(f.hi for f in factors))
-    return Density(field=TensorField((product_term(factors),), box).differentiable(),
-                   axis_factors=factors)
+    return Density(field=TensorField((product_term(factors),), box), axis_factors=factors)
 
 
 def _bump_factor(center: float, width: float) -> AxisFactor:

@@ -21,6 +21,10 @@ over the M wiggles per axis; a member adds it to f_0's product term.
 ``family_report`` checks both identities and four members' mass in one
 quadrature sweep: f_0's factors and the wiggles once per axis (a slab
 slices them), the words' values only on the blocks' sub-grid.
+``family_distance`` and ``chi2_affinity`` are the closed forms; the tests
+check them against a member written from its definition and integrated on
+its own rule.  ``verify_lower_hypotheses`` checks the reduction lemma's
+two hypotheses from the same closed forms.
 """
 
 from __future__ import annotations
@@ -56,6 +60,8 @@ __all__ = [
     "family_distance",
     "chi2_affinity",
     "family_report",
+    "LowerHypothesesReport",
+    "verify_lower_hypotheses",
 ]
 
 MAX_CODE_WORDS = 1 << 16
@@ -481,7 +487,7 @@ class LowerBoundFamily:
         """The density ``f_omega = f_0 + F_omega``.  It has no axis factors,
         so it is evaluated and integrated, never sampled."""
         terms = (product_term(self.f0.axis_factors), self._term(word))
-        return Density(field=TensorField(terms, self.f0.support).differentiable())
+        return Density(field=TensorField(terms, self.f0.support))
 
     def min_pairwise_hamming(self) -> int:
         """Smallest Hamming distance between two code words (the word length for a
@@ -521,23 +527,10 @@ def family_rule(fam: LowerBoundFamily, nodes_per_panel: int = 8) -> QuadRule:
     return QuadRule.on_edges(nodes_per_panel, [edges] * params.dim)
 
 
-def family_distance(fam: LowerBoundFamily, word_a: np.ndarray, word_b: np.ndarray,
-                    via_quadrature: bool = False,
-                    rule: QuadRule | None = None) -> float:
-    """``L^p`` distance between two family members.
-
-    The closed form follows from block disjointness; the quadrature path
-    integrates ``|f_a - f_b|^p`` directly and exists to cross-check it.
-    """
-    fa, fb = fam._term(word_a), fam._term(word_b)
-    p = fam.params.p
-    if via_quadrature:
-        def arrays(axes, slab):
-            _, pos, (va, vb) = sub_grid([fa, fb], fa.basis(axes, (0,) * fam.params.dim))
-            yield on_grid_at([len(x) for x in axes], pos, _distance_values(va, vb, p))
-
-        (val,) = integrate_many(arrays, fam.f0.support, rule or family_rule(fam))
-        return val ** (1.0 / p)
+def family_distance(fam: LowerBoundFamily, word_a: np.ndarray, word_b: np.ndarray) -> float:
+    """``L^p`` distance between two family members, in closed form: block
+    disjointness makes it ``_member_distance`` at the words' Hamming distance."""
+    fam._term(word_a), fam._term(word_b)  # each checks its word's length
     return _member_distance(fam.params, hamming_distance(word_a, word_b))
 
 
@@ -549,26 +542,14 @@ def _member_distance(params: FamilyParams, rho: int) -> float:
     return value_p ** (1.0 / p)
 
 
-def chi2_affinity(fam: LowerBoundFamily, word: np.ndarray, n: int,
-                  via_quadrature: bool = False,
-                  rule: QuadRule | None = None) -> float:
+def chi2_affinity(fam: LowerBoundFamily, word: np.ndarray, n: int) -> float:
     """``E_{f_0} (dP_{f_w}/dP_{f_0})^2`` for an i.i.d. sample of size ``n``.
 
     Equals ``(1 + (N/kappa)^D A^2 k sigma^D ||g||_2^{2D})^n`` for a word
     with ``k`` ones, because the perturbation lives entirely on the
     plateau where ``f_0`` is the constant ``(kappa/N)^D``.
     """
-    pert = fam._term(word)
-    if via_quadrature:
-        def arrays(axes, slab):
-            # F^2 / f_0: f_0 is positive on the blocks (the plateau)
-            nodes, pos, (values,) = sub_grid([pert], pert.basis(axes, (0,) * fam.params.dim))
-            f0_blocks = fam.f0.on_grid([x[k] for x, k in zip(axes, nodes)])
-            yield on_grid_at([len(x) for x in axes], pos, values ** 2 / f0_blocks)
-
-        (integral,) = integrate_many(arrays, fam.f0.support, rule or family_rule(fam))
-        return float((1.0 + integral) ** n)
-    return float(_chi2_closed_form(fam.params, int(pert.core.sum()), n))
+    return float(_chi2_closed_form(fam.params, int(fam._term(word).core.sum()), n))
 
 
 def _chi2_closed_form(params: FamilyParams, ones, n: int):
@@ -611,8 +592,7 @@ def family_report(fam: LowerBoundFamily, pdf_rule: QuadRule | None = None) -> di
     integrals = integrate_many(lambda axes, slab: arrays(*(_sliced(b, slab) for b in whole)),
                                fam.f0.support, rule)
     worst_pdf_defect = max([0.0] + [abs(mass - 1.0) for mass in integrals[:len(checked)]])
-    # each member's minimum on the grid where verify_pdf looks for negative values
-    # (zip stops before the two maps)
+    # each member's minimum on f_0's uniform check grid (zip stops before the two maps)
     check = [term.basis(fam.f0.check_axes(), zeros) for term in (f0, words[0])]
     worst_negative = min([0.0] + [float(np.min(m)) for _, m in zip(words, arrays(*check))])
     dist_rel_err = aff_rel_err = 0.0
@@ -640,3 +620,38 @@ def family_report(fam: LowerBoundFamily, pdf_rule: QuadRule | None = None) -> di
         "distance_identity_rel_error": dist_rel_err,
         "affinity_identity_rel_error": aff_rel_err,
     }
+
+
+@dataclass(frozen=True)
+class LowerHypothesesReport:
+    rho_n: float
+    condition_l11: bool
+    c0_estimate: float
+    c0_exponential_bound: float
+    min_distance: float
+
+
+def verify_lower_hypotheses(fam: LowerBoundFamily, n: int) -> LowerHypothesesReport:
+    """Check the two hypotheses of the reduction lemma numerically.
+
+    The separation condition compares the minimum pairwise member distance
+    (the closed form of ``family_distance`` at the code's minimum Hamming
+    distance) against ``2 rho_n`` with ``rho_n = C_1 A N^{D/p}``.  The
+    averaged chi-square affinity is the closed form of ``chi2_affinity``
+    evaluated for every word of the code at once from its count of ones,
+    and averaged with an exactly rounded sum.
+    """
+    params = fam.params
+    consts = family_constants(params)
+    rho_n = (consts.c1 * params.amplitude
+             * params.big_n ** (params.dim / params.p))
+    min_distance = _member_distance(params, fam.min_pairwise_hamming())
+    condition = min_distance >= 2.0 * rho_n * (1.0 - 1e-12)
+    affinities = _chi2_closed_form(params, np.count_nonzero(fam.code, axis=1), n)
+    c0 = math.fsum(affinities) / affinities.size
+    bound_exponent = (consts.c2 * n * params.big_n ** (2 * params.dim)
+                      * params.amplitude ** 2)
+    return LowerHypothesesReport(rho_n=rho_n, condition_l11=bool(condition),
+                                 c0_estimate=c0,
+                                 c0_exponential_bound=math.exp(bound_exponent),
+                                 min_distance=min_distance)

@@ -1,4 +1,4 @@
-"""Monte Carlo risk harness: seeded experiments, rate fits, bound checks.
+"""Monte Carlo risk harness: seeded experiments and rate fits.
 
 Risk cells are independent work units keyed by ``(n, replicate)``.  Each
 cell derives its own seed from the master seed by a counter-based integer
@@ -38,8 +38,8 @@ import numpy as np
 from .densities import Density, plateau_density, tensor_bump_density
 from .estimator import KdeModel, bandwidth_rule, kde_on_grid, mean_field_on_axes
 from .kernels import build_order_kernel, config_scalar, config_section, config_values
-from .lower_bound import (LowerBoundFamily, _chi2_closed_form, _member_distance,
-                          family_constants)
+from .lower_bound import (LowerHypothesesReport,  # noqa: F401  (perfbench imports them from here)
+                          verify_lower_hypotheses)
 from .product import ProductKernel, check_class, tensor_kernel
 from .quadrature import Box, QuadRule, tensor_product, trapezoid_axes
 
@@ -47,13 +47,11 @@ __all__ = [
     "ExperimentConfig",
     "RiskCell",
     "RiskReport",
-    "LowerHypothesesReport",
     "rate_exponent",
     "cell_seed",
     "fit_rate",
     "mc_risk",
     "config_from_dict",
-    "verify_lower_hypotheses",
     "report_to_csv",
     "report_summary",
 ]
@@ -355,43 +353,6 @@ def mc_risk(config: ExperimentConfig | dict, workers: int = 1) -> RiskReport:
     slope, stderr = fit_rate(means)
     return RiskReport(cells=cells, fitted_slope=slope, slope_stderr=stderr,
                       theoretical_exponent=config.theoretical_exponent)
-
-
-# ----------------------------- bound checks -----------------------------
-
-@dataclass(frozen=True)
-class LowerHypothesesReport:
-    rho_n: float
-    condition_l11: bool
-    c0_estimate: float
-    c0_exponential_bound: float
-    min_distance: float
-
-
-def verify_lower_hypotheses(fam: LowerBoundFamily, n: int) -> LowerHypothesesReport:
-    """Check the two hypotheses of the reduction lemma numerically.
-
-    The separation condition compares the minimum pairwise member distance
-    (the closed form of ``family_distance`` at the code's minimum Hamming
-    distance) against ``2 rho_n`` with ``rho_n = C_1 A N^{D/p}``.  The
-    averaged chi-square affinity is the closed form of ``chi2_affinity``
-    evaluated for every word of the code at once from its count of ones,
-    and averaged with an exactly rounded sum.
-    """
-    params = fam.params
-    consts = family_constants(params)
-    rho_n = (consts.c1 * params.amplitude
-             * params.big_n ** (params.dim / params.p))
-    min_distance = _member_distance(params, fam.min_pairwise_hamming())
-    condition = min_distance >= 2.0 * rho_n * (1.0 - 1e-12)
-    affinities = _chi2_closed_form(params, np.count_nonzero(fam.code, axis=1), n)
-    c0 = math.fsum(affinities) / affinities.size
-    bound_exponent = (consts.c2 * n * params.big_n ** (2 * params.dim)
-                      * params.amplitude ** 2)
-    return LowerHypothesesReport(rho_n=rho_n, condition_l11=bool(condition),
-                                 c0_estimate=c0,
-                                 c0_exponential_bound=math.exp(bound_exponent),
-                                 min_distance=min_distance)
 
 
 # ----------------------------- output formats -----------------------------

@@ -9,23 +9,19 @@ The three norms differ only in which multi-indices enter the sum of
 
 ``SmoothnessSpec.variant`` selects the index set and ``sobolev_norm``
 sums ``lp_norm`` over it, so the three norms are one function.  Every
-partial comes from the field's own analytic ``partial_factory``.  The
-index-set enumeration is exposed separately so tests can pin the set
-contents.
+partial comes from the field's own analytic ``partial_field(alpha)``, as a
+``densities.TensorField`` gives it.  The index-set enumeration is exposed
+separately so tests can pin the set contents.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-import numpy as np
-
-from .quadrature import Box, QuadRule, lp_norm, mixed_multi_indices, multi_indices
+from .quadrature import QuadRule, lp_norm, mixed_multi_indices, multi_indices
 
 __all__ = [
     "SmoothnessSpec",
-    "DifferentiableField",
     "index_set",
     "sobolev_norm",
 ]
@@ -55,25 +51,6 @@ class SmoothnessSpec:
         return self.d1 + self.d2
 
 
-@dataclass(frozen=True)
-class DifferentiableField:
-    """Scalar field with its support box and analytic partials.
-
-    ``partial_factory(alpha)`` must return the field of the derivative for a
-    full multi-index ``alpha`` over all ``d1 + d2`` axes.
-    """
-
-    eval: Callable[[np.ndarray], np.ndarray]
-    support: Box
-    partial_factory: Callable[[tuple[int, ...]], Callable]
-
-    def partial_field(self, alpha: tuple[int, ...]) -> Callable:
-        alpha = tuple(int(a) for a in alpha)
-        if sum(alpha) == 0:
-            return self.eval
-        return self.partial_factory(alpha)
-
-
 def index_set(spec: SmoothnessSpec) -> list[tuple[int, ...]]:
     """Full multi-indices (over all d1+d2 axes) entering the chosen norm."""
     if spec.variant == "classical":
@@ -83,15 +60,19 @@ def index_set(spec: SmoothnessSpec) -> list[tuple[int, ...]]:
             or sum(a1) / spec.s1 + sum(a2) / spec.s2 <= 1.0 + 1e-12]
 
 
-def sobolev_norm(f: DifferentiableField, spec: SmoothnessSpec, rule: QuadRule) -> float:
-    """Sum of ``L^p`` norms of partials over the spec's index set."""
+def sobolev_norm(f, spec: SmoothnessSpec, rule: QuadRule) -> float:
+    """Sum of ``L^p`` norms of partials over the spec's index set, on ``f.support``.
+
+    ``f`` is any field with a ``support`` box and ``partial_field(alpha)``,
+    which gives the partial for a full multi-index ``alpha`` over all
+    ``d1 + d2`` axes, with ``on_grid``; a ``densities.TensorField`` is one.
+    """
     if f.support.dim != spec.dim:
         raise ValueError(
             f"field support has dimension {f.support.dim}, spec wants {spec.dim}"
         )
     total = 0.0
     for alpha in index_set(spec):
-        field = f.partial_field(alpha)
-        total += lp_norm(field, f.support, spec.p, rule)
+        total += lp_norm(f.partial_field(alpha), f.support, spec.p, rule)
     return total
 

@@ -1,24 +1,36 @@
 """Independent reference implementations used only as test oracles.
 
-Nothing here imports from the package's numerical paths: quadrature is
-adaptive-bisection Simpson, tensor integrals are dense midpoint/trapezoid
-sums, derivatives are nested central finite differences, inverse-CDF
-sampling bisects each uniform in draw order, the density-estimator risk
-is a naive double loop with its own Horner polynomial evaluation, the
-lower-bound perturbation finds its blocks by scanning every block
-centre, and a code's minimum Hamming distance compares every ordered
-pair of words.  These are deliberately slow and simple.
+Nothing here imports from the package's numerical paths but the two
+functions the lower-bound family is defined from, ``bumps.lambda_bar``
+and the wiggle ``bumps.g_function``: quadrature is adaptive-bisection
+Simpson or composite Gauss-Legendre from ``leggauss``, tensor integrals
+are dense sums, derivatives are nested central finite differences,
+inverse-CDF sampling bisects each uniform in draw order, the
+density-estimator risk is a naive double loop with its own Horner
+polynomial evaluation, the lower-bound perturbation finds its blocks by
+scanning every block centre, a family member is a loop over its blocks,
+and a code's minimum Hamming distance compares every ordered pair of
+words.  These are deliberately slow and simple.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from mixedkde.bumps import g_function, lambda_bar
+
 # beyond this total order a nested central difference at step 1e-3 is rounding noise
 MAX_FD_ORDER = 6
+# The family oracle's own rule: every stretch between two consecutive edges
+# gets FAMILY_PANELS equal panels of FAMILY_NODES Gauss-Legendre nodes each.
+# Fixed before its first run, and not tuned to the errors it measures.
+FAMILY_PANELS = 8
+FAMILY_NODES = 10
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-12) -> float:
@@ -67,6 +79,133 @@ def grid_field(f: Callable) -> Callable:
 
     field.on_grid = lambda axes: np.reshape(f(grid_points(axes)), [len(a) for a in axes])
     return field
+
+
+@dataclass(frozen=True)
+class PartialsField:
+    """A field given by its partials: ``partial(alpha)`` is the point function
+    of the partial ``alpha``; ``partial_field`` adds the ``on_grid`` that
+    tensor quadrature needs.  A hand-built field for ``sobolev_norm``."""
+
+    partial: Callable
+    support: object
+
+    def partial_field(self, alpha) -> Callable:
+        return grid_field(self.partial(tuple(int(a) for a in alpha)))
+
+    @property
+    def eval(self) -> Callable:
+        return self.partial_field((0,) * len(self.support.lower))
+
+
+def composite_gauss_legendre(edges, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of ``nodes``-point Gauss-Legendre panels between
+    consecutive ``edges``."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    edges = np.asarray(edges, dtype=float)
+    centre, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    return (centre[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+
+
+def gauss_legendre_box(f, lower, upper, panels, nodes: int) -> tuple[float, float]:
+    """Integral of ``f(pts) -> vals`` over a box on the tensor rule of
+    ``panels[j]`` equal panels of ``nodes`` Gauss-Legendre nodes on axis j,
+    and the smallest value at a node; 64 axis-0 nodes at a time."""
+    rules = [composite_gauss_legendre(np.linspace(lo, hi, count + 1), nodes)
+             for lo, hi, count in zip(lower, upper, panels)]
+    axes, weights = [x for x, _ in rules], [w for _, w in rules]
+    total, low = 0.0, math.inf
+    for start in range(0, len(axes[0]), 64):
+        rows = slice(start, start + 64)
+        vals = np.asarray(f(grid_points([axes[0][rows]] + axes[1:])), dtype=float)
+        total += float(np.dot(grid_points([weights[0][rows]] + weights[1:]).prod(axis=1), vals))
+        low = min(low, float(vals.min()))
+    return total, low
+
+
+def family_centres(params) -> np.ndarray:
+    """The block centres on every axis: ``xi_k = -(N - 4)/(4 kappa) + 8 sigma k``, k = 1..M."""
+    return (-(params.big_n - 4.0) / (4.0 * params.kappa)
+            + 8.0 * params.sigma * np.arange(1, params.m_per_axis + 1))
+
+
+def family_oracle_rule(params) -> tuple[list, list]:
+    """Per-axis nodes and weights of the family oracle's own rule, the same on
+    every axis.  Its edges come from the family's definition: f_0's support
+    ends ``+-(N + 2)/(2 kappa)`` and plateau ends ``+-(N - 2)/(2 kappa)``, and
+    for each block ``xi_k - 2 sigma``, ``xi_k`` and ``xi_k + 2 sigma``, the
+    wiggle's support ends and zero crossing.  Every stretch between two edges
+    gets ``FAMILY_PANELS`` equal panels of ``FAMILY_NODES`` nodes."""
+    support = (params.big_n + 2.0) / (2.0 * params.kappa)
+    plateau = (params.big_n - 2.0) / (2.0 * params.kappa)
+    sigma = params.sigma
+    blocks = [(c - 2.0 * sigma, c, c + 2.0 * sigma) for c in family_centres(params)]
+    edges = np.concatenate([[-support, -plateau], np.ravel(blocks), [plateau, support]])
+    panels = np.concatenate([np.linspace(a, b, FAMILY_PANELS + 1)[:-1]
+                             for a, b in zip(edges[:-1], edges[1:])] + [edges[-1:]])
+    x, w = composite_gauss_legendre(panels, FAMILY_NODES)
+    return [x] * params.dim, [w] * params.dim
+
+
+class CodedFamily:
+    """The lower-bound family's members at the points ``pts``, written from
+    the definition ``f_0 + A sum_m omega_m prod_j g((x_j - xi_{m_j}) / sigma)``
+    with ``f_0 = prod_j (kappa/N) (LambdaBar(kappa x_j + N/2) -
+    LambdaBar(kappa x_j - N/2))``, one block m at a time in row-major order,
+    as a word's bits index them.  Each block's product is formed once, on the
+    points within 2 sigma of its centre on every axis.  With ``weights``, one
+    per point, it integrates too."""
+
+    def __init__(self, params, pts: np.ndarray, weights: np.ndarray | None = None):
+        self.params, self.weights = params, weights
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        kappa, half = params.kappa, params.big_n / 2.0
+        self.f0 = np.prod([(kappa / params.big_n)
+                           * (lambda_bar(kappa * x + half) - lambda_bar(kappa * x - half))
+                           for x in pts.T], axis=0)
+        self.blocks = []
+        for centre in itertools.product(family_centres(params), repeat=params.dim):
+            offset = (pts - np.array(centre)) / params.sigma
+            near = np.flatnonzero(np.all(np.abs(offset) <= 2.0, axis=1))
+            self.blocks.append((near, np.prod(g_function(offset[near]), axis=1)))
+
+    def perturbation(self, word) -> np.ndarray:
+        """``F_omega``: the sum over the blocks whose bit is set of A times the block's product."""
+        out = np.zeros(len(self.f0))
+        for (near, values), bit in zip(self.blocks, np.asarray(word), strict=True):
+            if bit:
+                out[near] += self.params.amplitude * values
+        return out
+
+    def member(self, word) -> np.ndarray:
+        return self.f0 + self.perturbation(word)
+
+    def integral(self, values: np.ndarray) -> float:
+        return float(np.dot(self.weights, values))
+
+    def mass(self, word) -> float:
+        return self.integral(self.member(word))
+
+    def distance(self, word_a, word_b) -> float:
+        """``||f_a - f_b||_p``, where ``f_a - f_b = F_a - F_b``."""
+        p = self.params.p
+        diff = np.abs(self.perturbation(word_a) - self.perturbation(word_b))
+        return self.integral(diff ** p) ** (1.0 / p)
+
+    def chi2(self, word, n: int) -> float:
+        """``(1 + integral of F^2 / f_0)^n``, the ratio taken where F is not 0 (there f_0 > 0)."""
+        pert = self.perturbation(word)
+        ratio = np.zeros(len(pert))
+        hit = pert != 0.0
+        ratio[hit] = pert[hit] ** 2 / self.f0[hit]
+        return (1.0 + self.integral(ratio)) ** n
+
+
+def family_oracle(params, rule: tuple | None = None) -> CodedFamily:
+    """The family on the tensor grid of a rule's per-axis ``(nodes, weights)``,
+    with its weights; by default the oracle's own ``family_oracle_rule``."""
+    nodes, weights = rule or family_oracle_rule(params)
+    return CodedFamily(params, grid_points(nodes), grid_points(weights).prod(axis=1))
 
 
 def inverse_cdf_sample(tables: Sequence[tuple[np.ndarray, np.ndarray]], seed: int,

@@ -18,13 +18,12 @@ from mixedkde.estimator import bias_lp
 from mixedkde.kernels import build_order_kernel
 from mixedkde.lower_bound import (FamilyParams, InfeasibleParameters, LowerBoundFamily,
                                   build_family, chi2_affinity, choose_parameters, family_distance,
-                                  family_rule, hamming_distance, vg_code)
+                                  hamming_distance, verify_lower_hypotheses, vg_code)
 from mixedkde.product import tensor_kernel, verify_class
 from mixedkde.quadrature import Box, QuadRule
-from mixedkde.risk import (cell_seed, config_from_dict, mc_risk, rate_exponent,
-                           verify_lower_hypotheses)
+from mixedkde.risk import cell_seed, config_from_dict, mc_risk, rate_exponent
 from mixedkde.sobolev import SmoothnessSpec, sobolev_norm
-from oracles import brute_force_risk
+from oracles import brute_force_risk, family_oracle
 
 
 def _line(num: int, ok: bool, detail: str) -> bool:
@@ -145,23 +144,22 @@ def test_criterion_6_family_identities():
             code = np.array(list(itertools.product((0, 1), repeat=n_blocks)),
                             dtype=np.uint8)
         fam = _diagnostic_family(m_axis, code)
-        rule = family_rule(fam)
+        # the members written from their definition, on the oracle's own rule
+        oracle = family_oracle(fam.params)
         pairs = list(itertools.combinations(range(len(code)), 2))[:4]
         for a, b in pairs:
             closed = family_distance(fam, code[a], code[b])
             if closed == 0.0:
                 continue
-            quad = family_distance(fam, code[a], code[b], via_quadrature=True,
-                                   rule=rule)
+            quad = oracle.distance(code[a], code[b])
             worst_dist = max(worst_dist, abs(closed - quad) / closed)
         for idx in range(1, min(3, len(code))):
             closed = chi2_affinity(fam, code[idx], 1)
-            quad = chi2_affinity(fam, code[idx], 1, via_quadrature=True, rule=rule)
+            quad = oracle.chi2(code[idx], 1)
             worst_aff = max(worst_aff, abs(closed - quad) / abs(closed - 1.0))
         for word in code:
-            res = fam.member(word).verify_pdf(rule)
-            worst_pdf = max(worst_pdf, res["integral_defect"])
-            worst_neg = min(worst_neg, res["min_grid_value"])
+            worst_pdf = max(worst_pdf, abs(oracle.mass(word) - 1.0))
+            worst_neg = min(worst_neg, float(oracle.member(word).min()))
     elapsed = time.time() - t0
     ok = (worst_dist <= 1e-6 and worst_aff <= 1e-6 and worst_pdf <= 1e-8
           and worst_neg >= -1e-12 and elapsed < 300.0)

@@ -5,6 +5,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 SPANS = PERFBENCH / "spans.py"
@@ -27,13 +29,31 @@ def test_tracer_install_rebinds_and_uninstall_restores():
         assert owner.__dict__[attr] is original, f"{owner!r}.{attr}"
 
 
-def test_workloads_import(monkeypatch):
+@pytest.fixture
+def workloads(monkeypatch):
     # workloads.py imports its siblings oracle.py and spans.py as top-level modules
     monkeypatch.syspath_prepend(str(PERFBENCH))
     try:
-        workloads = importlib.import_module("workloads")
-        declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
-        assert set(workloads.WORKLOADS) == {w["name"] for w in declared}
+        yield importlib.import_module("workloads")
     finally:
         for name in ("workloads", "oracle", "spans"):
             sys.modules.pop(name, None)
+
+
+def test_workloads_import(workloads):
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
+    assert set(workloads.WORKLOADS) == {w["name"] for w in declared}
+
+
+@pytest.mark.parametrize("name", [w["name"] for w in json.loads(
+    (ROOT / "BENCHMARK.json").read_text())["workloads"]])
+def test_workload_runs_one_correct_operation(workloads, name):
+    # one untraced operation as perfbench/run.py makes it, then every output check
+    wl, seed = workloads.WORKLOADS[name], 20260810
+    state = wl.setup(seed)
+    out = wl.run(state, sys.modules["spans"].no_span)
+    checks = workloads.Checks()
+    wl.check_output(state, out, checks)
+    wl.check_run(state, [out], checks, seed)
+    assert checks.total()[0] > 0
+    assert checks.unexpected_failures() == [], checks.summary()

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,13 +14,15 @@ from mixedkde.lower_bound import (ConstructionError, FamilyParams,
                                   chi2_affinity, choose_parameters, family_constants,
                                   family_distance, family_report, family_rule,
                                   hamming_distance, params_from_report,
-                                  params_to_report, validate_params, vg_code)
+                                  params_to_report, validate_params, verify_lower_hypotheses,
+                                  vg_code)
 from mixedkde import quadrature
 from mixedkde.quadrature import QuadRule, grid_nodes, integrate, multi_indices, trapezoid_axes
 from mixedkde.risk import config_from_dict
 from mixedkde.sobolev import SmoothnessSpec, sobolev_norm
 import oracles
-from oracles import brute_force_perturbation, grid_field, grid_points
+from oracles import (PartialsField, brute_force_perturbation, family_centres, family_oracle,
+                     grid_field, grid_points)
 
 
 def small_params(m_per_axis=3, p=2.0, amplitude_frac=0.5, d2=1):
@@ -261,8 +264,7 @@ def test_block_lp_mass_identity(small_family):
     word = np.zeros(9, dtype=np.uint8)
     word[4] = 1
     p = fam.params.p
-    quad = family_distance(fam, word, np.zeros(9, dtype=np.uint8),
-                           via_quadrature=True) ** p
+    quad = family_oracle(fam.params).distance(word, np.zeros(9, dtype=np.uint8)) ** p
     expected = (fam.params.amplitude ** p * fam.params.sigma ** 2
                 * g_norm(p) ** (2 * p))
     assert quad == pytest.approx(expected, rel=1e-6)
@@ -283,9 +285,10 @@ def test_family_distance_examples(small_family):
 
 def test_distance_closed_form_vs_quadrature(small_family):
     fam = small_family
+    oracle = family_oracle(fam.params)
     for a, b in itertools.combinations(range(len(fam.code)), 2):
         closed = family_distance(fam, fam.code[a], fam.code[b])
-        quad = family_distance(fam, fam.code[a], fam.code[b], via_quadrature=True)
+        quad = oracle.distance(fam.code[a], fam.code[b])
         assert quad == pytest.approx(closed, rel=1e-6)
 
 
@@ -296,7 +299,7 @@ def test_chi2_examples(small_family):
     w = fam.code[1]
     one_shot = chi2_affinity(fam, w, 1)
     assert chi2_affinity(fam, w, 7) == pytest.approx(one_shot ** 7, rel=1e-12)
-    quad = chi2_affinity(fam, w, 1, via_quadrature=True)
+    quad = family_oracle(fam.params).chi2(w, 1)
     assert quad - 1.0 == pytest.approx(one_shot - 1.0, rel=1e-6)
     # per-bump closed form: 1 + (N/kappa)^D A^2 k sigma^D ||g||_2^{2D}
     k = int(w.sum())
@@ -319,9 +322,7 @@ def _block_cutting_axes(fam):
 def test_family_grid_path_equals_point_path(request, fixture):
     fam = request.getfixturevalue(fixture)
     params = fam.params
-    # block centres as the construction places them
-    centres = (-(params.big_n - 4.0) / (4.0 * params.kappa)
-               + 8.0 * params.sigma * np.arange(1, params.m_per_axis + 1))
+    centres = family_centres(params)
     axes = _block_cutting_axes(fam)
     pts = grid_points(axes)
     shape = [len(a) for a in axes]
@@ -458,20 +459,22 @@ def test_family_grid_integrals_match_point_integrals(monkeypatch, request, fixtu
         grid = integrate(field, box, rule)
         point = integrate(grid_field(field), box, rule)
         assert grid == pytest.approx(point, rel=1e-13, abs=0.0)
+    # the identities' integrands on the grid path, against the oracle's
+    # members on the rule's nodes, summed by the oracle in one dot product
     p = fam.params.p
-    fa, fb = fam.perturbation_field(fam.code[0]), fam.perturbation_field(word)
-    distance = grid_field(lambda pts: np.abs(fa(pts) - fb(pts)) ** p)
-    point = integrate(distance, box, rule) ** (1.0 / p)
-    grid = family_distance(fam, fam.code[0], word, via_quadrature=True, rule=rule)
-    assert grid == pytest.approx(point, rel=1e-13, abs=0.0)
-    f0 = fam.f0.field.eval
+    fa, fb, f0 = fam.perturbation_field(fam.code[0]), fam.perturbation_field(word), fam.f0
+    oracle = family_oracle(fam.params, grid_nodes(box, rule))
+    distance = SimpleNamespace(
+        on_grid=lambda axes: np.abs(fa.on_grid(axes) - fb.on_grid(axes)) ** p)
+    grid = integrate(distance, box, rule) ** (1.0 / p)
+    assert grid == pytest.approx(oracle.distance(fam.code[0], word), rel=1e-12, abs=0.0)
 
-    def ratio(pts):
-        return np.where(fb(pts) != 0.0, fb(pts) ** 2 / f0(pts), 0.0)
+    def ratio(axes):
+        pert = fb.on_grid(axes)
+        return np.where(pert != 0.0, pert ** 2 / f0.on_grid(axes), 0.0)
 
-    point = (1.0 + integrate(grid_field(ratio), box, rule)) ** 3
-    grid = chi2_affinity(fam, word, 3, via_quadrature=True, rule=rule)
-    assert grid == pytest.approx(point, rel=1e-13, abs=0.0)
+    grid = (1.0 + integrate(SimpleNamespace(on_grid=ratio), box, rule)) ** 3
+    assert grid == pytest.approx(oracle.chi2(word, 3), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("fixture", ["small_family", "family_3d"])
@@ -502,16 +505,22 @@ def test_family_report_sweep_equals_single_integrals(monkeypatch, request, fixtu
     assert f0_sizes == [80] * (2 * dim) + [256] * (2 * dim)
     assert wiggle_sizes == [[80] * dim, [256] * dim]
 
-    pdfs = [fam.member(word).verify_pdf(rule) for word in checked]
-    assert rep["worst_pdf_defect"] == max([0.0] + [r["integral_defect"] for r in pdfs])
-    assert rep["worst_negative_value"] == min([0.0] + [r["min_grid_value"] for r in pdfs])
+    # the oracle's members on the rule's nodes, summed in one dot product:
+    # the same integrals up to rounding, where the sweep sums slab by slab
+    oracle = family_oracle(fam.params, grid_nodes(fam.f0.support, rule))
+    defects = [abs(oracle.mass(word) - 1.0) for word in checked]
+    assert rep["worst_pdf_defect"] == pytest.approx(max([0.0] + defects), rel=0.0, abs=1e-12)
+    lows = [float(oracle.member(word).min()) for word in checked]
+    assert rep["worst_negative_value"] == min([0.0] + lows) == 0.0
     a, b = fam.code[0], fam.code[1]
     closed = family_distance(fam, a, b)
-    quad = family_distance(fam, a, b, via_quadrature=True, rule=rule)
-    assert rep["distance_identity_rel_error"] == abs(closed - quad) / closed
+    quad = oracle.distance(a, b)
+    assert rep["distance_identity_rel_error"] == pytest.approx(abs(closed - quad) / closed,
+                                                               rel=0.0, abs=1e-12)
     closed = chi2_affinity(fam, b, 1)
-    quad = chi2_affinity(fam, b, 1, via_quadrature=True, rule=rule)
-    assert rep["affinity_identity_rel_error"] == abs(closed - quad) / closed
+    quad = oracle.chi2(b, 1)
+    assert rep["affinity_identity_rel_error"] == pytest.approx(abs(closed - quad) / closed,
+                                                               rel=0.0, abs=1e-12)
 
 
 def test_word_length_validation(small_family):
@@ -522,11 +531,10 @@ def test_word_length_validation(small_family):
 
 def test_members_are_pdfs(small_family):
     fam = small_family
-    rule = family_rule(fam)
+    oracle = family_oracle(fam.params)
     for word in fam.code:
-        res = fam.member(word).verify_pdf(rule)
-        assert res["integral_defect"] <= 1e-8
-        assert res["min_grid_value"] >= -1e-12
+        assert abs(oracle.mass(word) - 1.0) <= 1e-8
+        assert oracle.member(word).min() >= -1e-12
 
 
 def test_construction_error_on_bad_geometry():
@@ -584,13 +592,56 @@ def test_sobolev_budget_on_feasible_instance():
     norm_member = sobolev_norm(member.field, spec, rule)
     assert norm_member <= params.r + 1e-9
 
-    from mixedkde.sobolev import DifferentiableField
-    pert = DifferentiableField(
-        eval=fam.perturbation_field(word),
-        support=fam.f0.support,
-        partial_factory=lambda alpha: fam.perturbation_field(word, alpha))
+    centres = family_centres(params)
+    pert = PartialsField(lambda alpha: lambda pts: brute_force_perturbation(
+        g_deriv, params.amplitude, params.sigma, centres, word, alpha, pts), fam.f0.support)
     norm_pert = sobolev_norm(pert, spec, rule)
     assert norm_pert <= params.r * (1.0 - params.epsilon) + 1e-9
+
+
+# feasible parameter sets: (n, r, p, (s1, s2), compact regime); the compact
+# ones at N = 8.4.  m = M^D runs from 81 to 3,249, and m = 1,024 makes m/8 whole
+_CRITERION_9_PARAMS = [
+    (10_000, 240.0, 1.5, (1, 1), True),
+    (30_000, 240.0, 1.5, (1, 1), True),
+    (10_000, 240.0, 1.5, (2, 1), True),
+    (10_000, 240.0, 2.0, (1, 1), True),
+    (100_000, 5.0, 2.0, (1, 1), True),
+    (1_000_000, 40.0, 1.0, (1, 1), True),
+    (1_000_000, 240.0, 3.0, (2, 1), True),
+    (100_000, 240.0, 1.0, (1, 1), False),
+    (100_000, 40.0, 1.5, (1, 1), False),
+    (1_000_000, 240.0, 1.5, (2, 1), False),
+]
+
+
+@pytest.mark.parametrize("n,r,p,s,compact", _CRITERION_9_PARAMS, ids=[
+    f"{'compact' if c else 'noncompact'}-n{n}-r{r:g}-p{p:g}-s{s[0]}{s[1]}"
+    for n, r, p, s, c in _CRITERION_9_PARAMS])
+def test_criterion_9_feasible_leg_follows_from_the_algebra(n, r, p, s, compact):
+    # Both reduction-lemma checks hold for every family build_family returns:
+    # L11 exactly when rho_min >= ceil(m/8), which vg_code guarantees, and the
+    # mean affinity of any code below the bound.  So criterion 9's feasible leg
+    # cannot catch a slip that C1, C2 and the closed forms make consistently.
+    params = choose_parameters(n, r, p, *s, 1, 1, compact_regime=compact, big_n=8.4)
+    m = params.n_blocks
+    k = math.ceil(m / 8)
+    dim = params.dim
+    # b, a word's chi-square divergence per one: (N/kappa)^D A^2 sigma^D ||g||_2^{2D}
+    per_one = ((params.big_n / params.kappa) ** dim * params.amplitude ** 2
+               * params.sigma ** dim * g_norm(2.0) ** (2 * dim))
+    for rho in (k - 1, k, m):
+        code = np.zeros((2, m), dtype=np.uint8)
+        code[1, :rho] = 1
+        hyp = verify_lower_hypotheses(LowerBoundFamily(params, code), n)
+        # min_distance / 2 rho_n = (rho / (m/8))^(1/p): 2 rho_n = A g_p^D sigma^(D/p) (m/8)^(1/p)
+        assert hyp.min_distance / (2.0 * hyp.rho_n) == pytest.approx(
+            (rho / (m / 8.0)) ** (1.0 / p), rel=1e-12)
+        assert hyp.condition_l11 == (rho >= k)
+        # each word's affinity (1 + b wt)^n is at most (1 + b m)^n <= exp(n b m),
+        # and the bound exp(C2 n N^{2D} A^2) is exp(n b m)
+        assert math.log(hyp.c0_exponential_bound) == pytest.approx(n * per_one * m, rel=1e-12)
+        assert hyp.c0_estimate <= (1.0 + per_one * m) ** n <= hyp.c0_exponential_bound
 
 
 def test_family_report_fields(small_family):

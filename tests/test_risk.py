@@ -13,11 +13,10 @@ import hypothesis.strategies as st
 
 from mixedkde.estimator import bandwidth_rule
 from mixedkde.lower_bound import (FamilyParams, LowerBoundFamily, build_family, chi2_affinity,
-                                  choose_parameters, family_distance)
+                                  choose_parameters, family_distance, verify_lower_hypotheses)
 from mixedkde import risk
 from mixedkde.risk import (cell_seed, config_from_dict, fit_rate, mc_risk,
-                           rate_exponent, report_summary, report_to_csv,
-                           verify_lower_hypotheses)
+                           rate_exponent, report_summary, report_to_csv)
 import oracles
 from oracles import brute_force_risk
 

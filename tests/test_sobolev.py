@@ -4,15 +4,15 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from mixedkde.bumps import lambda_deriv, lambda_value
-from mixedkde.densities import plateau_density, tensor_bump_density
+from mixedkde.densities import TensorField, plateau_density, tensor_bump_density
 from mixedkde.quadrature import Box, QuadRule, integrate_1d, lp_norm_1d
-from mixedkde.sobolev import DifferentiableField, SmoothnessSpec, index_set, sobolev_norm
-from oracles import grid_field
+from mixedkde.sobolev import SmoothnessSpec, index_set, sobolev_norm
+from oracles import PartialsField
 
 RULE = QuadRule(8, (24, 24))
 
 
-def bump_field(widths=(1.0, 1.0)) -> DifferentiableField:
+def bump_field(widths=(1.0, 1.0)) -> TensorField:
     return tensor_bump_density(list(widths)).field
 
 
@@ -41,10 +41,7 @@ def test_aniso_subset_of_mixed():
 
 
 def test_zero_field_has_zero_norm():
-    field = DifferentiableField(
-        eval=grid_field(lambda pts: np.zeros(pts.shape[0])),
-        support=Box((-1, -1), (1, 1)),
-        partial_factory=lambda alpha: grid_field(lambda pts: np.zeros(pts.shape[0])))
+    field = PartialsField(lambda alpha: lambda pts: np.zeros(pts.shape[0]), Box((-1, -1), (1, 1)))
     for variant in ("mixed", "classical", "aniso"):
         spec = SmoothnessSpec(2, 1, 1, 1, 2.0, variant)
         assert sobolev_norm(field, spec, RULE) == 0.0
@@ -76,10 +73,8 @@ def test_classical_norm_two_terms():
     width = 1.0
     field = bump_field((width, width))
     # s = 1 on a 1-d slice is easier to pin: use a univariate field instead
-    uni = DifferentiableField(
-        eval=grid_field(lambda pts: lambda_value(pts[:, 0])),
-        support=Box((-1,), (1,)),
-        partial_factory=lambda alpha: grid_field(lambda pts: lambda_deriv(alpha[0], pts[:, 0])))
+    uni = PartialsField(lambda alpha: lambda pts: lambda_deriv(alpha[0], pts[:, 0]),
+                        Box((-1,), (1,)))
     spec = SmoothnessSpec(s1=1, s2=1, d1=1, d2=1, p=2.0, variant="classical")
     # classical variant uses s1 over all axes; build a 1-axis spec by hand
     norm = sum(lp_norm_1d(lambda u, m=m: lambda_deriv(m, u) if m else lambda_value(u),
@@ -112,10 +107,8 @@ def test_aniso_below_mixed():
 @settings(max_examples=10, deadline=None)
 def test_homogeneity(c):
     base = bump_field((1.0, 1.0))
-    scaled = DifferentiableField(
-        eval=grid_field(lambda pts: c * base.eval(pts)),
-        support=base.support,
-        partial_factory=lambda alpha: grid_field(lambda pts: c * base.partial_factory(alpha)(pts)))
+    scaled = PartialsField(lambda alpha: lambda pts: c * base.partial_field(alpha)(pts),
+                           base.support)
     spec = SmoothnessSpec(1, 1, 1, 1, 2.0, "mixed")
     rule = QuadRule(8, (12, 12))
     assert sobolev_norm(scaled, spec, rule) == pytest.approx(
@@ -127,18 +120,11 @@ def test_triangle_inequality():
     g = bump_field((0.7, 1.2))
     support = Box((-1, -1), (1, 1))
 
-    def g_eval(pts):
-        return g.eval(pts)
-
-    both = DifferentiableField(
-        eval=grid_field(lambda pts: f.eval(pts) + g_eval(pts)),
-        support=support,
-        partial_factory=lambda alpha: grid_field(
-            lambda pts: f.partial_factory(alpha)(pts) + g.partial_factory(alpha)(pts)))
-    f_clip = DifferentiableField(eval=f.eval, support=support,
-                                 partial_factory=f.partial_factory)
-    g_clip = DifferentiableField(eval=g.eval, support=support,
-                                 partial_factory=g.partial_factory)
+    both = PartialsField(
+        lambda alpha: lambda pts: f.partial_field(alpha)(pts) + g.partial_field(alpha)(pts),
+        support)
+    f_clip = PartialsField(f.partial_field, support)
+    g_clip = PartialsField(g.partial_field, support)
     spec = SmoothnessSpec(1, 1, 1, 1, 2.0, "mixed")
     rule = QuadRule(8, (16, 16))
     assert (sobolev_norm(both, spec, rule)
