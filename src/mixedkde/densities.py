@@ -42,8 +42,6 @@ __all__ = [
 ]
 
 _CDF_KNOTS = 4096
-# points per axis of the grid on which family_report looks for negative values
-_PDF_CHECK_GRID = 256
 
 
 @dataclass(frozen=True)
@@ -132,11 +130,6 @@ class Density:
     def on_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
         """Values on the tensor grid spanned by per-axis node vectors (the field's ``on_grid``)."""
         return self.field.eval.on_grid(axes)
-
-    def check_axes(self) -> list[np.ndarray]:
-        """Per-axis nodes of the uniform grid where ``family_report`` looks for negative values."""
-        return [np.linspace(lo, hi, _PDF_CHECK_GRID)
-                for lo, hi in zip(self.support.lower, self.support.upper)]
 
 
 def _row_major(indices, shape) -> np.ndarray:

@@ -18,9 +18,9 @@ two closed-form identities exact:
 including the non-compact variant where the plateau width N grows with n.
 ``F_omega`` is one ``densities.Term``: the word's bits on the block grid
 over the M wiggles per axis; a member adds it to f_0's product term.
-``family_report`` checks both identities and four members' mass in one
-quadrature sweep: f_0's factors and the wiggles once per axis (a slab
-slices them), the words' values only on the blocks' sub-grid.
+``family_report`` checks both identities and four members' mass and
+minimum in one quadrature sweep: f_0's factors and the wiggles once per
+axis (a slab slices them), the words' values only on the blocks' sub-grid.
 ``family_distance`` and ``chi2_affinity`` are the closed forms; the tests
 check them against a member written from its definition and integrated on
 its own rule.  ``verify_lower_hypotheses`` checks the reduction lemma's
@@ -374,9 +374,8 @@ def vg_code(m: int, seed: int = 0) -> np.ndarray:
         raise ValueError(f"seed must be >= 0, got {seed}")
     k = math.ceil(m / 8.0)
     if 2 ** k > MAX_CODE_WORDS:
-        raise ValueError(
-            f"code of length {m} needs {2 ** k} words; cap is {MAX_CODE_WORDS}. The block "
-            f"count M^D grows with n, so a smaller n (--n) gives fewer blocks")
+        raise ValueError(f"code of length {m} needs 2^{k} words; "
+                         f"cap is 2^{MAX_CODE_WORDS.bit_length() - 1}")
     rng = np.random.default_rng(seed + 1)
     for _ in range(_CODE_DRAWS):
         code = _span(rng.integers(0, 2, size=(k, m), dtype=np.uint8))
@@ -421,7 +420,7 @@ class LowerBoundFamily:
     ``build_family`` also checks every construction invariant."""
 
     def __init__(self, params: FamilyParams, code: np.ndarray):
-        # a read-only copy: no write can make min_pairwise_hamming's value stale
+        # read-only copies: no write can make the weights disagree with the code
         code = np.array(code, dtype=np.uint8)
         code.flags.writeable = False
         if code.ndim != 2 or code.shape[1] != params.n_blocks:
@@ -434,7 +433,9 @@ class LowerBoundFamily:
         self.params = params
         self.f0 = plateau_density(params.big_n, params.kappa, params.dim)
         self.code = code
-        self._min_hamming: int | None = None
+        # each word's count of ones
+        self.weights = np.count_nonzero(code, axis=1)
+        self.weights.flags.writeable = False
         kappa, sigma = params.kappa, params.sigma
         self.xi = (-(params.big_n - 4.0) / (4.0 * kappa)
                    + 8.0 * sigma * np.arange(1, params.m_per_axis + 1))
@@ -491,11 +492,8 @@ class LowerBoundFamily:
 
     def min_pairwise_hamming(self) -> int:
         """Smallest Hamming distance between two code words (the word length for a
-        one-word code): in a linear code, the smallest weight of a nonzero word;
-        computed once."""
-        if self._min_hamming is None:
-            self._min_hamming = int(self.code[1:].sum(axis=1).min(initial=self.code.shape[1]))
-        return self._min_hamming
+        one-word code): in a linear code, the smallest weight of a nonzero word."""
+        return int(self.weights[1:].min(initial=self.params.n_blocks))
 
 
 def build_family(params: FamilyParams, code_seed: int = 0) -> LowerBoundFamily:
@@ -562,8 +560,9 @@ def _chi2_closed_form(params: FamilyParams, ones, n: int):
 
 
 def family_report(fam: LowerBoundFamily, pdf_rule: QuadRule | None = None) -> dict:
-    """Parameters plus measured identity defects, JSON-ready.  The six integrals
-    take one sweep, the four minimum checks share one grid."""
+    """Parameters plus measured identity defects, JSON-ready.  One sweep over
+    the rule's slabs gives the six integrals and each checked member's minimum
+    on the rule's nodes."""
     params = fam.params
     rule = pdf_rule or family_rule(fam)
     consts = family_constants(params)
@@ -572,15 +571,17 @@ def family_report(fam: LowerBoundFamily, pdf_rule: QuadRule | None = None) -> di
     # f_0's term and the checked words' terms, which share the wiggles as their basis
     f0, words = product_term(fam.f0.axis_factors), [fam._term(word) for word in checked]
     pair = fam.code.shape[0] >= 2
-    zeros = (0,) * params.dim
+    minima = [0.0]
 
     def arrays(f0_basis, wiggles):
-        """On the grid the bases were taken on: each checked member f_0 + F_w in
-        turn, in f_0's own buffer; then, for a code of two words or more,
-        |F_0 - F_1|^p and F_1^2 / f_0."""
+        """On the slab the bases were sliced to: each checked member f_0 + F_w in
+        turn, in f_0's own buffer, its minimum kept before the next overwrites
+        it; then, for a code of two words or more, |F_0 - F_1|^p and F_1^2 / f_0."""
         f0_grid, (_, pos, values) = f0.grid(f0_basis), sub_grid(words, wiggles)
         f0_blocks = f0_grid.reshape(-1).take(pos)
-        yield from _members(f0_grid, pos, f0_blocks, values)
+        for member in _members(f0_grid, pos, f0_blocks, values):
+            minima.append(float(member.min()))
+            yield member
         if pair:
             yield on_grid_at(f0_grid.shape, pos,
                              _distance_values(values[0], values[1], params.p))
@@ -588,13 +589,10 @@ def family_report(fam: LowerBoundFamily, pdf_rule: QuadRule | None = None) -> di
 
     # the bases are elementwise: a slab slices the values they have on the whole axes
     nodes = grid_nodes(fam.f0.support, rule)[0]
-    whole = [term.basis(nodes, zeros) for term in (f0, words[0])]
+    whole = [term.basis(nodes, (0,) * params.dim) for term in (f0, words[0])]
     integrals = integrate_many(lambda axes, slab: arrays(*(_sliced(b, slab) for b in whole)),
                                fam.f0.support, rule)
     worst_pdf_defect = max([0.0] + [abs(mass - 1.0) for mass in integrals[:len(checked)]])
-    # each member's minimum on f_0's uniform check grid (zip stops before the two maps)
-    check = [term.basis(fam.f0.check_axes(), zeros) for term in (f0, words[0])]
-    worst_negative = min([0.0] + [float(np.min(m)) for _, m in zip(words, arrays(*check))])
     dist_rel_err = aff_rel_err = 0.0
     if pair:
         distance_p, chi2_integral = integrals[len(checked):]
@@ -616,7 +614,7 @@ def family_report(fam: LowerBoundFamily, pdf_rule: QuadRule | None = None) -> di
         "min_hamming_distance": int(rho_min),
         "min_hamming_bound": int(math.ceil(params.n_blocks / 8.0)),
         "worst_pdf_defect": worst_pdf_defect,
-        "worst_negative_value": worst_negative,
+        "worst_negative_value": min(minima),
         "distance_identity_rel_error": dist_rel_err,
         "affinity_identity_rel_error": aff_rel_err,
     }
@@ -647,7 +645,7 @@ def verify_lower_hypotheses(fam: LowerBoundFamily, n: int) -> LowerHypothesesRep
              * params.big_n ** (params.dim / params.p))
     min_distance = _member_distance(params, fam.min_pairwise_hamming())
     condition = min_distance >= 2.0 * rho_n * (1.0 - 1e-12)
-    affinities = _chi2_closed_form(params, np.count_nonzero(fam.code, axis=1), n)
+    affinities = _chi2_closed_form(params, fam.weights, n)
     c0 = math.fsum(affinities) / affinities.size
     bound_exponent = (consts.c2 * n * params.big_n ** (2 * params.dim)
                       * params.amplitude ** 2)

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -71,7 +72,7 @@ def test_vg_code_deterministic():
 
 
 def test_vg_code_rejects_short_words():
-    for m, message in [(4, ">= 8"), (136, "cap is 65536")]:
+    for m, message in [(4, ">= 8"), (136, r"^code of length 136 needs 2\^17 words; cap is 2\^16$")]:
         with pytest.raises(ValueError, match=message):
             vg_code(m)
 
@@ -147,10 +148,12 @@ def test_family_code_is_a_read_only_copy(monkeypatch):
     fam = LowerBoundFamily(small_params(3), code)
     with pytest.raises(ValueError, match="read-only"):
         fam.code[1, 0] = 1 - fam.code[1, 0]
+    with pytest.raises(ValueError, match="read-only"):
+        fam.weights[1] = 0
     code[1, 0] = 1 - code[1, 0]
     assert not np.array_equal(fam.code, code)
     rho = fam.min_pairwise_hamming()
-    # the value is kept: a second call does not read the code
+    # the weights are kept: a second call does not read the code
     monkeypatch.setattr(fam, "code", None)
     assert fam.min_pairwise_hamming() == rho
 
@@ -499,11 +502,11 @@ def test_family_report_sweep_equals_single_integrals(monkeypatch, request, fixtu
     monkeypatch.setattr(densities, "lambda_bar", counted_lambda_bar)
     monkeypatch.setattr(fam, "_wiggles", counted_wiggles)
     rep = family_report(fam, pdf_rule=rule)
-    # f0's factors (two lambda_bar calls each) and the wiggles once per axis
-    # for the sweep, then once on the grid the four minimum checks share
+    # f0's factors (two lambda_bar calls each) and the wiggles once per axis,
+    # on the rule's nodes only: the minima come from the same sweep
     assert slabs > 1
-    assert f0_sizes == [80] * (2 * dim) + [256] * (2 * dim)
-    assert wiggle_sizes == [[80] * dim, [256] * dim]
+    assert f0_sizes == [80] * (2 * dim)
+    assert wiggle_sizes == [[80] * dim]
 
     # the oracle's members on the rule's nodes, summed in one dot product:
     # the same integrals up to rounding, where the sweep sums slab by slab
@@ -521,6 +524,30 @@ def test_family_report_sweep_equals_single_integrals(monkeypatch, request, fixtu
     quad = oracle.chi2(b, 1)
     assert rep["affinity_identity_rel_error"] == pytest.approx(abs(closed - quad) / closed,
                                                                rel=0.0, abs=1e-12)
+
+
+def test_family_report_finds_a_negative_member_at_its_deepest_node(monkeypatch):
+    # A at four times the plateau value (LowerBoundFamily does not check A)
+    # takes members below 0; slabs of at most 1,000 of the 6,400 nodes
+    fam = LowerBoundFamily(small_params(3, amplitude_frac=4.0), vg_code(9))
+    monkeypatch.setattr(quadrature, "_CHUNK", 1000)
+    rule = QuadRule(2, (40, 40))
+    rep = family_report(fam, pdf_rule=rule)
+    oracle = family_oracle(fam.params, grid_nodes(fam.f0.support, rule))
+    low = min(float(oracle.member(word).min()) for word in fam.code[:4])
+    assert rep["worst_negative_value"] < 0.0
+    assert rep["worst_negative_value"] == pytest.approx(low, rel=1e-12, abs=0.0)
+
+
+def test_family_report_memory_is_bounded_in_3d(family_3d):
+    # 80^3 nodes in two slabs; a whole-grid array of them is 4 MB
+    tracemalloc.start()
+    try:
+        family_report(family_3d, pdf_rule=QuadRule(2, (40,) * 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 def test_word_length_validation(small_family):
