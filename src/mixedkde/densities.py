@@ -81,7 +81,9 @@ class Density:
 
     @cached_property
     def _cdf_tables(self) -> tuple:
-        return tuple(f.cdf_table() for f in self.axis_factors)
+        """Per axis: the knots, their CDF values and the differences of both."""
+        return tuple((x, cdf, np.diff(x), np.diff(cdf))
+                     for x, cdf in (f.cdf_table() for f in self.axis_factors))
 
     @property
     def dim(self) -> int:
@@ -115,16 +117,16 @@ class Density:
             return np.empty((0, self.dim))
         rng = np.random.default_rng(np.uint64(seed))
         out = np.empty((count, self.dim))
-        for j, (x, cdf) in enumerate(self._cdf_tables):
+        for j, (x, cdf, dx, dcdf) in enumerate(self._cdf_tables):
             u = rng.random(count)
             # bisection to the bracketing knots, linear within the bracket
             order = np.argsort(u)
             idx = np.empty(count, dtype=np.intp)
             idx[order] = np.searchsorted(cdf, u[order], side="right")
-            idx = np.clip(idx, 1, len(cdf) - 1)
-            c0, c1 = cdf[idx - 1], cdf[idx]
-            frac = np.where(c1 > c0, (u - c0) / np.maximum(c1 - c0, 1e-300), 0.0)
-            out[:, j] = x[idx - 1] + frac * (x[idx] - x[idx - 1])
+            i = np.clip(idx, 1, len(cdf) - 1) - 1
+            c0, step = cdf[i], dcdf[i]
+            frac = np.where(step > 0.0, (u - c0) / np.maximum(step, 1e-300), 0.0)
+            out[:, j] = x[i] + frac * dx[i]
         return out
 
     def on_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:

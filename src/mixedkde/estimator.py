@@ -14,10 +14,12 @@ difference table per moment, and prefix sums along the axes, contracted
 with polynomials of the nodes, give every grid value.  The moments are
 centred per tile about half a support wide (Langrené and Warin 2019), so
 the sums stay accurate on wide grids, and a node that no sample covers is
-an exact 0.0.  The cost grows with n plus the node count, never with n ×
-nodes, and the estimator calls no BLAS routine.  Bias studies use the
-deterministic mean field (the truth convolved with the scaled kernel),
-never Monte Carlo; it is computed per axis, so it needs a product truth.
+an exact 0.0.  The tables span only the window of nodes that the
+sample's supports reach.  The cost grows with n plus the window's node
+count, never with n × nodes, and the estimator calls no BLAS routine.
+Bias studies use the deterministic mean field (the truth convolved with
+the scaled kernel), never Monte Carlo; it is computed per axis, so it
+needs a product truth.
 """
 
 from __future__ import annotations
@@ -101,6 +103,17 @@ def kde_on_grid(model: KdeModel, axes: Sequence[np.ndarray]) -> np.ndarray:
     any axis and the sums do not cancel as they would about one centre per
     axis.  A constant factor takes the whole axis as one tile.
 
+    The sums run on a window only: on each axis, from one node before the
+    support of the smallest sample coordinate to the end of the support of
+    the largest (supports move up with ``x``, so every support lies
+    inside).  The plans are cropped to it (``_AxisPlan.crop``); nodes
+    outside stay +0.0, and an empty window gives the zero grid.  The
+    window changes no byte: table entries start at +0.0 and never become
+    -0.0, so below the window a tile holds only zeros, and in the
+    contracted sums every such zero equals the one on the node before the
+    window; each prefix sum inside it adds the same values in the same
+    order.
+
     Each sample adds its moment weights ``prod_j xi_j^l_j`` at the corners
     of its pieces in the tiles, in a difference table per moment and
     ``_CHUNK`` samples at a time.  Axis by axis, a prefix sum within each
@@ -108,11 +121,13 @@ def kde_on_grid(model: KdeModel, axes: Sequence[np.ndarray]) -> np.ndarray:
     node, and that axis's moments are contracted with its ``P_l(eta)``.
     Summing within tiles keeps the rounding of far samples out of a
     node's sum.  The moment of order 0 on every axis counts the covering
-    samples exactly, and a node that no sample covers is an exact 0.0, as
-    in the dense sum.  The grid is scaled by ``1 / (n h^dim)`` last.  The
-    cost is O(n 4^dim moments + nodes moments): no matrix product, so no
-    dependence on BLAS threads, and no work per sample and node.  Memory
-    is the tables plus one chunk.
+    samples exactly; it is copied out before axis 0's contraction and
+    prefix-summed the same way, and a node that no sample covers is an
+    exact 0.0, as in the dense sum.  The grid is scaled by
+    ``1 / (n h^dim)`` last.  The cost is O(n 4^dim moments + nodes
+    moments): no matrix product, so no dependence on BLAS threads, and no
+    work per sample and node.  Memory is the window's tables (contracted
+    in place and freed before the grid is made), its count and one chunk.
     """
     dim = model.kernel.dim
     if len(axes) != dim:
@@ -128,29 +143,46 @@ def kde_on_grid(model: KdeModel, axes: Sequence[np.ndarray]) -> np.ndarray:
     if 0 in shape:
         return np.zeros(shape)
     plans = [_axis_plan(axes[j].tobytes(), h, model.kernel.factor(j)) for j in range(dim)]
-    sums = _difference_tables(plans, model.sample, h)
-    # The real part of ``work`` holds the moment sums still to contract and
-    # the imaginary part of its moment-0 slot the coverage count.  Complex
-    # addition adds the parts separately, so one prefix sum serves both.
-    work = np.zeros(sums.shape[:1] + sums.shape[2:], dtype=complex)
-    count = (slice(None),) + (0,) * (dim - 1)
+    # the window: from one node before the smallest sample's support to the
+    # end of the largest one's; the node before holds the signed zero that
+    # every uncovered node below it holds in the contracted sums
+    reach = [plan.support(np.array([x.min(), x.max()]), h)
+             for plan, x in zip(plans, model.sample.T)]
+    if any(lo >= hi for (lo, _), (_, hi) in reach):
+        return np.zeros(shape)
+    window = tuple(slice(max(lo - 1, 0), hi) for (lo, _), (_, hi) in reach)
+    plans = [plan.crop(part.start, part.stop) for plan, part in zip(plans, window)]
+    sums = _window_sums(plans, model.sample, h)
+    grid = np.zeros(shape)
+    np.multiply(sums, 1.0 / (model.n * h ** dim), out=grid[window])
+    return grid
+
+
+def _window_sums(plans: list["_AxisPlan"], x: np.ndarray, h: float) -> np.ndarray:
+    """The kernel sums of samples ``x`` on the plans' nodes, +0.0 where no
+    sample covers a node; the tables are freed on return."""
+    sums = _difference_tables(plans, x, h)
+    dim = len(plans)
+    # each contraction overwrites its axis's moment-0 slot, so the coverage
+    # count, the moment-0 sums on every axis, is kept apart
+    count = np.empty(sums.shape[:1] + sums.shape[1 + dim:])
     bounds = plans[0].bounds
     # axis 0 one tile at a time, while its rows are in cache: prefix sums
     # of contiguous slabs of every moment, then the contraction
     for start, stop in zip(bounds[:-1], bounds[1:]):
-        block, rows = sums[start:stop], slice(start, stop)
+        block = sums[start:stop]
         for below, row in zip(block, block[1:]):
             row += below
-        work.imag[rows][count] = block[count + (0,)]
-        _contract(block, plans[0].poly[:, rows], sums.ndim - 2, work.real[rows])
+        count[start:stop] = block[(slice(None),) + (0,) * dim]
+        _contract(block, plans[0].poly[:, start:stop], sums.ndim - 2)
+    work = sums[:, 0]
     for j in range(1, dim):
         _tile_prefix_sums(work, work.ndim + j - dim, plans[j].bounds)
-        _contract(work.real, plans[j].poly, dim - 1 - j)
+        _tile_prefix_sums(count, j, plans[j].bounds)
+        _contract(work, plans[j].poly, dim - 1 - j)
         work = work[:, 0]
-    work = work[tuple(slice(0, g) for g in shape)]
-    grid = np.zeros(shape)
-    np.multiply(work.real, 1.0 / (model.n * h ** dim), out=grid, where=work.imag != 0.0)
-    return grid
+    np.copyto(count, work, where=count != 0.0)
+    return count[(slice(-1),) * dim]
 
 
 def _tile_prefix_sums(work: np.ndarray, axis: int, bounds: np.ndarray) -> None:
@@ -194,15 +226,14 @@ def _difference_tables(plans: list["_AxisPlan"], x: np.ndarray, h: float) -> np.
     return table.reshape(sizes[:1] + moments + sizes[1:])
 
 
-def _contract(sums: np.ndarray, poly: np.ndarray, trailing: int, out=None) -> None:
-    """``out = sum_l P_l * sums[:, l]``: one axis's moments contracted with its
-    expansion polynomials, the axis followed by ``trailing`` grid axes.
-
-    ``out`` defaults to ``sums[:, 0]``; ``sums[:, 1:]`` is overwritten.
+def _contract(sums: np.ndarray, poly: np.ndarray, trailing: int) -> None:
+    """``sums[:, 0] = sum_l P_l * sums[:, l]``: one axis's moments contracted
+    with its expansion polynomials, the axis followed by ``trailing`` grid
+    axes; ``sums[:, 1:]`` is overwritten.
     """
     along = poly.reshape(poly.shape + (1,) * trailing)
-    out = sums[:, 0] if out is None else out
-    np.multiply(sums[:, 0], along[0], out=out)
+    out = sums[:, 0]
+    np.multiply(out, along[0], out=out)
     for l in range(1, poly.shape[0]):
         part = sums[:, l]
         part *= along[l]
@@ -268,6 +299,21 @@ class _AxisPlan(NamedTuple):
                 row *= -eta
                 row += coeffs[k] * comb(k, l)
         return cls(nodes, step, limits, bounds, tile_of, pieces, centres, poly)
+
+    def crop(self, start: int, stop: int) -> "_AxisPlan":
+        """The plan of the nodes ``start`` to ``stop - 1``, a zero sink after them.
+
+        Only the tiles that meet those nodes or the sink are kept, each
+        cut to them, with their centres, so every kept node keeps its
+        polynomials.
+        """
+        first, last = self.tile_of[start], self.tile_of[stop]
+        poly = np.zeros((self.poly.shape[0], stop - start + 1))
+        poly[:, :-1] = self.poly[:, start:stop]
+        return self._replace(
+            nodes=self.nodes[start:stop], poly=poly, centres=self.centres[first:last + 1],
+            bounds=np.clip(self.bounds[first:last + 2] - start, 0, stop - start + 1),
+            tile_of=self.tile_of[start:stop + 1] - first)
 
     def support(self, x: np.ndarray, h: float) -> np.ndarray:
         """Each sample's support ``[lo, hi)`` on the nodes, shape (2, m).

@@ -283,6 +283,7 @@ def _cells(config: ExperimentConfig, shared: _SharedGrids, n: int,
         fhat = kde_on_grid(model, list(shared.axes))
         risk = float(np.sum(w * np.abs(fhat - shared.truth_grid) ** p))
         stochastic = float(np.sum(w * np.abs(fhat - mean_grid) ** p))
+        del fhat  # the next estimate is then built without this one held
         cells.append(RiskCell(n=n, replicate=replicate, seed=seed, h=h, risk=risk,
                               bias_p=bias_p, stochastic_p=stochastic))
     return cells

@@ -57,3 +57,21 @@ def test_workload_runs_one_correct_operation(workloads, name):
     wl.check_run(state, [out], checks, seed)
     assert checks.total()[0] > 0
     assert checks.unexpected_failures() == [], checks.summary()
+
+
+def test_tracer_counts_one_risk_large_n_operation(workloads):
+    # a refactor that bypasses a patched name silently zeroes its count; one
+    # traced operation must count every estimator call and every drawn point
+    wl = workloads.WORKLOADS["risk_large_n"]
+    state = wl.setup(20260810)
+    tracer = sys.modules["spans"].Tracer()
+    tracer.install()
+    try:
+        out = wl.run(state, tracer.span)
+    finally:
+        tracer.uninstall()
+    cfg = state.config
+    assert out.cells == len(cfg.sample_sizes) * cfg.replicates == 21
+    assert tracer.counts["estimator.kde_calls"] == out.cells
+    assert tracer.counts["densities.points_drawn"] == sum(cfg.sample_sizes) * cfg.replicates
+    assert tracer.counts["densities.points_drawn"] == 97_536

@@ -284,21 +284,71 @@ def test_one_node_axes_match_brute_force():
         assert kde_at(model, point) == pytest.approx(brute, rel=1e-12, abs=1e-15)
 
 
-def test_uncovered_nodes_are_exact_zeros():
-    # samples in two clusters leave most of the grid uncovered
+def _window_cases():
+    """Samples whose supports reach part of the grid (or none of it): the
+    sample, the axes and the node range ``[first, stop)`` per axis that the
+    supports must cover (None where the case does not pin it)."""
     rng = np.random.default_rng(37)
-    sample = np.vstack([rng.normal([-0.6, 0.4], 0.05, size=(60, 2)),
-                        rng.normal([0.5, -0.5], 0.05, size=(60, 2))])
+    h = 0.2
     axes = [np.linspace(-1.2, 1.2, 97), np.linspace(-1.1, 1.1, 89)]
-    for kernel in (STRICT21, STRICT44):
-        grid = kde_on_grid(KdeModel(kernel=kernel, h=0.2, sample=sample), axes)
-        covered = np.zeros(grid.shape, dtype=bool)
+    # samples in two clusters leave most of the grid uncovered
+    yield np.vstack([rng.normal([-0.6, 0.4], 0.05, size=(60, 2)),
+                     rng.normal([0.5, -0.5], 0.05, size=(60, 2))]), axes, None
+    # a strict sub-window on both axes
+    yield rng.uniform([-0.3, 0.1], [0.2, 0.5], size=(80, 2)), axes, None
+    # the supports start and end exactly on tile starts: the smallest sample
+    # lies just under h past node ``first``, the largest just under h before
+    # node ``stop``
+    window, ends = [], []
+    for axis in axes:
+        bounds = _AxisPlan.build(axis, h, STRICT44.kappa1).bounds
+        first, stop = bounds[2], bounds[-3]
+        window.append((first, stop))
+        ends.append([0.5 * (axis[first - 1] + axis[first]) + h,
+                     0.5 * (axis[stop - 1] + axis[stop]) - h])
+    inner = rng.uniform(*np.transpose(ends), size=(40, 2))
+    yield np.vstack([np.transpose(ends), inner]), axes, window
+    # a sample within h of the last node on both axes: the window ends at the sink
+    tail = np.vstack([[1.2 - 0.5 * h, 1.1 - 0.5 * h],
+                      rng.uniform([0.4, 0.3], [1.2, 1.1], size=(30, 2))])
+    yield tail, axes, [(None, 97), (None, 89)]
+    # samples partly off the grid
+    off = np.array([[5.0, 0.0], [0.0, -7.0], [-3.0, 3.0], [1.5, -1.5]])
+    yield np.vstack([off, rng.normal([0.0, 0.2], 0.1, size=(50, 2))]), axes, None
+    # wholly off the grid: past its end, off one axis only, and on both sides
+    # of it, so that the window is empty or no support reaches a node
+    yield rng.uniform([1.5, -1.0], [3.0, 1.0], size=(20, 2)), axes, None
+    yield rng.uniform([-1.0, -5.0], [1.0, -1.4], size=(20, 2)), axes, None
+    yield np.array([[-5.0, 0.0], [5.0, 0.1], [0.0, 6.0]]), axes, None
+    # an uneven first axis with repeated nodes
+    uneven = np.sort(np.concatenate([np.linspace(-1.2, 1.2, 60), rng.uniform(-1.2, 1.2, 30),
+                                     np.repeat([-0.35, 0.05, 0.4], 2)]))
+    yield rng.uniform([-0.5, -0.4], [0.3, 0.6], size=(70, 2)), [uneven, axes[1]], None
+
+
+def test_uncovered_nodes_are_exact_zeros():
+    # the estimator sums only over the window of nodes the sample's supports
+    # reach; every other node, and every uncovered one inside, is +0.0
+    h = 0.2
+    for case, (sample, axes, window) in enumerate(_window_cases()):
+        covered = np.zeros([axis.size for axis in axes], dtype=bool)
         for x in sample:
-            inside = [np.abs((x[j] - axes[j]) / 0.2) <= 1.0 for j in range(2)]
+            inside = [np.abs((x[j] - axes[j]) / h) <= 1.0 for j in range(2)]
             covered |= np.outer(*inside)
-        assert 0 < np.count_nonzero(covered) < covered.size // 2
-        assert np.all(grid[~covered] == 0.0)
-        assert not np.any(np.signbit(grid[~covered]))
+        if case == 0:
+            assert 0 < np.count_nonzero(covered) < covered.size // 2
+        for j, reach in enumerate(window or []):
+            nodes = np.flatnonzero(covered.any(axis=1 - j))
+            assert reach[0] in (None, nodes[0]) and reach[1] == nodes[-1] + 1, (case, j)
+        for kernel in (STRICT21, STRICT44):
+            grid = kde_on_grid(KdeModel(kernel=kernel, h=h, sample=sample), axes)
+            coeffs = [kernel.factor(j).poly_coeffs for j in range(2)]
+            brute = brute_force_kde_grid(sample, h, coeffs, axes)
+            # the order-4 factor's sums cancel in the clusters: measured at
+            # most 8e-14 of the largest value
+            assert np.max(np.abs(grid - brute)) <= 1e-12 * np.max(np.abs(brute)), case
+            assert np.all(grid[~covered] == 0.0), case
+            assert not np.any(np.signbit(grid[~covered])), case
 
 
 def test_nodes_reached_only_where_the_kernel_vanishes_are_exact_zeros():

@@ -1,4 +1,5 @@
 import ctypes
+import hashlib
 import itertools
 import math
 import multiprocessing
@@ -302,6 +303,33 @@ def test_brute_force_oracle_equivalence():
     coeffs = [config.kernel.kappa1.poly_coeffs, config.kernel.kappa2.poly_coeffs]
     oracle = brute_force_risk(sample, cell.h, coeffs, axes, truth_grid, config.p)
     assert cell.risk == pytest.approx(oracle, rel=1e-10)
+
+
+CRITERION4_DOC = {
+    "truth": {"name": "tensor_bump", "params": {"widths": [1.0, 3.0]}},
+    "kernel": {"s1": 2, "s2": 1, "d1": 1, "d2": 1, "strict": True},
+    "p": 2.0,
+    "sample_sizes": [2 ** k for k in range(8, 15)],
+    "replicates": 3,
+    "master_seed": 20260810,
+}
+# sha256 of report_to_csv: the criterion-4 experiment at 3 replicates, and the
+# same truth and kernel at p = 1.5 and n = 64..1024 at 4 replicates
+_PINNED_CSV = {
+    "criterion4": (CRITERION4_DOC,
+                   "e6a52ed5c7c119a29f39f7a36d6ebd2a14c7eb0626f1827ef7b75840bf0ad029"),
+    "pool_p15": (dict(CRITERION4_DOC, p=1.5, sample_sizes=[64, 128, 256, 512, 1024],
+                      replicates=4),
+                 "ac300453ffc3068c8fd491630c42290dc15e8540e821222f21efa84835bad54d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_CSV))
+def test_risk_csv_keeps_its_bytes(name):
+    doc, digest = _PINNED_CSV[name]
+    for workers in (1, 2):
+        text = report_to_csv(mc_risk(dict(doc), workers=workers))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, workers
 
 
 def test_csv_format():
