@@ -158,32 +158,31 @@ class Term:
 
     def grid(self, basis) -> np.ndarray:
         """Values on the grid of the axes ``basis`` was taken on."""
-        _, pos, (values,) = sub_grid([self], basis)
-        return on_grid_at(tuple(len(ij) for ij in basis[0]), pos, values)
+        sub, product, (bits,) = sub_grid([self], basis)
+        values = product if bits is None else np.where(bits, product, 0.0)
+        shape = tuple(len(ij) for ij in basis[0])
+        return values if values.shape == shape else on_sub_grid(np.empty(shape), sub, values)
 
 
 def sub_grid(terms: Sequence[Term], basis) -> tuple:
-    """For terms of one basis, taken on a grid's axes: per axis the nodes a basis
-    function reaches, the row-major positions of the sub-grid they span (None
-    for the whole grid) and each term's values there, from one basis product."""
+    """For terms of one basis, taken on a grid's axes: the ``np.ix_`` index of the
+    sub-grid spanned by the nodes a basis function reaches on each axis, the basis
+    product there and each term's core bits there (None for every term when every
+    core is all set).  A term's values there are ``np.where(bits, product, 0.0)``."""
     index, values, scale = basis
-    shape, grid = terms[0].core.shape, tuple(len(ij) for ij in index)
-    nodes = [np.flatnonzero(ij < n) for ij, n in zip(index, shape)]
-    sub = np.ix_(*nodes)
+    shape = terms[0].core.shape
+    sub = np.ix_(*[np.flatnonzero(ij < n) for ij, n in zip(index, shape)])
     product = reduce(np.multiply, [v[k] for v, k in zip(values, sub)], scale)
-    pos = None if product.shape == grid else _row_major(sub, grid)
     if all(term.core.all() for term in terms):
-        return nodes, pos, [product] * len(terms)
+        return sub, product, [None] * len(terms)
     ids = _row_major([ij[k] for ij, k in zip(index, sub)], shape)
-    return nodes, pos, [np.where(term.core.take(ids), product, 0.0) for term in terms]
+    return sub, product, [term.core.take(ids) for term in terms]
 
 
-def on_grid_at(shape, pos, values: np.ndarray) -> np.ndarray:
-    """A grid of ``shape``: ``values`` at the positions ``pos`` (all for None), +0.0 elsewhere."""
-    if pos is None:
-        return values
-    out = np.zeros(shape)
-    out.reshape(-1)[pos] = values
+def on_sub_grid(out: np.ndarray, sub, values: np.ndarray) -> np.ndarray:
+    """``out`` overwritten with ``values`` on the sub-grid ``sub``, +0.0 elsewhere."""
+    out.fill(0.0)
+    out[sub] = values
     return out
 
 

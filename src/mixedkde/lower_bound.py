@@ -20,7 +20,9 @@ including the non-compact variant where the plateau width N grows with n.
 over the M wiggles per axis; a member adds it to f_0's product term.
 ``family_report`` checks both identities and four members' mass and
 minimum in one quadrature sweep: f_0's factors and the wiggles once per
-axis (a slab slices them), the words' values only on the blocks' sub-grid.
+axis (a slab slices them), and on each slab one whole-slab buffer, f_0's
+grid, into which every integrand is written in turn; a word is kept as its
+bits on the blocks' sub-grid, its values made there only when used.
 ``family_distance`` and ``chi2_affinity`` are the closed forms; the tests
 check them against a member written from its definition and integrated on
 its own rule.  ``verify_lower_hypotheses`` checks the reduction lemma's
@@ -38,7 +40,7 @@ from typing import Callable, get_type_hints
 import numpy as np
 
 from .bumps import g_deriv, g_function, g_norm, g_sobolev_norm, bump_sobolev_norm, bump_l1
-from .densities import (Density, TensorField, Term, on_grid_at, plateau_density, product_term,
+from .densities import (Density, TensorField, Term, on_sub_grid, plateau_density, product_term,
                         sub_grid)
 from .kernels import config_scalar, config_values
 from .quadrature import (QuadRule, grid_nodes, integrate,  # noqa: F401  (perfbench wraps it)
@@ -392,21 +394,10 @@ def _sliced(basis, slab):
     return [ij[s] for ij, s in zip(index, slab)], [v[s] for v, s in zip(values, slab)], scale
 
 
-def _members(f0_grid: np.ndarray, pos, f0_blocks: np.ndarray, values):
-    """``f_0 + F`` for each ``F`` of ``values`` (its values at the positions
-    ``pos``, +0.0 elsewhere) in turn, each written into ``f0_grid``'s buffer:
-    off ``pos`` it is ``f_0 + 0.0``, the pointwise sum, there ``f0_blocks + F``.
-    ``TensorField.on_grid`` per member made the report about 1.6 times slower."""
-    flat = f0_grid.reshape(-1)
-    flat += 0.0
-    for v in values:
-        flat[pos] = f0_blocks + v
-        yield f0_grid
-
-
 def _distance_values(va: np.ndarray, vb: np.ndarray, p: float) -> np.ndarray:
-    """``|F_a - F_b|^p``, the power taken only where the members differ (0^p = 0)."""
-    diff = np.abs(va - vb)
+    """``|F_a - F_b|^p``, formed in ``va``'s array, the power taken only where the
+    members differ (0^p = 0)."""
+    diff = np.abs(np.subtract(va, vb, out=va), out=va)
     differ = diff != 0.0
     diff[differ] = diff[differ] ** p
     return diff
@@ -562,7 +553,10 @@ def _chi2_closed_form(params: FamilyParams, ones, n: int):
 def family_report(fam: LowerBoundFamily, pdf_rule: QuadRule | None = None) -> dict:
     """Parameters plus measured identity defects, JSON-ready.  One sweep over
     the rule's slabs gives the six integrals and each checked member's minimum
-    on the rule's nodes."""
+    on the rule's nodes.  Of its own, each slab holds one whole-slab array,
+    f_0's grid, which every integrand overwrites in turn, and the rest on the
+    blocks' sub-grid: the README family's report peaks at 6.2 MiB traced at 2
+    nodes per panel and 13.2 MiB at 8."""
     params = fam.params
     rule = pdf_rule or family_rule(fam)
     consts = family_constants(params)
@@ -574,18 +568,23 @@ def family_report(fam: LowerBoundFamily, pdf_rule: QuadRule | None = None) -> di
     minima = [0.0]
 
     def arrays(f0_basis, wiggles):
-        """On the slab the bases were sliced to: each checked member f_0 + F_w in
-        turn, in f_0's own buffer, its minimum kept before the next overwrites
-        it; then, for a code of two words or more, |F_0 - F_1|^p and F_1^2 / f_0."""
-        f0_grid, (_, pos, values) = f0.grid(f0_basis), sub_grid(words, wiggles)
-        f0_blocks = f0_grid.reshape(-1).take(pos)
-        for member in _members(f0_grid, pos, f0_blocks, values):
-            minima.append(float(member.min()))
-            yield member
+        """On the slab the bases were sliced to, each in f_0's grid, the one slab
+        buffer: each checked member f_0 + F_w in turn, its minimum kept before the
+        next overwrites it; then, for a code of two words or more, |F_0 - F_1|^p
+        and F_1^2 / f_0.  A word's values F_w are made from its bits on the
+        blocks' sub-grid only when used, so at most two are alive at once."""
+        buffer, (sub, product, bits) = f0.grid(f0_basis), sub_grid(words, wiggles)
+        f0_blocks = buffer[sub]
+        buffer += 0.0  # off the sub-grid a member is f_0 + 0.0, the pointwise sum
+        for word_bits in bits:
+            buffer[sub] = f0_blocks + np.where(word_bits, product, 0.0)
+            minima.append(float(buffer.min()))
+            yield buffer
         if pair:
-            yield on_grid_at(f0_grid.shape, pos,
-                             _distance_values(values[0], values[1], params.p))
-            yield on_grid_at(f0_grid.shape, pos, values[1] ** 2 / f0_blocks)
+            f_1 = np.where(bits[1], product, 0.0)
+            yield on_sub_grid(buffer, sub, _distance_values(
+                np.where(bits[0], product, 0.0), f_1, params.p))
+            yield on_sub_grid(buffer, sub, f_1 ** 2 / f0_blocks)
 
     # the bases are elementwise: a slab slices the values they have on the whole axes
     nodes = grid_nodes(fam.f0.support, rule)[0]

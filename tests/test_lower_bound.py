@@ -448,6 +448,31 @@ def test_readme_family_report_bytes_at_default_rule():
     assert hashlib.sha256(text.encode()).hexdigest() == _README_DEFAULT_RULE_REPORT_SHA256
 
 
+# sha256 of family_report's JSON on the sweep's other paths, computed before
+# the sweep kept the words as bits: the 3-d fixture in two slabs, and the
+# README family at 2 nodes per panel in slabs of 10 rows, 8 of 39 without a
+# block node (an empty sub-grid)
+_SLABBED_REPORT_SHA256 = {
+    "3d": "745a60387ed92ecdb6a15d4bf72ec19b92aa59673599dfa97295d6788744e462",
+    "readme": "6a3fe9eb871a1158c7da92c38b0772f10b179d50334e21c87c76f1d3643c7b0e",
+}
+
+
+def test_slabbed_family_report_bytes(monkeypatch, family_3d):
+    got = {"3d": family_report(family_3d, pdf_rule=QuadRule(2, (40,) * 3))}
+    assert len(list(quadrature._slabs((80,) * 3))) == 2
+    fam = build_family(choose_parameters(10_000, 240.0, 1.5, 1, 1, 1, 1, big_n=8.4), code_seed=0)
+    rule = family_rule(fam, nodes_per_panel=2)
+    monkeypatch.setattr(quadrature, "_CHUNK", 4000)
+    x = grid_nodes(fam.f0.support, rule)[0][0]
+    reached = np.abs(x[:, None] - fam.xi[None, :]).min(axis=1) <= 3.0 * fam.params.sigma
+    rows = [reached[s[0]] for s in quadrature._slabs((len(x),) * 2)]
+    assert (len(rows), sum(not r.any() for r in rows)) == (39, 8)
+    got["readme"] = family_report(fam, pdf_rule=rule)
+    assert {name: hashlib.sha256(json.dumps(rep, indent=2, sort_keys=True).encode()).hexdigest()
+            for name, rep in got.items()} == _SLABBED_REPORT_SHA256
+
+
 @pytest.mark.parametrize("fixture", ["small_family", "family_3d"])
 def test_family_grid_integrals_match_point_integrals(monkeypatch, request, fixture):
     fam = request.getfixturevalue(fixture)
@@ -548,6 +573,22 @@ def test_family_report_memory_is_bounded_in_3d(family_3d):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20
+
+
+def test_family_report_memory_is_bounded_at_the_readme_rule():
+    # 388 x 388 nodes in one slab: a whole-grid float64 array is 1.15 MiB, and
+    # the sweep holds fewer than six (9.59 MiB traced when it made every
+    # checked word's values up front and a fresh grid per integrand)
+    fam = build_family(choose_parameters(10_000, 240.0, 1.5, 1, 1, 1, 1, big_n=8.4), code_seed=0)
+    rule = family_rule(fam, nodes_per_panel=2)
+    assert [len(x) for x in grid_nodes(fam.f0.support, rule)[0]] == [388, 388]
+    tracemalloc.start()
+    try:
+        family_report(fam, pdf_rule=rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 388 ** 2 * 8
 
 
 def test_word_length_validation(small_family):
@@ -669,6 +710,16 @@ def test_criterion_9_feasible_leg_follows_from_the_algebra(n, r, p, s, compact):
         # and the bound exp(C2 n N^{2D} A^2) is exp(n b m)
         assert math.log(hyp.c0_exponential_bound) == pytest.approx(n * per_one * m, rel=1e-12)
         assert hyp.c0_estimate <= (1.0 + per_one * m) ** n <= hyp.c0_exponential_bound
+
+
+def test_criterion_9_feasibility_threshold():
+    # criterion 9's flags are feasible from n = 6,161 on; one below, sigma
+    # passes its cap 1/(20 kappa) = 0.05, so the n = 1,000 leg cannot hold
+    params = choose_parameters(6161, 240.0, 1.5, 1, 1, 1, 1, big_n=8.4)
+    assert params.sigma == pytest.approx(0.04667, abs=1e-5)
+    with pytest.raises(InfeasibleParameters, match=(
+            r"^sigma = 0\.0525\d* violates sigma < min\(1, 1/\(20 kappa\)\) = 0\.05$")):
+        choose_parameters(6160, 240.0, 1.5, 1, 1, 1, 1, big_n=8.4)
 
 
 def test_family_report_fields(small_family):
