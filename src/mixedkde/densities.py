@@ -139,6 +139,18 @@ def _row_major(indices, shape) -> np.ndarray:
     return reduce(lambda pos, j: pos * shape[j] + indices[j], range(1, len(shape)), indices[0])
 
 
+def sliced_basis(basis, box) -> tuple:
+    """A basis taken on per-axis nodes, restricted to the per-axis index ranges ``box``."""
+    index, values, scale = basis
+    return [ij[s] for ij, s in zip(index, box)], [v[s] for v, s in zip(values, box)], scale
+
+
+def _core_bits(terms, index) -> list:
+    """Each term's core bits at per-axis basis indices, its core padded to False outside."""
+    ids = _row_major(index, [n + 1 for n in terms[0].core.shape])
+    return [np.pad(term.core, (0, 1)).take(ids) for term in terms]
+
+
 @dataclass(frozen=True)
 class Term:
     """A Tucker term: ``scale`` times per-axis basis values, multiplied left to
@@ -152,9 +164,7 @@ class Term:
 
     def points(self, pts: np.ndarray, orders: tuple[int, ...]) -> np.ndarray:
         index, values, scale = self.basis(pts.T, orders)
-        core = np.pad(self.core, [(0, 1)] * self.core.ndim)  # padded for the outside index
-        return np.where(core.take(_row_major(index, core.shape)),
-                        reduce(np.multiply, values, scale), 0.0)
+        return np.where(_core_bits([self], index)[0], reduce(np.multiply, values, scale), 0.0)
 
     def grid(self, basis) -> np.ndarray:
         """Values on the grid of the axes ``basis`` was taken on."""
@@ -165,22 +175,22 @@ class Term:
 
 
 def sub_grid(terms: Sequence[Term], basis) -> tuple:
-    """For terms of one basis, taken on a grid's axes: the ``np.ix_`` index of the
-    sub-grid spanned by the nodes a basis function reaches on each axis, the basis
-    product there and each term's core bits there (None for every term when every
-    core is all set).  A term's values there are ``np.where(bits, product, 0.0)``."""
-    index, values, scale = basis
+    """For terms of one basis, taken on a grid's axes: the bounding box of slices from
+    the first to the last node a basis function reaches on each axis, the basis product
+    there, and each term's core bits there (None for all when every core is all set and
+    every box node reached).  A term's values are ``np.where(bits, product, 0.0)`` there."""
     shape = terms[0].core.shape
-    sub = np.ix_(*[np.flatnonzero(ij < n) for ij, n in zip(index, shape)])
-    product = reduce(np.multiply, [v[k] for v, k in zip(values, sub)], scale)
-    if all(term.core.all() for term in terms):
+    reached = [np.flatnonzero(ij < n) for ij, n in zip(basis[0], shape)]
+    sub = tuple(slice(k[0], k[-1] + 1) if k.size else slice(0, 0) for k in reached)
+    index, values, scale = sliced_basis(basis, sub)
+    product = reduce(np.multiply, np.meshgrid(*values, indexing="ij", sparse=True), scale)
+    if all(t.core.all() for t in terms) and all((ij < n).all() for ij, n in zip(index, shape)):
         return sub, product, [None] * len(terms)
-    ids = _row_major([ij[k] for ij, k in zip(index, sub)], shape)
-    return sub, product, [term.core.take(ids) for term in terms]
+    return sub, product, _core_bits(terms, np.meshgrid(*index, indexing="ij", sparse=True))
 
 
 def on_sub_grid(out: np.ndarray, sub, values: np.ndarray) -> np.ndarray:
-    """``out`` overwritten with ``values`` on the sub-grid ``sub``, +0.0 elsewhere."""
+    """``out`` overwritten with ``values`` on the box of slices ``sub``, +0.0 elsewhere."""
     out.fill(0.0)
     out[sub] = values
     return out
@@ -188,8 +198,8 @@ def on_sub_grid(out: np.ndarray, sub, values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TensorField:
-    """The sum of ``terms``, left to right, on ``support``; off its sub-grid a
-    term's grid holds +0.0, as its point values do."""
+    """The sum of ``terms``, left to right, on ``support``; where no basis function
+    reaches, a term's grid holds +0.0, as its point values do."""
 
     terms: tuple[Term, ...]
     support: Box

@@ -19,10 +19,9 @@ including the non-compact variant where the plateau width N grows with n.
 ``F_omega`` is one ``densities.Term``: the word's bits on the block grid
 over the M wiggles per axis; a member adds it to f_0's product term.
 ``family_report`` checks both identities and four members' mass and
-minimum in one quadrature sweep: f_0's factors and the wiggles once per
-axis (a slab slices them), and on each slab one whole-slab buffer, f_0's
-grid, into which every integrand is written in turn; a word is kept as its
-bits on the blocks' sub-grid, its values made there only when used.
+minimum in one sweep: the bases once per axis, sliced per slab; each slab's
+integrands written in turn into f_0's grid, each word's values made only
+when used from its bits on the blocks' bounding box of slices.
 ``family_distance`` and ``chi2_affinity`` are the closed forms; the tests
 check them against a member written from its definition and integrated on
 its own rule.  ``verify_lower_hypotheses`` checks the reduction lemma's
@@ -41,7 +40,7 @@ import numpy as np
 
 from .bumps import g_deriv, g_function, g_norm, g_sobolev_norm, bump_sobolev_norm, bump_l1
 from .densities import (Density, TensorField, Term, on_sub_grid, plateau_density, product_term,
-                        sub_grid)
+                        sliced_basis, sub_grid)
 from .kernels import config_scalar, config_values
 from .quadrature import (QuadRule, grid_nodes, integrate,  # noqa: F401  (perfbench wraps it)
                          integrate_many)
@@ -388,19 +387,11 @@ def vg_code(m: int, seed: int = 0) -> np.ndarray:
 
 # ----------------------------- the family -----------------------------
 
-def _sliced(basis, slab):
-    """A basis taken on per-axis nodes, restricted to the index ranges ``slab``."""
-    index, values, scale = basis
-    return [ij[s] for ij, s in zip(index, slab)], [v[s] for v, s in zip(values, slab)], scale
-
-
 def _distance_values(va: np.ndarray, vb: np.ndarray, p: float) -> np.ndarray:
     """``|F_a - F_b|^p``, formed in ``va``'s array, the power taken only where the
     members differ (0^p = 0)."""
     diff = np.abs(np.subtract(va, vb, out=va), out=va)
-    differ = diff != 0.0
-    diff[differ] = diff[differ] ** p
-    return diff
+    return np.power(diff, p, out=diff, where=diff != 0.0)
 
 
 class LowerBoundFamily:
@@ -551,12 +542,11 @@ def _chi2_closed_form(params: FamilyParams, ones, n: int):
 
 
 def family_report(fam: LowerBoundFamily, pdf_rule: QuadRule | None = None) -> dict:
-    """Parameters plus measured identity defects, JSON-ready.  One sweep over
-    the rule's slabs gives the six integrals and each checked member's minimum
-    on the rule's nodes.  Of its own, each slab holds one whole-slab array,
-    f_0's grid, which every integrand overwrites in turn, and the rest on the
-    blocks' sub-grid: the README family's report peaks at 6.2 MiB traced at 2
-    nodes per panel and 13.2 MiB at 8."""
+    """Parameters plus measured identity defects, JSON-ready.  One sweep over the
+    rule's slabs gives the six integrals and each checked member's minimum on its
+    nodes.  A slab holds one whole-slab array, f_0's grid, which every integrand
+    overwrites in turn, and the rest on the blocks' box of slices: the README
+    family's report peaks at 5.6 MiB traced at 2 nodes per panel and 11.7 at 8."""
     params = fam.params
     rule = pdf_rule or family_rule(fam)
     consts = family_constants(params)
@@ -572,12 +562,12 @@ def family_report(fam: LowerBoundFamily, pdf_rule: QuadRule | None = None) -> di
         buffer: each checked member f_0 + F_w in turn, its minimum kept before the
         next overwrites it; then, for a code of two words or more, |F_0 - F_1|^p
         and F_1^2 / f_0.  A word's values F_w are made from its bits on the
-        blocks' sub-grid only when used, so at most two are alive at once."""
+        blocks' box only when used, so at most two are alive at once."""
         buffer, (sub, product, bits) = f0.grid(f0_basis), sub_grid(words, wiggles)
-        f0_blocks = buffer[sub]
-        buffer += 0.0  # off the sub-grid a member is f_0 + 0.0, the pointwise sum
+        f0_blocks = buffer[sub].copy()  # a slice is a view, which the members overwrite
+        buffer += 0.0  # off the blocks' box a member is f_0 + 0.0, the pointwise sum
         for word_bits in bits:
-            buffer[sub] = f0_blocks + np.where(word_bits, product, 0.0)
+            np.add(f0_blocks, np.where(word_bits, product, 0.0), out=buffer[sub])
             minima.append(float(buffer.min()))
             yield buffer
         if pair:
@@ -589,7 +579,7 @@ def family_report(fam: LowerBoundFamily, pdf_rule: QuadRule | None = None) -> di
     # the bases are elementwise: a slab slices the values they have on the whole axes
     nodes = grid_nodes(fam.f0.support, rule)[0]
     whole = [term.basis(nodes, (0,) * params.dim) for term in (f0, words[0])]
-    integrals = integrate_many(lambda axes, slab: arrays(*(_sliced(b, slab) for b in whole)),
+    integrals = integrate_many(lambda axes, slab: arrays(*(sliced_basis(b, slab) for b in whole)),
                                fam.f0.support, rule)
     worst_pdf_defect = max([0.0] + [abs(mass - 1.0) for mass in integrals[:len(checked)]])
     dist_rel_err = aff_rel_err = 0.0

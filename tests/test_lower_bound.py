@@ -363,6 +363,37 @@ def test_family_grid_bytes_equal_point_bytes(request, fixture):
                 assert field.on_grid(axes).tobytes() == point.tobytes()
 
 
+def test_family_box_of_slices_on_the_readme_rule_axes():
+    # the blocks' box is one slice per sorted rule axis.  At 2 nodes per panel
+    # every node in it is within 3 sigma of a block; at 8 each gap panel between
+    # blocks puts nodes in it that no block reaches, where every perturbation is
+    # +0.0 and every member f_0 + 0.0, on the grid as at the points.  The
+    # all-ones word's core is all set, yet its grid needs its bits there too.
+    fam = build_family(choose_parameters(10_000, 240.0, 1.5, 1, 1, 1, 1, big_n=8.4), code_seed=0)
+    words = list(fam.code[:4]) + [np.ones(fam.params.n_blocks, dtype=np.uint8)]
+    terms = [fam._term(word) for word in words]
+    for nodes_per_panel, gaps in ((2, False), (8, True)):
+        axes = grid_nodes(fam.f0.support, family_rule(fam, nodes_per_panel))[0]
+        basis = fam._wiggles(axes, (0, 0))
+        sub = densities.sub_grid(terms, basis)[0]
+        assert isinstance(sub, tuple) and all(isinstance(s, slice) for s in sub)
+        assert any((ij[s] == fam.params.m_per_axis).any() for ij, s in zip(basis[0], sub)) == gaps
+        fields = ([fam.perturbation_field(word) for word in words]
+                  + [fam.member(word).field.eval for word in fam.code[:4]])
+        for field in fields:
+            grid = field.on_grid(axes)
+            # the point values a band of rows at a time, to bound the memory
+            for rows in np.array_split(np.arange(len(axes[0])), 8):
+                point = field(grid_points([axes[0][rows], axes[1]]))
+                assert grid[rows].tobytes() == point.tobytes()
+    # an axis that reaches no block: an empty slice, and a grid of +0.0
+    axes = [axes[0], np.linspace(fam.plateau_halfwidth, fam.f0.support.upper[1], 5)]
+    basis = fam._wiggles(axes, (0, 0))
+    assert densities.sub_grid(terms, basis)[0][1] == slice(0, 0)
+    for term in terms:
+        assert term.grid(basis).tobytes() == np.zeros((len(axes[0]), 5)).tobytes()
+
+
 def _field_digest(partial, box, axes) -> str:
     """sha256 over every partial with per-axis orders <= 2 (itertools.product
     order) of its values at 1,000 seeded points in ``box``, then on ``axes``."""
